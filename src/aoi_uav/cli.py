@@ -1,9 +1,9 @@
 """Command-line harness: train / eval / sweep / oracle / gradcheck.
 
-Exit codes: 0 success, 2 config problem, 3 training diverged (non-finite
-loss), 4 checkpoint CRC/format failure, 5 oracle guard exceeded.  The
-`AOIUAV_THREADS` environment variable caps rollout workers (default 1, which
-keeps runs byte-reproducible regardless of machine).
+Exit codes: 0 success, 1 check failed (oracle witness replay does not match
+the optimum, or a gradcheck trial failed), 2 config problem, 3 training
+diverged (non-finite loss), 4 checkpoint CRC/format failure, 5 oracle guard
+exceeded.
 """
 
 from __future__ import annotations
@@ -42,14 +42,6 @@ def _resolve_input(path: str, kind: str) -> str:
         if ref.is_file():
             return str(ref)
     raise ConfigError(f"cannot read {kind[:-1]} file {path}")
-
-
-def _rollout_workers() -> int:
-    raw = os.environ.get("AOIUAV_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _load_run_config(path: str, seed_override: int | None):
@@ -103,7 +95,6 @@ def cmd_train(args) -> int:
             metrics_sink=metrics_sink,
             checkpoint_sink=checkpoint_sink,
             event_sink=event_sink if args.events else None,
-            workers=_rollout_workers(),
         )
     last = result.metrics[-1]
     print(f"trained {len(result.metrics)} episodes; "
@@ -159,8 +150,7 @@ def cmd_sweep(args) -> int:
         swept = apply_sweep_value(scenario, args.param, value)
         swept.validate()
         if args.mode == "train":
-            result = trainer.train(swept, tconf, seed,
-                                   workers=_rollout_workers())
+            result = trainer.train(swept, tconf, seed)
             policy = trainer.make_policy("learned", swept, result.bundle)
         else:
             policy = trainer.make_policy(args.policy, swept)

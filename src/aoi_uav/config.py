@@ -123,7 +123,6 @@ class TrainConfig:
     episodes_per_update: int = 1
     entropy_coef: float = 0.01
     value_coef: float = 0.5
-    old_sync_period: int = 1          # updates between old-actor syncs
     learning_rate: float = 3e-4
     eval_interval: int = 50           # episodes between checkpoints
     algo: str = "mappo_lstm"            # mappo_lstm | mappo_ff
@@ -151,16 +150,6 @@ class TrainConfig:
             raise ConfigError("epochs and episodes_per_update must be >= 1")
         if self.algo not in ("mappo_lstm", "mappo_ff"):
             raise ConfigError("algo must be 'mappo_lstm' or 'mappo_ff'")
-
-
-def canonical_scenario(**overrides) -> ScenarioConfig:
-    """Four UAVs, fifty IoTs, one central charging station."""
-    return replace(ScenarioConfig(), **overrides)
-
-
-def ring_scenario(**overrides) -> ScenarioConfig:
-    """Ten charging stations on a ring, otherwise canonical."""
-    return replace(ScenarioConfig(), n_lbds=10, lbd_layout="ring", **overrides)
 
 
 def tiny_scenario(**overrides) -> ScenarioConfig:

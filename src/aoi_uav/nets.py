@@ -9,7 +9,6 @@ how the weights train.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -39,12 +38,15 @@ class LstmCellParams:
 class ActorParams:
     """Recurrent actor: LSTM cell, tanh hidden layer, action logits."""
 
-    lstm: LstmCellParams
+    lstm: LstmCellParams | None  # None: feed-forward variant (obs -> head)
     w_head: Tensor   # (Hh, H)
     b_head: Tensor   # (Hh,)
     w_out: Tensor    # (A, Hh)
     b_out: Tensor    # (A,)
-    recurrent: bool = True  # False: feed-forward variant (obs -> head directly)
+
+    @property
+    def recurrent(self) -> bool:
+        return self.lstm is not None
 
     def tensors(self, prefix: str) -> dict[str, Tensor]:
         out = {f"{prefix}/w_head": self.w_head, f"{prefix}/b_head": self.b_head,
@@ -113,14 +115,13 @@ def init_actor(rng: np.random.Generator, obs_dim: int, n_actions: int,
                hidden: int, head_hidden: int, recurrent: bool = True) -> ActorParams:
     feature_dim = hidden if recurrent else obs_dim
     return ActorParams(
-        lstm=init_lstm(rng, obs_dim, hidden),
+        lstm=init_lstm(rng, obs_dim, hidden) if recurrent else None,
         w_head=tt.glorot_uniform(rng, feature_dim, head_hidden,
                                  (head_hidden, feature_dim)),
         b_head=tt.zeros(head_hidden),
         w_out=tt.glorot_uniform(rng, head_hidden, n_actions,
                                 (n_actions, head_hidden)),
         b_out=tt.zeros(n_actions),
-        recurrent=recurrent,
     )
 
 
@@ -230,12 +231,3 @@ def sample_action(probs: np.ndarray, rng: np.random.Generator) -> tuple[int, flo
     idx = int(np.searchsorted(cdf, u, side="right"))
     idx = min(idx, len(probs) - 1)
     return idx, math.log(probs[idx])
-
-
-def sync_old(actor: ActorParams) -> ActorParams:
-    """Frozen deep copy: later updates to the live actor leave it unchanged."""
-    frozen = copy.deepcopy(actor)
-    for t in frozen.tensors("x").values():
-        t.requires_grad = False
-        t.grad = None
-    return frozen

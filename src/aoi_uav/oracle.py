@@ -10,12 +10,10 @@ correctness anchor, not a solver: no bounding tricks, hard branching guard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import product
 
-
-
-from . import world
+from . import config_io, world
 from .config import ConfigError, ScenarioConfig
 from .world import ACTION_NAMES, WorldState
 
@@ -80,31 +78,9 @@ def make_instance(config: ScenarioConfig, iots, uavs, lbds) -> TinyInstance:
 # Instance files: layout records plus `CFG key value` scenario overrides.
 # ---------------------------------------------------------------------------
 
-_CFG_FIELD_TYPES = {
-    f.name: f.type for f in fields(ScenarioConfig)
-    if f.name not in ("channel", "laser", "propulsion", "reward")
-}
-
-
-def _coerce_cfg_value(key: str, raw: str):
-    kind = _CFG_FIELD_TYPES.get(key)
-    if kind is None:
-        raise ConfigError(f"unknown instance config key {key!r}")
-    if kind == "bool":
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"instance key {key!r}: expected a boolean, got {raw!r}")
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return raw
-
-
 def parse_instance(text: str) -> TinyInstance:
     """Parse an instance file: CFG overrides plus IOT/UAV/LBD layout records."""
+    kinds = config_io._field_types(ScenarioConfig)
     overrides: dict = {}
     layout_lines = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -115,7 +91,10 @@ def parse_instance(text: str) -> TinyInstance:
         if parts[0].upper() == "CFG":
             if len(parts) != 3:
                 raise ConfigError(f"instance line {lineno}: expected 'CFG key value'")
-            overrides[parts[1]] = _coerce_cfg_value(parts[1], parts[2])
+            key, raw_value = parts[1], parts[2]
+            if key not in kinds:
+                raise ConfigError(f"unknown instance config key {key!r}")
+            overrides[key] = config_io._coerce("scenario", key, raw_value, kinds[key])
         else:
             layout_lines.append(raw)
     iots, lbds, uavs = world.parse_layout("\n".join(layout_lines))

@@ -170,7 +170,7 @@ def hover_power(params: PropulsionParams) -> float:
 def optimal_speed(params: PropulsionParams, v_max: float, tol: float) -> float:
     """Speed in [0, v_max] minimizing propulsion power, to within ``tol``.
 
-    Golden-section search; valid because the power curve is convex in speed.
+    Golden-section search; valid because the power curve is unimodal in speed.
     """
     if v_max <= 0.0:
         raise PhysicsDomainError("v_max must be > 0")

@@ -1,18 +1,15 @@
 """Training loop: rollout collection, advantage estimation, clipped-surrogate
-policy updates, periodic old-actor syncs, plus heuristic baselines and the
-evaluation harness.
+policy updates, plus heuristic baselines and the evaluation harness.
 
-Rollout collection can fan out over worker threads; each worker owns its
-environment instances and an RNG stream seeded base_seed + worker_id, and
-results merge in worker order so scheduling never changes the output.  All
-gradient work happens on the calling thread.
+Training rollouts and policy evaluation share one episode loop,
+`run_episode`; they differ only in how the joint action is chosen and what
+is recorded.  Each rollout draws from a single RNG stream, episode by
+episode, so the output is a function of the seed alone.
 """
 
 from __future__ import annotations
 
-import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +23,6 @@ from .nets import (
     actor_step,
     critic_value,
     sample_action,
-    sync_old,
     zero_hidden,
 )
 from .tensor import Adam, Tape, Tensor
@@ -47,7 +43,6 @@ class TrainingDiverged(RuntimeError):
 @dataclass
 class PolicyBundle:
     actors: list[ActorParams]
-    old_actors: list[ActorParams]
     critic: CriticParams
     hidden_size: int
 
@@ -57,9 +52,6 @@ class PolicyBundle:
             out.update(actor.tensors(f"actor{j}"))
         out.update(self.critic.tensors("critic"))
         return out
-
-    def sync_old_actors(self) -> None:
-        self.old_actors = [sync_old(a) for a in self.actors]
 
 
 def build_bundle(scenario: ScenarioConfig, tconf: TrainConfig,
@@ -75,10 +67,8 @@ def build_bundle(scenario: ScenarioConfig, tconf: TrainConfig,
                               n_agents=scenario.n_uavs,
                               per_agent_weights=tconf.per_agent_value_weights,
                               single_head=not recurrent)
-    bundle = PolicyBundle(actors=actors, old_actors=[], critic=critic,
-                          hidden_size=tconf.hidden_size)
-    bundle.sync_old_actors()
-    return bundle
+    return PolicyBundle(actors=actors, critic=critic,
+                        hidden_size=tconf.hidden_size)
 
 
 def bundle_to_tensors(bundle: PolicyBundle) -> dict[str, np.ndarray]:
@@ -102,7 +92,6 @@ def bundle_from_tensors(tensors: dict[str, np.ndarray],
                              f"{tensors[name].shape}, config expects "
                              f"{tensor.data.shape}")
         tensor.data = tensors[name].copy()
-    bundle.sync_old_actors()
     return bundle
 
 
@@ -187,87 +176,80 @@ def _episode_metrics(episode: int, rewards_by_agent, breakdown_by_agent,
 
 
 # ---------------------------------------------------------------------------
-# Rollout collection (learned policies)
+# Episode loop and rollout collection
 # ---------------------------------------------------------------------------
 
-def _collect_episode(scenario: ScenarioConfig, bundle: PolicyBundle,
-                     episode_idx: int, rng: np.random.Generator,
-                     greedy: bool = False) -> EpisodeTrajectory:
+def run_episode(scenario: ScenarioConfig, act, episode_idx: int
+                ) -> tuple[EpisodeMetrics, EpisodeLog, list[list[float]]]:
+    """Play one episode from reset; ``act(state)`` returns the joint action.
+
+    Returns the episode metrics, its event log and each agent's per-slot
+    rewards.  ``wall_ms`` covers the reset and every slot.
+    """
     t0 = time.perf_counter()
     state = world.reset(scenario, scenario.rng_seed)
     log = EpisodeLog(config=scenario)
-    agents = [AgentTrajectory() for _ in range(scenario.n_uavs)]
-    hiddens = [zero_hidden(bundle.hidden_size) for _ in range(scenario.n_uavs)]
-    global_states: list[np.ndarray] = []
-    dones: list[bool] = []
+    rewards: list[list[float]] = [[] for _ in range(scenario.n_uavs)]
     breakdowns: list[list] = [[] for _ in range(scenario.n_uavs)]
-
     done = False
     while not done:
+        state, step_rewards, done = world.step(state, act(state), scenario)
+        log.absorb(state)
+        for j, breakdown in enumerate(step_rewards):
+            rewards[j].append(breakdown.total)
+            breakdowns[j].append(breakdown)
+    wall_ms = (time.perf_counter() - t0) * 1e3
+    metrics = _episode_metrics(episode_idx, rewards, breakdowns, log,
+                               scenario, wall_ms)
+    return metrics, log, rewards
+
+
+def _collect_episode(scenario: ScenarioConfig, bundle: PolicyBundle,
+                     episode_idx: int, rng: np.random.Generator) -> EpisodeTrajectory:
+    agents = [AgentTrajectory() for _ in range(scenario.n_uavs)]
+    hiddens = [zero_hidden(bundle.hidden_size) for _ in agents]
+    global_states: list[np.ndarray] = []
+
+    def act(state: WorldState) -> list[int]:
         gstate = global_state_vector(state, scenario)
         global_states.append(gstate)
         joint = []
-        for j in range(scenario.n_uavs):
+        for j, traj in enumerate(agents):
             obs = observe(state, j, scenario)
-            traj = agents[j]
             traj.obs.append(obs)
             traj.hiddens.append(hiddens[j].copy())
             probs, hiddens[j] = actor_step(bundle.actors[j], obs, hiddens[j])
-            if greedy:
-                action = int(np.argmax(probs))
-                logp = math.log(probs[action])
-            else:
-                action, logp = sample_action(probs, rng)
+            action, logp = sample_action(probs, rng)
             traj.actions.append(action)
             traj.log_probs.append(logp)
             traj.values.append(critic_value(
                 bundle.critic, Tensor(obs), Tensor(gstate), j).item())
             joint.append(action)
-        state, rewards, done = world.step(state, joint, scenario)
-        log.absorb(state)
-        dones.append(done)
-        for j, breakdown in enumerate(rewards):
-            agents[j].rewards.append(breakdown.total)
-            breakdowns[j].append(breakdown)
+        return joint
 
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    metrics = _episode_metrics(episode_idx,
-                               [a.rewards for a in agents], breakdowns,
-                               log, scenario, wall_ms)
+    metrics, log, rewards = run_episode(scenario, act, episode_idx)
+    for traj, agent_rewards in zip(agents, rewards):
+        traj.rewards = agent_rewards
+    # The episode loop stops at the first terminal slot.
+    dones = [False] * (len(global_states) - 1) + [True]
     return EpisodeTrajectory(agents=agents, global_states=global_states,
                              dones=dones, metrics=metrics, log=log)
 
 
 def collect_rollout(scenario: ScenarioConfig, bundle: PolicyBundle,
-                    episodes: int, seed: int, *, workers: int = 1,
-                    first_episode_idx: int = 0,
-                    greedy: bool = False) -> TrajectoryBatch:
-    """Run full episodes under the bundle's live actors.
+                    episodes: int, seed: int, *,
+                    first_episode_idx: int = 0) -> TrajectoryBatch:
+    """Run full episodes under the bundle's actors, sampling actions.
 
     Hidden states reset at episode boundaries; every quantity the update
     needs (observations, pre-step hidden states, actions, collection-time
-    log-probs, rewards, values, global states) is stored.  Worker ``w`` uses
-    the RNG stream seeded ``seed + w`` and handles episodes w, w+k, ...;
-    merge order is by episode index, so results do not depend on scheduling.
+    log-probs, rewards, values, global states) is stored.  One RNG stream
+    seeded ``seed`` serves the episodes in order.
     """
-    workers = max(1, min(workers, episodes))
-
-    def run_worker(w: int) -> list[tuple[int, EpisodeTrajectory]]:
-        rng = np.random.default_rng(seed + w)
-        out = []
-        for local in range(w, episodes, workers):
-            out.append((local, _collect_episode(
-                scenario, bundle, first_episode_idx + local, rng, greedy=greedy)))
-        return out
-
-    if workers == 1:
-        collected = run_worker(0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run_worker, range(workers)))
-        collected = [item for chunk in chunks for item in chunk]
-    collected.sort(key=lambda pair: pair[0])
-    return TrajectoryBatch(episodes=[ep for _, ep in collected])
+    rng = np.random.default_rng(seed)
+    return TrajectoryBatch(episodes=[
+        _collect_episode(scenario, bundle, first_episode_idx + e, rng)
+        for e in range(episodes)])
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +328,8 @@ def _replay_log_probs(actor: ActorParams, traj: AgentTrajectory):
 def ppo_update(batch: TrajectoryBatch, bundle: PolicyBundle, optimizer: Adam,
                tconf: TrainConfig) -> LossReport:
     """Clipped-surrogate actor update plus value regression, multiple epochs
-    over full-episode sequences; the old actors must be in sync with the
-    actors that collected ``batch``."""
+    over full-episode sequences; ratios are taken against the log-probs
+    stored when ``batch`` was collected."""
     report = None
     for _ in range(tconf.epochs):
         with Tape() as tape:
@@ -515,25 +497,15 @@ def rollout_policy(scenario: ScenarioConfig, policy, episodes: int, seed: int,
     """Run a policy for whole episodes, returning metrics and event logs."""
     rows, logs = [], []
     rng = np.random.default_rng(seed)
+
+    def act(state: WorldState) -> list[int]:
+        return [policy.act(state, j, rng, greedy)
+                for j in range(scenario.n_uavs)]
+
     for e in range(episodes):
-        t0 = time.perf_counter()
-        state = world.reset(scenario, scenario.rng_seed)
         policy.begin_episode()
-        log = EpisodeLog(config=scenario)
-        rewards = [[] for _ in range(scenario.n_uavs)]
-        breakdowns = [[] for _ in range(scenario.n_uavs)]
-        done = False
-        while not done:
-            joint = [policy.act(state, j, rng, greedy)
-                     for j in range(scenario.n_uavs)]
-            state, step_rewards, done = world.step(state, joint, scenario)
-            log.absorb(state)
-            for j, b in enumerate(step_rewards):
-                rewards[j].append(b.total)
-                breakdowns[j].append(b)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        rows.append(_episode_metrics(first_episode_idx + e, rewards, breakdowns,
-                                     log, scenario, wall_ms))
+        metrics, log, _ = run_episode(scenario, act, first_episode_idx + e)
+        rows.append(metrics)
         logs.append(log)
     return rows, logs
 
@@ -550,10 +522,9 @@ class TrainResult:
 
 
 def train(scenario: ScenarioConfig, tconf: TrainConfig, seed: int,
-          metrics_sink=None, checkpoint_sink=None, event_sink=None,
-          workers: int = 1) -> TrainResult:
+          metrics_sink=None, checkpoint_sink=None, event_sink=None) -> TrainResult:
     """Alternate rollout collection, advantage estimation, and PPO updates
-    for ``tconf.episodes`` episodes; old actors re-sync each update period."""
+    for ``tconf.episodes`` episodes."""
     scenario.validate()
     tconf.validate()
     bundle = build_bundle(scenario, tconf, seed)
@@ -571,14 +542,11 @@ def train(scenario: ScenarioConfig, tconf: TrainConfig, seed: int,
         todo = min(tconf.episodes_per_update, tconf.episodes - episodes_done)
         rollout_seed = seed + 1_000_003 * (update_idx + 1)
         batch = collect_rollout(scenario, bundle, todo, rollout_seed,
-                                workers=workers,
                                 first_episode_idx=episodes_done)
         compute_advantages(batch, tconf.gamma, tconf.gae_lambda,
                            normalize=tconf.normalize_advantages)
         reports.append(ppo_update(batch, bundle, optimizer, tconf))
         update_idx += 1
-        if update_idx % tconf.old_sync_period == 0:
-            bundle.sync_old_actors()
         for ep in batch.episodes:
             metrics.append(ep.metrics)
             if metrics_sink is not None:

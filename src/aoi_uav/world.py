@@ -118,11 +118,6 @@ class ConstraintReport:
     collision_clearance: ConstraintCheck  # pairwise spacing kept
     flight_area: ConstraintCheck          # no boundary clips
 
-    def all_satisfied(self) -> bool:
-        return all(c.satisfied for c in (
-            self.all_data_collected, self.iot_energy_floor,
-            self.uav_energy_range, self.collision_clearance, self.flight_area))
-
 
 # ---------------------------------------------------------------------------
 # Layout and reset
@@ -282,13 +277,11 @@ def step(state: WorldState, joint_action: list[int],
 
     # 2. Pairwise collision detection (soft constraint: logged and penalized).
     collide_counts = [0] * config.n_uavs
-    collision_pairs = 0
     alive_idx = [j for j, u in enumerate(nxt.uavs) if u.alive]
     for ai, j in enumerate(alive_idx):
         for k in alive_idx[ai + 1:]:
             d = float(np.hypot(*(nxt.uavs[j].pos - nxt.uavs[k].pos)))
             if d < config.collision_dist:
-                collision_pairs += 1
                 collide_counts[j] += 1
                 collide_counts[k] += 1
                 events.append(Event(t, "uav", j, "collide", d))

@@ -54,13 +54,21 @@ class TestTrain:
     def test_manifest_replay_reproduces_run(self, mini_cfg, tmp_path):
         out_a = tmp_path / "a"
         cli.main(["train", "--config", str(mini_cfg), "--seed", "5",
-                  "--out", str(out_a)])
+                  "--out", str(out_a), "--events"])
         out_b = tmp_path / "b"
         code = cli.main(["train", "--config", str(out_a / "manifest.txt"),
-                         "--out", str(out_b)])
+                         "--out", str(out_b), "--events"])
         assert code == 0
         assert (read_metrics_rows(out_a / "metrics.csv")
                 == read_metrics_rows(out_b / "metrics.csv"))
+        # Checkpoints and event logs are byte-identical too.
+        for sub in ("checkpoints", "events"):
+            names = sorted(p.name for p in (out_a / sub).iterdir())
+            assert names == sorted(p.name for p in (out_b / sub).iterdir())
+            assert names
+            for name in names:
+                assert ((out_a / sub / name).read_bytes()
+                        == (out_b / sub / name).read_bytes()), name
 
     def test_missing_config_exit_2_names_path(self, tmp_path, capsys):
         code = cli.main(["train", "--config", str(tmp_path / "gone.cfg"),
@@ -68,13 +76,18 @@ class TestTrain:
         assert code == 2
         assert "gone.cfg" in capsys.readouterr().err
 
-    def test_bad_key_exit_2_names_key(self, tmp_path, capsys):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("[scenario]\nwarp_speed = 3\n")
-        code = cli.main(["train", "--config", str(bad),
-                         "--out", str(tmp_path / "x")])
-        assert code == 2
-        assert "warp_speed" in capsys.readouterr().err
+    def test_bad_key_exit_2_names_key(self, mini_cfg, tmp_path, capsys):
+        # The second case is a manifest written before old_sync_period was
+        # removed: it must fail loudly, not train.
+        for text, key in (
+                ("[scenario]\nwarp_speed = 3\n", "warp_speed"),
+                (mini_cfg.read_text() + "old_sync_period = 1\n", "old_sync_period")):
+            bad = tmp_path / "bad.cfg"
+            bad.write_text(text)
+            code = cli.main(["train", "--config", str(bad),
+                             "--out", str(tmp_path / "x")])
+            assert code == 2
+            assert key in capsys.readouterr().err
 
     def test_events_flag_writes_event_logs(self, mini_cfg, tmp_path):
         out = tmp_path / "run"
@@ -183,6 +196,12 @@ class TestOracleAndGradcheck:
         assert cli.main(["oracle", "--instance", str(inst)]) == 5
         assert "guard" in capsys.readouterr().err
 
+    def test_unparsable_instance_value_exit_2(self, tmp_path, capsys):
+        inst = tmp_path / "bad.txt"
+        inst.write_text("CFG horizon abc\nUAV 0 0\nIOT 0 10\nLBD 0 0 0\n")
+        assert cli.main(["oracle", "--instance", str(inst)]) == 2
+        assert "horizon" in capsys.readouterr().err
+
     def test_gradcheck_passes(self, capsys):
         assert cli.main(["gradcheck", "--trials", "4"]) == 0
         assert "4/4 passed" in capsys.readouterr().out
@@ -209,14 +228,6 @@ class TestOracleAndGradcheck:
 
 
 class TestWorkerEnv:
-    def test_threads_env_parsed(self, monkeypatch):
-        monkeypatch.setenv("AOIUAV_THREADS", "3")
-        assert cli._rollout_workers() == 3
-        monkeypatch.setenv("AOIUAV_THREADS", "junk")
-        assert cli._rollout_workers() == 1
-        monkeypatch.delenv("AOIUAV_THREADS")
-        assert cli._rollout_workers() == 1
-
     def test_eval_out_writes_csv(self, mini_cfg, tmp_path):
         out = tmp_path / "evalout"
         cli.main(["eval", "--config", str(mini_cfg), "--policy", "greedy",

@@ -15,7 +15,6 @@ from aoi_uav.nets import (
     init_actor,
     init_critic,
     sample_action,
-    sync_old,
     zero_hidden,
 )
 from aoi_uav.tensor import Tensor
@@ -86,6 +85,13 @@ class TestActor:
         hid.h[:] = 99.0
         p2, _ = actor_step(actor, obs, hid)
         np.testing.assert_array_equal(p1, p2)
+
+    def test_feed_forward_variant_has_no_lstm(self):
+        actor = fresh_actor(recurrent=False)
+        assert actor.lstm is None and not actor.recurrent
+        assert sorted(actor.tensors("a")) == ["a/b_head", "a/b_out",
+                                              "a/w_head", "a/w_out"]
+        assert fresh_actor().recurrent
 
 
 class TestCritic:
@@ -167,35 +173,6 @@ class TestSampling:
         for _ in range(20):
             idx, logp = sample_action(probs, rng)
             assert logp == math.log(probs[idx])
-
-
-class TestSyncOld:
-    def test_copy_frozen_against_updates(self):
-        actor = fresh_actor(7)
-        obs = RNG.normal(size=OBS_DIM)
-        before, _ = actor_step(actor, obs, zero_hidden(HIDDEN))
-        old = sync_old(actor)
-        for t in actor.tensors("a").values():
-            t.data += 0.25
-        old_probs, _ = actor_step(old, obs, zero_hidden(HIDDEN))
-        np.testing.assert_array_equal(old_probs, before)
-
-    def test_ratio_one_right_after_sync(self):
-        actor = fresh_actor(9)
-        old = sync_old(actor)
-        for _ in range(10):
-            obs = RNG.normal(size=OBS_DIM)
-            p_new, _ = actor_step(actor, obs, zero_hidden(HIDDEN))
-            p_old, _ = actor_step(old, obs, zero_hidden(HIDDEN))
-            np.testing.assert_array_equal(p_new, p_old)
-
-    def test_double_sync_identical(self):
-        actor = fresh_actor(11)
-        a, b = sync_old(actor), sync_old(actor)
-        for (ka, ta), (kb, tb) in zip(sorted(a.tensors("x").items()),
-                                      sorted(b.tensors("x").items())):
-            assert ka == kb
-            np.testing.assert_array_equal(ta.data, tb.data)
 
 
 class TestGradientMasterProperty:

@@ -96,15 +96,40 @@ class TestRolloutCollection:
                 assert ta.rewards == tb.rewards
                 np.testing.assert_array_equal(np.stack(ta.obs), np.stack(tb.obs))
 
-    def test_worker_split_matches_merge_order(self):
+    def test_episode_order_follows_first_episode_idx(self):
+        # One RNG stream serves the episodes in order: a shorter rollout is a
+        # prefix of a longer one, and first_episode_idx only renumbers.
         scen = small_scenario(horizon=6)
         bundle = build_bundle(scen, SMALL_TRAIN, seed=0)
-        a = collect_rollout(scen, bundle, episodes=4, seed=9, workers=2)
-        b = collect_rollout(scen, bundle, episodes=4, seed=9, workers=2)
-        assert [ep.metrics.episode for ep in a.episodes] == [0, 1, 2, 3]
-        for ep_a, ep_b in zip(a.episodes, b.episodes):
-            for ta, tb in zip(ep_a.agents, ep_b.agents):
-                assert ta.actions == tb.actions
+        full = collect_rollout(scen, bundle, episodes=4, seed=9)
+        head = collect_rollout(scen, bundle, episodes=2, seed=9)
+        shifted = collect_rollout(scen, bundle, episodes=4, seed=9,
+                                  first_episode_idx=7)
+        assert [ep.metrics.episode for ep in full.episodes] == [0, 1, 2, 3]
+        assert [ep.metrics.episode for ep in shifted.episodes] == [7, 8, 9, 10]
+        actions = [[t.actions for t in ep.agents] for ep in full.episodes]
+        assert [[t.actions for t in ep.agents] for ep in head.episodes] == actions[:2]
+        assert [[t.actions for t in ep.agents] for ep in shifted.episodes] == actions
+        assert actions[0] != actions[1]
+
+    def test_collection_matches_sampling_policy_rollout(self):
+        # Training collection and a sampling LearnedPolicy rollout share the
+        # episode loop and the RNG draw order.
+        scen = small_scenario(horizon=8)
+        bundle = build_bundle(scen, SMALL_TRAIN, seed=4)
+        batch = collect_rollout(scen, bundle, episodes=3, seed=13,
+                                first_episode_idx=5)
+        rows, logs = rollout_policy(scen, make_policy("learned", scen, bundle),
+                                    3, seed=13, greedy=False,
+                                    first_episode_idx=5)
+
+        def stable(row):
+            return row.csv_row().rsplit(",", 1)[0]  # drop wall_ms
+
+        assert ([stable(ep.metrics) for ep in batch.episodes]
+                == [stable(row) for row in rows])
+        assert ([world.events_to_csv(ep.log.events) for ep in batch.episodes]
+                == [world.events_to_csv(log.events) for log in logs])
 
     def test_hidden_snapshots_chain_with_observations(self):
         from aoi_uav.nets import actor_step
