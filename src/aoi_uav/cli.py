@@ -1,9 +1,10 @@
 """Command-line harness: train / eval / sweep / oracle / gradcheck.
 
 Exit codes: 0 success, 1 check failed (oracle witness replay does not match
-the optimum, or a gradcheck trial failed), 2 config problem, 3 training
-diverged (non-finite loss), 4 checkpoint CRC/format failure, 5 oracle guard
-exceeded.
+the optimum, or a gradcheck trial failed), 2 config problem (including an
+out-of-range flag or key), 3 training diverged (non-finite loss or a
+softmax underflow in the PPO replay), 4 checkpoint CRC/format failure,
+5 oracle guard exceeded.
 """
 
 from __future__ import annotations
@@ -44,10 +45,17 @@ def _resolve_input(path: str, kind: str) -> str:
     raise ConfigError(f"cannot read {kind[:-1]} file {path}")
 
 
+def _at_least(flag: str, value: int, low: int) -> int:
+    if value < low:
+        raise ConfigError(f"{flag} must be >= {low}, got {value}")
+    return value
+
+
 def _load_run_config(path: str, seed_override: int | None):
     resolved = _resolve_input(path, "presets")
     scenario, tconf, run = config_io.load_config(resolved)
-    seed = seed_override if seed_override is not None else run.seed
+    seed = (run.seed if seed_override is None
+            else _at_least("--seed", seed_override, 0))
     scenario = replace(scenario, rng_seed=seed)
     return scenario, tconf, seed
 
@@ -109,6 +117,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     scenario, tconf, seed = _load_run_config(args.config, args.seed)
+    _at_least("--episodes", args.episodes, 1)
     bundle = None
     if args.policy == "learned":
         if not args.checkpoint:
@@ -141,6 +150,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"unknown sweep parameter {args.param!r}; "
                           f"choose from {', '.join(SWEEPABLE_PARAMS)}")
     scenario, tconf, seed = _load_run_config(args.config, args.seed)
+    _at_least("--episodes", args.episodes, 1)
     try:
         values = sorted(float(v) for v in args.values.split(","))
     except ValueError:
@@ -154,9 +164,7 @@ def cmd_sweep(args) -> int:
             policy = trainer.make_policy("learned", swept, result.bundle)
         else:
             policy = trainer.make_policy(args.policy, swept)
-        metrics, _ = trainer.rollout_policy(
-            swept, policy, args.episodes, seed,
-            greedy=args.policy != "random" or args.mode == "train")
+        metrics, _ = trainer.rollout_policy(swept, policy, args.episodes, seed)
         peaks = np.array([m.peak_aoi for m in metrics], dtype=float)
         rows.append((value, float(peaks.mean()), float(peaks.std())))
         print(f"{args.param}={value}: mean peak AoI {peaks.mean():.3f} "
@@ -194,7 +202,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = gradcheck.run_gradcheck(args.trials, seed=args.seed)
+    results = gradcheck.run_gradcheck(_at_least("--trials", args.trials, 1),
+                                      seed=_at_least("--seed", args.seed, 0))
     worst = max(r.worst_rel_error for r in results)
     failures = [r for r in results if not r.passed]
     for r in results:

@@ -52,7 +52,6 @@ class ScenarioConfig:
     regenerate_on_collect: bool = True
     include_hover_action: bool = False
     rate_gated_collection: bool = False
-    use_slant_distance: bool = True
     lbd_layout: str = "center"        # center | ring
     layout_file: str = ""             # optional scenario layout file path
     epsilon_energy: float = 1.0       # full-battery equality tolerance, J
@@ -134,8 +133,6 @@ class TrainConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    normalize_advantages: bool = True
-    per_agent_value_weights: bool = False
 
     def validate(self) -> None:
         if not 0.0 < self.gamma <= 1.0:
@@ -150,6 +147,12 @@ class TrainConfig:
             raise ConfigError("epochs and episodes_per_update must be >= 1")
         if self.algo not in ("mappo_lstm", "mappo_ff"):
             raise ConfigError("algo must be 'mappo_lstm' or 'mappo_ff'")
+        for key in ("hidden_size", "head_hidden", "critic_hidden1",
+                    "critic_hidden2", "eval_interval"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
+        if self.learning_rate <= 0.0:
+            raise ConfigError("learning_rate must be > 0")
 
 
 def tiny_scenario(**overrides) -> ScenarioConfig:

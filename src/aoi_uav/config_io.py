@@ -101,6 +101,8 @@ def parse_config(text: str) -> tuple[ScenarioConfig, TrainConfig, RunSettings]:
     run = RunSettings(**values["run"])
     scenario.validate()
     tconf.validate()
+    if run.seed < 0:
+        raise ConfigError(f"[run] seed must be >= 0, got {run.seed}")
     return scenario, tconf, run
 
 

@@ -66,7 +66,7 @@ class CriticParams:
 
     local_layers: list[tuple[Tensor, Tensor]]   # [(w, b), ...] over obs
     global_layers: list[tuple[Tensor, Tensor]]  # [(w, b), ...] over state
-    blend_logits: Tensor                        # (2,) or (n_agents, 2)
+    blend_logits: Tensor                        # (2,), shared by all agents
     single_head: bool = False
 
     def tensors(self, prefix: str) -> dict[str, Tensor]:
@@ -86,9 +86,6 @@ class CriticParams:
 class HiddenState:
     h: np.ndarray
     c: np.ndarray
-
-    def copy(self) -> "HiddenState":
-        return HiddenState(self.h.copy(), self.c.copy())
 
 
 def zero_hidden(hidden_size: int) -> HiddenState:
@@ -134,14 +131,12 @@ def _init_mlp(rng: np.random.Generator, dims: list[int]) -> list[tuple[Tensor, T
 
 
 def init_critic(rng: np.random.Generator, obs_dim: int, state_dim: int,
-                hidden1: int, hidden2: int, n_agents: int = 1,
-                per_agent_weights: bool = False,
+                hidden1: int, hidden2: int,
                 single_head: bool = False) -> CriticParams:
-    blend_shape = (n_agents, 2) if per_agent_weights else (2,)
     return CriticParams(
         local_layers=_init_mlp(rng, [obs_dim, hidden1, hidden2, 1]),
         global_layers=_init_mlp(rng, [state_dim, hidden1, hidden2, 1]),
-        blend_logits=tt.zeros(blend_shape),
+        blend_logits=tt.zeros(2),
         single_head=single_head,
     )
 
@@ -195,14 +190,13 @@ def actor_step(params: ActorParams, obs: np.ndarray,
     return probs.data.copy(), new_hidden
 
 
-def critic_value(params: CriticParams, obs: Tensor, global_state: Tensor,
-                 agent: int = 0) -> Tensor:
+def critic_value(params: CriticParams, obs: Tensor, global_state: Tensor) -> Tensor:
     """Blended scalar value w_l * V_local(obs) + w_g * V_global(state)."""
     v_global = _mlp_forward(params.global_layers, global_state)
     if params.single_head:
         return v_global
     v_local = _mlp_forward(params.local_layers, obs)
-    weights = blend_weights(params, agent)
+    weights = blend_weights(params)
     return tt.add(tt.mul(weights[0:1], v_local), tt.mul(weights[1:2], v_global))
 
 
@@ -216,12 +210,9 @@ def _mlp_forward(layers: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
     return out
 
 
-def blend_weights(params: CriticParams, agent: int = 0) -> Tensor:
+def blend_weights(params: CriticParams) -> Tensor:
     """Softmax of the blend logits: positive weights summing to one."""
-    logits = params.blend_logits
-    if logits.data.ndim == 2:
-        logits = logits[agent]
-    return tt.softmax(logits)
+    return tt.softmax(params.blend_logits)
 
 
 def sample_action(probs: np.ndarray, rng: np.random.Generator) -> tuple[int, float]:

@@ -109,12 +109,11 @@ def elevation_deg(horizontal_dist: float, altitude: float) -> float:
 
 
 def transmission_rate(params: ChannelParams, horizontal_dist: float,
-                      altitude: float, *, use_slant_distance: bool = True) -> float:
+                      altitude: float) -> float:
     """Uplink data rate in bit/s from a ground node to a UAV.
 
     The LoS/NLoS mix is weighted by the elevation-angle LoS probability and
-    the path loss uses the 3-D slant distance by default
-    (``use_slant_distance=False`` selects the horizontal-only variant).
+    the path loss uses the 3-D slant distance.
     """
     if altitude <= 0.0:
         raise PhysicsDomainError("altitude must be > 0")
@@ -123,10 +122,7 @@ def transmission_rate(params: ChannelParams, horizontal_dist: float,
     theta = elevation_deg(horizontal_dist, altitude)
     p_los = los_probability(theta, params.b1, params.b2)
     mix = p_los * params.mu_los + (1.0 - p_los) * params.mu_nlos
-    if use_slant_distance:
-        dist = math.hypot(horizontal_dist, altitude)
-    else:
-        dist = max(horizontal_dist, EPS_DIST)
+    dist = math.hypot(horizontal_dist, altitude)
     snr = params.ref_snr * params.tx_power_w * mix / dist ** params.pathloss_alpha
     return params.bandwidth_hz * math.log2(1.0 + snr)
 

@@ -46,30 +46,8 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; all arithmetic routes through the module-level ops so
-    # that tape recording stays in one place.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
+    # Indexing routes through `take` so that tape recording stays in one
+    # place; arithmetic goes through the module-level ops.
     def __getitem__(self, key):
         return take(self, key)
 
@@ -179,33 +157,19 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product covering the (m,n)@(n,), (m,n)@(n,k), (n,)@(n,k) and
-    (n,)@(n,) cases the networks need."""
+    """Matrix product for the (m,n)@(n,) and (m,n)@(n,k) cases the networks
+    need; a 1-D left operand is rejected."""
     a, b = _as_tensor(a), _as_tensor(b)
+    if a.data.ndim != 2:
+        raise ValueError(f"matmul needs a 2-D left operand, got shape {a.data.shape}")
     out = Tensor(a.data @ b.data)
 
     def backward(g: Array) -> None:
         ad, bd = a.data, b.data
         if a.requires_grad:
-            if ad.ndim == 2 and bd.ndim == 1:
-                ga = np.outer(g, bd)
-            elif ad.ndim == 1 and bd.ndim == 2:
-                ga = bd @ g
-            elif ad.ndim == 1 and bd.ndim == 1:
-                ga = g * bd
-            else:
-                ga = g @ bd.T
-            a.accumulate_grad(ga)
+            a.accumulate_grad(np.outer(g, bd) if bd.ndim == 1 else g @ bd.T)
         if b.requires_grad:
-            if ad.ndim == 2 and bd.ndim == 1:
-                gb = ad.T @ g
-            elif ad.ndim == 1 and bd.ndim == 2:
-                gb = np.outer(ad, g)
-            elif ad.ndim == 1 and bd.ndim == 1:
-                gb = g * ad
-            else:
-                gb = ad.T @ g
-            b.accumulate_grad(gb)
+            b.accumulate_grad(ad.T @ g)
 
     return _record(out, (a, b), backward)
 
@@ -276,17 +240,6 @@ def tanh(a: Tensor) -> Tensor:
     def backward(g: Array) -> None:
         if a.requires_grad:
             a.accumulate_grad(g * (1.0 - out_data * out_data))
-
-    return _record(out, (a,), backward)
-
-
-def relu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0.0))
-
-    def backward(g: Array) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g * (a.data > 0.0))
 
     return _record(out, (a,), backward)
 

@@ -19,7 +19,6 @@ from .config import ScenarioConfig, TrainConfig
 from .nets import (
     ActorParams,
     CriticParams,
-    HiddenState,
     actor_step,
     critic_value,
     sample_action,
@@ -64,8 +63,6 @@ def build_bundle(scenario: ScenarioConfig, tconf: TrainConfig,
               for _ in range(scenario.n_uavs)]
     critic = nets.init_critic(rng, scenario.obs_dim, scenario.global_state_dim,
                               tconf.critic_hidden1, tconf.critic_hidden2,
-                              n_agents=scenario.n_uavs,
-                              per_agent_weights=tconf.per_agent_value_weights,
                               single_head=not recurrent)
     return PolicyBundle(actors=actors, critic=critic,
                         hidden_size=tconf.hidden_size)
@@ -102,7 +99,6 @@ def bundle_from_tensors(tensors: dict[str, np.ndarray],
 @dataclass
 class AgentTrajectory:
     obs: list[np.ndarray] = field(default_factory=list)
-    hiddens: list[HiddenState] = field(default_factory=list)  # pre-step
     actions: list[int] = field(default_factory=list)
     log_probs: list[float] = field(default_factory=list)      # at collection
     rewards: list[float] = field(default_factory=list)
@@ -134,7 +130,6 @@ class EpisodeMetrics:
 class EpisodeTrajectory:
     agents: list[AgentTrajectory]
     global_states: list[np.ndarray]
-    dones: list[bool]
     metrics: EpisodeMetrics
     log: EpisodeLog
 
@@ -217,23 +212,20 @@ def _collect_episode(scenario: ScenarioConfig, bundle: PolicyBundle,
         for j, traj in enumerate(agents):
             obs = observe(state, j, scenario)
             traj.obs.append(obs)
-            traj.hiddens.append(hiddens[j].copy())
             probs, hiddens[j] = actor_step(bundle.actors[j], obs, hiddens[j])
             action, logp = sample_action(probs, rng)
             traj.actions.append(action)
             traj.log_probs.append(logp)
             traj.values.append(critic_value(
-                bundle.critic, Tensor(obs), Tensor(gstate), j).item())
+                bundle.critic, Tensor(obs), Tensor(gstate)).item())
             joint.append(action)
         return joint
 
     metrics, log, rewards = run_episode(scenario, act, episode_idx)
     for traj, agent_rewards in zip(agents, rewards):
         traj.rewards = agent_rewards
-    # The episode loop stops at the first terminal slot.
-    dones = [False] * (len(global_states) - 1) + [True]
     return EpisodeTrajectory(agents=agents, global_states=global_states,
-                             dones=dones, metrics=metrics, log=log)
+                             metrics=metrics, log=log)
 
 
 def collect_rollout(scenario: ScenarioConfig, bundle: PolicyBundle,
@@ -242,9 +234,9 @@ def collect_rollout(scenario: ScenarioConfig, bundle: PolicyBundle,
     """Run full episodes under the bundle's actors, sampling actions.
 
     Hidden states reset at episode boundaries; every quantity the update
-    needs (observations, pre-step hidden states, actions, collection-time
-    log-probs, rewards, values, global states) is stored.  One RNG stream
-    seeded ``seed`` serves the episodes in order.
+    needs (observations, actions, collection-time log-probs, rewards,
+    values, global states) is stored.  One RNG stream seeded ``seed``
+    serves the episodes in order.
     """
     rng = np.random.default_rng(seed)
     return TrajectoryBatch(episodes=[
@@ -260,7 +252,8 @@ def compute_advantages(batch: TrajectoryBatch, gamma: float, lam: float,
                        normalize: bool = True) -> None:
     """Generalized advantage estimation over every stored agent sequence.
 
-    delta_t = r_t + gamma * V_{t+1} * (1 - done_t) - V_t,
+    delta_t = r_t + gamma * V_{t+1} - V_t, with V_T = 0 because every stored
+    episode ends at its terminal slot;
     A_t = sum_k (gamma * lam)^k * delta_{t+k};  lam = 0 recovers the one-step
     TD error.  Return targets are A_t + V_t.  With ``normalize`` the
     advantages are standardized jointly across the whole batch.
@@ -271,14 +264,12 @@ def compute_advantages(batch: TrajectoryBatch, gamma: float, lam: float,
             T = len(traj.rewards)
             values = np.asarray(traj.values)
             rewards = np.asarray(traj.rewards)
-            dones = np.asarray(ep.dones, dtype=float)
             adv = np.zeros(T)
             last = 0.0
             for t in range(T - 1, -1, -1):
-                nonterminal = 1.0 - dones[t]
                 next_value = values[t + 1] if t + 1 < T else 0.0
-                delta = rewards[t] + gamma * next_value * nonterminal - values[t]
-                last = delta + gamma * lam * nonterminal * last
+                delta = rewards[t] + gamma * next_value - values[t]
+                last = delta + gamma * lam * last
                 adv[t] = last
             traj.advantages = adv
             traj.returns = adv + values
@@ -320,6 +311,9 @@ def _replay_log_probs(actor: ActorParams, traj: AgentTrajectory):
         features = Tensor(np.stack(traj.obs))            # (T, obs)
     logits = nets.policy_head_batch(actor, features)     # (T, A)
     probs = tt.softmax(logits, axis=-1)
+    if not np.all(probs.data > 0.0):
+        raise TrainingDiverged("action probability underflowed to 0 in the "
+                               "PPO replay; its log-prob is undefined")
     log_all = tt.log(probs)
     selected = log_all[np.arange(T), np.asarray(traj.actions)]
     return selected, probs, log_all
@@ -352,7 +346,7 @@ def ppo_update(batch: TrajectoryBatch, bundle: PolicyBundle, optimizer: Adam,
 
                 obs_mat = Tensor(np.stack(traj.obs))
                 state_mat = Tensor(np.stack(ep.global_states))
-                v = critic_value(bundle.critic, obs_mat, state_mat, agent_idx)
+                v = critic_value(bundle.critic, obs_mat, state_mat)
                 target = Tensor(traj.returns.reshape(T, 1))
                 err = tt.sub(v, target)
                 value_errs.append(tt.mul(err, err))
@@ -543,8 +537,7 @@ def train(scenario: ScenarioConfig, tconf: TrainConfig, seed: int,
         rollout_seed = seed + 1_000_003 * (update_idx + 1)
         batch = collect_rollout(scenario, bundle, todo, rollout_seed,
                                 first_episode_idx=episodes_done)
-        compute_advantages(batch, tconf.gamma, tconf.gae_lambda,
-                           normalize=tconf.normalize_advantages)
+        compute_advantages(batch, tconf.gamma, tconf.gae_lambda)
         reports.append(ppo_update(batch, bundle, optimizer, tconf))
         update_idx += 1
         for ep in batch.episodes:
@@ -614,9 +607,8 @@ class EvalReport:
 
 def _merge_constraints(reports: list[world.ConstraintReport]) -> world.ConstraintReport:
     def merge(name):
-        checks = [getattr(r, name) for r in reports]
-        return world.ConstraintCheck(all(c.satisfied for c in checks),
-                                     sum(c.violations for c in checks))
+        return world.ConstraintCheck(
+            sum(getattr(r, name).violations for r in reports))
 
     return world.ConstraintReport(
         all_data_collected=merge("all_data_collected"),
@@ -629,11 +621,10 @@ def _merge_constraints(reports: list[world.ConstraintReport]) -> world.Constrain
 
 def evaluate(scenario: ScenarioConfig, policy, episodes: int,
              seed: int) -> EvalReport:
-    """Deterministic evaluation: learned/greedy policies act by argmax; the
-    random baseline samples from its seeded stream (its argmax would collapse
-    to a constant action)."""
-    greedy = not isinstance(policy, RandomPolicy)
-    rows, logs = rollout_policy(scenario, policy, episodes, seed, greedy=greedy)
+    """Deterministic evaluation: a learned policy acts by argmax, the greedy
+    heuristic has no randomness, and the random baseline draws from the
+    stream seeded ``seed``."""
+    rows, logs = rollout_policy(scenario, policy, episodes, seed)
     constraints = _merge_constraints([world.check_constraints(log) for log in logs])
     return EvalReport(
         policy=getattr(policy, "name", "policy"),

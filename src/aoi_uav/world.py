@@ -106,8 +106,11 @@ class EpisodeLog:
 
 @dataclass(frozen=True)
 class ConstraintCheck:
-    satisfied: bool
     violations: int
+
+    @property
+    def satisfied(self) -> bool:
+        return self.violations == 0
 
 
 @dataclass(frozen=True)
@@ -343,8 +346,7 @@ def step(state: WorldState, joint_action: list[int],
             continue
         d, j = best
         if config.rate_gated_collection:
-            rate = transmission_rate(config.channel, d, config.altitude,
-                                     use_slant_distance=config.use_slant_distance)
+            rate = transmission_rate(config.channel, d, config.altitude)
             if rate * config.slot_dt < iot.data_remaining:
                 continue
         age = t - iot.gen_time
@@ -496,11 +498,11 @@ def check_constraints(log: EpisodeLog) -> ConstraintReport:
     low_iots = sum(1 for s in log.final_state.iots if s.energy < config.e_iot_floor)
     collision_pairs = collide_involvements // 2
     return ConstraintReport(
-        all_data_collected=ConstraintCheck(missing == 0, missing),
-        iot_energy_floor=ConstraintCheck(low_iots == 0, low_iots),
-        uav_energy_range=ConstraintCheck(die_events == 0, die_events),
-        collision_clearance=ConstraintCheck(collision_pairs == 0, collision_pairs),
-        flight_area=ConstraintCheck(clip_events == 0, clip_events),
+        all_data_collected=ConstraintCheck(missing),
+        iot_energy_floor=ConstraintCheck(low_iots),
+        uav_energy_range=ConstraintCheck(die_events),
+        collision_clearance=ConstraintCheck(collision_pairs),
+        flight_area=ConstraintCheck(clip_events),
     )
 
 

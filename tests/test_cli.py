@@ -77,11 +77,17 @@ class TestTrain:
         assert "gone.cfg" in capsys.readouterr().err
 
     def test_bad_key_exit_2_names_key(self, mini_cfg, tmp_path, capsys):
-        # The second case is a manifest written before old_sync_period was
-        # removed: it must fail loudly, not train.
+        # The later cases are manifests written before a key was removed:
+        # they must fail loudly, not train.
+        old = mini_cfg.read_text()
         for text, key in (
                 ("[scenario]\nwarp_speed = 3\n", "warp_speed"),
-                (mini_cfg.read_text() + "old_sync_period = 1\n", "old_sync_period")):
+                (old + "old_sync_period = 1\n", "old_sync_period"),
+                (old + "normalize_advantages = true\n", "normalize_advantages"),
+                (old + "per_agent_value_weights = false\n",
+                 "per_agent_value_weights"),
+                (old + "[scenario]\nuse_slant_distance = true\n",
+                 "use_slant_distance")):
             bad = tmp_path / "bad.cfg"
             bad.write_text(text)
             code = cli.main(["train", "--config", str(bad),
@@ -96,6 +102,30 @@ class TestTrain:
         ep0 = out / "events" / "ep_0.csv"
         assert ep0.is_file()
         assert ep0.read_text().startswith("slot,entity_kind,entity_id,event,value")
+
+
+@pytest.mark.parametrize("argv, run_section, flag", [
+    pytest.param(["eval", "--policy", "greedy", "--episodes", "0"], "",
+                 "--episodes", id="eval-episodes-0"),
+    pytest.param(["sweep", "--param", "eta_le", "--values", "0.1",
+                  "--episodes", "0"], "", "--episodes", id="sweep-episodes-0"),
+    pytest.param(["gradcheck", "--trials", "0"], "", "--trials",
+                 id="gradcheck-trials-0"),
+    pytest.param(["gradcheck", "--seed", "-1"], "", "--seed",
+                 id="gradcheck-seed-negative"),
+    pytest.param(["eval", "--policy", "greedy", "--seed", "-1"], "", "--seed",
+                 id="eval-seed-negative"),
+    pytest.param(["train"], "[run]\nseed = -3\n", "[run] seed",
+                 id="config-seed-negative"),
+])
+def test_out_of_range_number_exit_2_names_it(argv, run_section, flag, mini_cfg,
+                                             tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(run_section + mini_cfg.read_text())
+    if argv[0] != "gradcheck":
+        argv = argv + ["--config", str(cfg), "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 2
+    assert flag in capsys.readouterr().err
 
 
 class TestEval:
@@ -242,6 +272,12 @@ class TestPresets:
     def test_bundled_presets_parse(self, name):
         from aoi_uav.cli import _resolve_input
         from aoi_uav.config_io import load_config
-        scenario, tconf, _ = load_config(_resolve_input(name, "presets"))
+        path = _resolve_input(name, "presets")
+        scenario, tconf, _ = load_config(path)
         scenario.validate()
         tconf.validate()
+        # A preset is a full dump of itself (comments aside): it names every
+        # current key and no removed one.
+        with open(path, encoding="utf-8") as fh:
+            text = "".join(line for line in fh if not line.startswith("#"))
+        assert text == dump_config(scenario, tconf)

@@ -59,8 +59,19 @@ class TestParse:
             parse_config("n_uavs = 2\n")
 
     def test_invalid_config_rejected_at_parse(self):
-        with pytest.raises(ConfigError, match="charge_radius"):
-            parse_config("[scenario]\ncharge_radius = 900\nflight_limit = 500\n")
+        for text, key in (
+                ("[scenario]\ncharge_radius = 900\nflight_limit = 500\n",
+                 "charge_radius"),
+                ("[train]\nhidden_size = 0\n", "hidden_size"),
+                ("[train]\nhead_hidden = 0\n", "head_hidden"),
+                ("[train]\ncritic_hidden1 = 0\n", "critic_hidden1"),
+                ("[train]\ncritic_hidden2 = -4\n", "critic_hidden2"),
+                ("[train]\neval_interval = 0\n", "eval_interval"),
+                ("[train]\nlearning_rate = -1\n", "learning_rate"),
+                ("[train]\nlearning_rate = 0.0\n", "learning_rate"),
+                ("[run]\nseed = -3\n", "seed")):
+            with pytest.raises(ConfigError, match=key):
+                parse_config(text)
 
 
 class TestRoundTrip:

@@ -138,14 +138,6 @@ class TestCritic:
         assert np.all(w > 0)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_per_agent_weight_pairs(self):
-        critic = self.fresh(n_agents=3, per_agent_weights=True)
-        critic.blend_logits.data[...] = [[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]]
-        w0 = blend_weights(critic, 0).data
-        w1 = blend_weights(critic, 1).data
-        np.testing.assert_allclose(w0, [0.5, 0.5])
-        assert w1[0] > 0.99
-
 
 class TestSampling:
     def test_near_deterministic_distribution(self):

@@ -67,12 +67,6 @@ class TestTransmissionRate:
         rates = [transmission_rate(CH, d, 80.0) for d in range(0, 501, 50)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
-    def test_horizontal_only_variant(self):
-        # Horizontal-only path loss ignores altitude in the distance term.
-        slant = transmission_rate(CH, 300.0, 80.0)
-        flat = transmission_rate(CH, 300.0, 80.0, use_slant_distance=False)
-        assert flat > slant
-
 
 class TestLaserPower:
     def test_directly_overhead(self):

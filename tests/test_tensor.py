@@ -183,7 +183,7 @@ class TestFiniteDifferenceMaster:
 
             def forward():
                 t = tt.log(params["x"])
-                t = tt.add(tt.relu(t), tt.sigmoid(t))
+                t = tt.add(tt.exp(t), tt.sigmoid(t))
                 t = tt.mul(t, tt.tanh(params["x"]))
                 return tt.mean(t)
 

@@ -33,12 +33,11 @@ def small_scenario(horizon=10, n_uavs=2):
     return replace(tiny_scenario(), horizon=horizon, n_uavs=n_uavs)
 
 
-def synthetic_batch(rewards, values, dones=None):
+def synthetic_batch(rewards, values):
     """Single-episode, single-agent batch with the given scalar sequences."""
     T = len(rewards)
     traj = AgentTrajectory(
         obs=[np.zeros(3)] * T,
-        hiddens=[None] * T,
         actions=[0] * T,
         log_probs=[0.0] * T,
         rewards=list(rewards),
@@ -47,7 +46,6 @@ def synthetic_batch(rewards, values, dones=None):
     ep = EpisodeTrajectory(
         agents=[traj],
         global_states=[np.zeros(4)] * T,
-        dones=dones if dones is not None else [False] * (T - 1) + [True],
         metrics=None,
         log=None,
     )
@@ -80,9 +78,8 @@ class TestRolloutCollection:
         assert len(ep.agents) == 2
         for traj in ep.agents:
             assert len(traj.obs) == len(traj.actions) == len(traj.rewards) == 10
-            assert len(traj.hiddens) == len(traj.values) == 10
+            assert len(traj.values) == 10
         assert len(ep.global_states) == 10
-        assert ep.dones == [False] * 9 + [True]
 
     def test_rollout_deterministic(self):
         scen = small_scenario()
@@ -130,18 +127,6 @@ class TestRolloutCollection:
                 == [stable(row) for row in rows])
         assert ([world.events_to_csv(ep.log.events) for ep in batch.episodes]
                 == [world.events_to_csv(log.events) for log in logs])
-
-    def test_hidden_snapshots_chain_with_observations(self):
-        from aoi_uav.nets import actor_step
-        scen = small_scenario(horizon=6)
-        bundle = build_bundle(scen, SMALL_TRAIN, seed=1)
-        batch = collect_rollout(scen, bundle, episodes=1, seed=2)
-        for ep, agent_idx, traj in batch.agent_slots():
-            for t in range(len(traj.obs) - 1):
-                _, nxt = actor_step(bundle.actors[agent_idx], traj.obs[t],
-                                    traj.hiddens[t])
-                np.testing.assert_array_equal(nxt.h, traj.hiddens[t + 1].h)
-                np.testing.assert_array_equal(nxt.c, traj.hiddens[t + 1].c)
 
     def test_stored_logps_self_consistent(self):
         # Under the unmodified policy the replayed log-probs reproduce the
@@ -258,6 +243,19 @@ class TestPpoUpdate:
         with pytest.raises(TrainingDiverged):
             ppo_update(batch, bundle, opt, SMALL_TRAIN)
 
+    def test_softmax_underflow_aborts(self):
+        # A saturated logit drives every other action probability to exactly
+        # 0, so the replayed log-probs are undefined: report divergence.
+        scen = small_scenario()
+        bundle = build_bundle(scen, SMALL_TRAIN, seed=11)
+        batch = collect_rollout(scen, bundle, episodes=1, seed=12)
+        compute_advantages(batch, 0.99, 0.95)
+        for actor in bundle.actors:
+            actor.b_out.data[0] = 1000.0
+        opt = tt.Adam(bundle.parameters(), lr=1e-3)
+        with pytest.raises(TrainingDiverged, match="underflow"):
+            ppo_update(batch, bundle, opt, SMALL_TRAIN)
+
 
 class TestTrainLoop:
     def test_single_episode_single_row(self):
@@ -328,7 +326,7 @@ class TestFeedForwardBaseline:
         rng = np.random.default_rng(0)
         state = rng.normal(size=scen.global_state_dim)
         v1 = trainer.critic_value(critic, Tensor(rng.normal(size=scen.obs_dim)),
-                                  Tensor(state), 0).item()
+                                  Tensor(state)).item()
         v2 = trainer.critic_value(critic, Tensor(rng.normal(size=scen.obs_dim)),
-                                  Tensor(state), 1).item()
+                                  Tensor(state)).item()
         assert v1 == v2
