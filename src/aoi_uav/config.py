@@ -55,7 +55,7 @@ class ScenarioConfig:
     lbd_layout: str = "center"        # center | ring
     layout_file: str = ""             # optional scenario layout file path
     epsilon_energy: float = 1.0       # full-battery equality tolerance, J
-    rng_seed: int = 0
+    rng_seed: int = 0                 # IoT placement; set from the run seed
     channel: ChannelParams = field(default_factory=ChannelParams)
     laser: LaserParams = field(default_factory=LaserParams)
     propulsion: PropulsionParams = field(default_factory=PropulsionParams)

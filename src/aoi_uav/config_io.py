@@ -8,6 +8,7 @@ values, which is what makes run manifests replayable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from . import __version__
@@ -40,11 +41,13 @@ _SECTION_TYPES = {
     "run": RunSettings,
 }
 
-_NESTED_FIELDS = ("channel", "laser", "propulsion", "reward")
+# Fields that are not keys: the nested parameter groups have sections of
+# their own, and the run seed always overrides `rng_seed`.
+_NOT_KEYS = ("channel", "laser", "propulsion", "reward", "rng_seed")
 
 
 def _field_types(cls) -> dict[str, str]:
-    return {f.name: f.type for f in fields(cls) if f.name not in _NESTED_FIELDS}
+    return {f.name: f.type for f in fields(cls) if f.name not in _NOT_KEYS}
 
 
 def _coerce(section: str, key: str, raw: str, kind: str):
@@ -52,7 +55,10 @@ def _coerce(section: str, key: str, raw: str, kind: str):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError
+            return value
         if kind == "bool":
             low = raw.lower()
             if low in ("true", "1", "yes"):
@@ -62,8 +68,9 @@ def _coerce(section: str, key: str, raw: str, kind: str):
             raise ValueError
         return raw
     except ValueError:
+        expected = "finite float" if kind == "float" else kind
         raise ConfigError(
-            f"[{section}] {key}: cannot parse {raw!r} as {kind}") from None
+            f"[{section}] {key}: cannot parse {raw!r} as {expected}") from None
 
 
 def parse_config(text: str) -> tuple[ScenarioConfig, TrainConfig, RunSettings]:
@@ -88,6 +95,8 @@ def parse_config(text: str) -> tuple[ScenarioConfig, TrainConfig, RunSettings]:
         kinds = _field_types(_SECTION_TYPES[section])
         if key not in kinds:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
+        if key in values[section]:
+            raise ConfigError(f"line {lineno}: key {key!r} repeated in [{section}]")
         values[section][key] = _coerce(section, key, raw_value, kinds[key])
 
     scenario = ScenarioConfig(

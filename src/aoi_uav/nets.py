@@ -60,14 +60,17 @@ class ActorParams:
 class CriticParams:
     """Local and global value heads plus the learnable blend logits.
 
-    ``single_head`` drops the local branch entirely (plain centralized
-    critic over the global state), used by the feed-forward baseline.
+    A critic with no local layers is single-headed: a plain centralized
+    critic over the global state, used by the feed-forward baseline.
     """
 
     local_layers: list[tuple[Tensor, Tensor]]   # [(w, b), ...] over obs
     global_layers: list[tuple[Tensor, Tensor]]  # [(w, b), ...] over state
-    blend_logits: Tensor                        # (2,), shared by all agents
-    single_head: bool = False
+    blend_logits: Tensor | None                 # (2,), shared by all agents
+
+    @property
+    def single_head(self) -> bool:
+        return not self.local_layers
 
     def tensors(self, prefix: str) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -134,10 +137,10 @@ def init_critic(rng: np.random.Generator, obs_dim: int, state_dim: int,
                 hidden1: int, hidden2: int,
                 single_head: bool = False) -> CriticParams:
     return CriticParams(
-        local_layers=_init_mlp(rng, [obs_dim, hidden1, hidden2, 1]),
+        local_layers=[] if single_head else _init_mlp(
+            rng, [obs_dim, hidden1, hidden2, 1]),
         global_layers=_init_mlp(rng, [state_dim, hidden1, hidden2, 1]),
-        blend_logits=tt.zeros(2),
-        single_head=single_head,
+        blend_logits=None if single_head else tt.zeros(2),
     )
 
 
@@ -176,7 +179,7 @@ def actor_step(params: ActorParams, obs: np.ndarray,
     """Action distribution for one observation; advances the hidden state.
 
     Gradient-free convenience for rollouts; training replays the same math
-    under a tape via `lstm_step` and `policy_head`.
+    under a tape via `lstm_step` and `policy_head_batch`.
     """
     x = Tensor(obs)
     if params.recurrent:

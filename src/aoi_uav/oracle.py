@@ -94,6 +94,8 @@ def parse_instance(text: str) -> TinyInstance:
             key, raw_value = parts[1], parts[2]
             if key not in kinds:
                 raise ConfigError(f"unknown instance config key {key!r}")
+            if key in overrides:
+                raise ConfigError(f"instance line {lineno}: CFG {key} repeated")
             overrides[key] = config_io._coerce("scenario", key, raw_value, kinds[key])
         else:
             layout_lines.append(raw)

@@ -4,8 +4,9 @@ A ``Tape`` records operations executed while it is active; ``Tape.backward``
 replays the records in reverse to accumulate gradients into every tensor
 created with ``requires_grad=True``.  With no tape active the same ops run as
 plain numpy computations, so rollout inference and gradient replay share one
-code path.  Tensors and tapes are confined to a single thread; gradient-free
-evaluation is safe from any number of threads.
+code path.  Tensors and tapes are confined to a single thread: the active
+tape is a module global, so an op run on another thread while a tape is
+active would record onto it.
 """
 
 from __future__ import annotations

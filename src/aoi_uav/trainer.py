@@ -10,7 +10,7 @@ episode, so the output is a function of the seed alone.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -115,15 +115,14 @@ class EpisodeMetrics:
     energy_reward: float
     peak_aoi: int
     peak_aoi_recorded: int
-    collections: int
-    collisions: int
-    clips: int
+    counts: world.EpisodeCounts
     wall_ms: float
 
     def csv_row(self) -> str:
+        c = self.counts
         return (f"{self.episode},{self.cum_reward!r},{self.aoi_reward!r},"
-                f"{self.energy_reward!r},{self.peak_aoi},{self.collections},"
-                f"{self.collisions},{self.clips},{self.wall_ms:.3f}")
+                f"{self.energy_reward!r},{self.peak_aoi},{c.collections},"
+                f"{c.collisions},{c.clips},{self.wall_ms:.3f}")
 
 
 @dataclass
@@ -152,9 +151,6 @@ def _episode_metrics(episode: int, rewards_by_agent, breakdown_by_agent,
     aoi = sum(config.reward.alpha_a * b.r_a for b in breakdown_by_agent[0])
     energy = sum(sum(config.reward.beta_p * b.r_p for b in bs)
                  for bs in breakdown_by_agent) / n
-    collects = sum(1 for e in log.events if e.event == "collect")
-    collides = sum(1 for e in log.events if e.event == "collide") // 2
-    clips = sum(1 for e in log.events if e.event == "clip")
     final = log.final_state
     return EpisodeMetrics(
         episode=episode,
@@ -162,10 +158,8 @@ def _episode_metrics(episode: int, rewards_by_agent, breakdown_by_agent,
         aoi_reward=aoi,
         energy_reward=energy,
         peak_aoi=peak_aoi(final),
-        peak_aoi_recorded=world.peak_aoi_recorded(final),
-        collections=collects,
-        collisions=collides,
-        clips=clips,
+        peak_aoi_recorded=final.peak_recorded_aoi,
+        counts=world.episode_counts(log),
         wall_ms=wall_ms,
     )
 
@@ -571,7 +565,7 @@ class EvalReport:
     mean_aoi_reward: float
     mean_energy_reward: float
     mean_collections: float
-    constraints: world.ConstraintReport
+    constraints: world.EpisodeCounts  # summed over all episodes
 
     CSV_HEADER = ("policy,episodes,mean_peak_aoi,max_peak_aoi,"
                   "mean_peak_aoi_recorded,mean_cum_reward,mean_aoi_reward,"
@@ -596,27 +590,13 @@ class EvalReport:
             f"mean energy reward : {self.mean_energy_reward:.4f}",
             f"mean collections   : {self.mean_collections:.2f}",
             "constraints (satisfied / violations over all episodes):",
-            f"  all data collected : {c.all_data_collected.satisfied} / {c.all_data_collected.violations}",
-            f"  iot energy floor   : {c.iot_energy_floor.satisfied} / {c.iot_energy_floor.violations}",
-            f"  uav energy range   : {c.uav_energy_range.satisfied} / {c.uav_energy_range.violations}",
-            f"  collision distance : {c.collision_clearance.satisfied} / {c.collision_clearance.violations}",
-            f"  flight area        : {c.flight_area.satisfied} / {c.flight_area.violations}",
+            f"  all data collected : {c.uncollected == 0} / {c.uncollected}",
+            f"  iot energy floor   : {c.low_energy_iots == 0} / {c.low_energy_iots}",
+            f"  uav energy range   : {c.deaths == 0} / {c.deaths}",
+            f"  collision distance : {c.collisions == 0} / {c.collisions}",
+            f"  flight area        : {c.clips == 0} / {c.clips}",
         ]
         return "\n".join(lines)
-
-
-def _merge_constraints(reports: list[world.ConstraintReport]) -> world.ConstraintReport:
-    def merge(name):
-        return world.ConstraintCheck(
-            sum(getattr(r, name).violations for r in reports))
-
-    return world.ConstraintReport(
-        all_data_collected=merge("all_data_collected"),
-        iot_energy_floor=merge("iot_energy_floor"),
-        uav_energy_range=merge("uav_energy_range"),
-        collision_clearance=merge("collision_clearance"),
-        flight_area=merge("flight_area"),
-    )
 
 
 def evaluate(scenario: ScenarioConfig, policy, episodes: int,
@@ -624,8 +604,8 @@ def evaluate(scenario: ScenarioConfig, policy, episodes: int,
     """Deterministic evaluation: a learned policy acts by argmax, the greedy
     heuristic has no randomness, and the random baseline draws from the
     stream seeded ``seed``."""
-    rows, logs = rollout_policy(scenario, policy, episodes, seed)
-    constraints = _merge_constraints([world.check_constraints(log) for log in logs])
+    rows, _ = rollout_policy(scenario, policy, episodes, seed)
+    totals = [sum(col) for col in zip(*(astuple(r.counts) for r in rows))]
     return EvalReport(
         policy=getattr(policy, "name", "policy"),
         episodes=episodes,
@@ -635,6 +615,6 @@ def evaluate(scenario: ScenarioConfig, policy, episodes: int,
         mean_cum_reward=float(np.mean([r.cum_reward for r in rows])),
         mean_aoi_reward=float(np.mean([r.aoi_reward for r in rows])),
         mean_energy_reward=float(np.mean([r.energy_reward for r in rows])),
-        mean_collections=float(np.mean([r.collections for r in rows])),
-        constraints=constraints,
+        mean_collections=float(np.mean([r.counts.collections for r in rows])),
+        constraints=world.EpisodeCounts(*totals),
     )

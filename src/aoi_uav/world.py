@@ -105,21 +105,16 @@ class EpisodeLog:
 
 
 @dataclass(frozen=True)
-class ConstraintCheck:
-    violations: int
+class EpisodeCounts:
+    """Tallies of one completed episode.  Every field but ``collections``
+    counts violations of one feasibility constraint; 0 means it held."""
 
-    @property
-    def satisfied(self) -> bool:
-        return self.violations == 0
-
-
-@dataclass(frozen=True)
-class ConstraintReport:
-    all_data_collected: ConstraintCheck   # every IoT collected at least once
-    iot_energy_floor: ConstraintCheck     # final IoT energies above the floor
-    uav_energy_range: ConstraintCheck     # no UAV battery ever hit zero
-    collision_clearance: ConstraintCheck  # pairwise spacing kept
-    flight_area: ConstraintCheck          # no boundary clips
+    collections: int      # collect events
+    uncollected: int      # IoTs never collected
+    low_energy_iots: int  # final IoT energies below the floor
+    deaths: int           # UAV batteries that hit zero
+    collisions: int       # UAV pairs closer than the collision distance
+    clips: int            # boundary clips (flight area)
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +412,6 @@ def peak_aoi(state: WorldState) -> int:
     return peak
 
 
-def peak_aoi_recorded(state: WorldState) -> int:
-    """Peak over collection-time ages only."""
-    return state.peak_recorded_aoi
-
-
 # ---------------------------------------------------------------------------
 # Observations and global state
 # ---------------------------------------------------------------------------
@@ -473,36 +463,32 @@ def global_state_vector(state: WorldState, config: ScenarioConfig) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Constraint reporting and event serialization
+# Episode counts and event serialization
 # ---------------------------------------------------------------------------
 
-def check_constraints(log: EpisodeLog) -> ConstraintReport:
-    """Evaluate the five feasibility constraints over a completed episode."""
+def episode_counts(log: EpisodeLog) -> EpisodeCounts:
+    """Count a completed episode in one pass over its events.
+
+    A collision is logged once for each UAV of the pair, so the pair count
+    is half the ``collide`` events; a ``collect`` event names the IoT.
+    """
     if log.final_state is None:
         raise ValueError("episode log has no final state")
     config = log.config
+    tally = dict.fromkeys(EVENT_KINDS, 0)
     collected = set()
-    die_events = 0
-    collide_involvements = 0
-    clip_events = 0
     for e in log.events:
+        tally[e.event] += 1
         if e.event == "collect":
             collected.add(e.entity_id)
-        elif e.event == "die":
-            die_events += 1
-        elif e.event == "collide":
-            collide_involvements += 1
-        elif e.event == "clip":
-            clip_events += 1
-    missing = config.n_iots - len(collected)
-    low_iots = sum(1 for s in log.final_state.iots if s.energy < config.e_iot_floor)
-    collision_pairs = collide_involvements // 2
-    return ConstraintReport(
-        all_data_collected=ConstraintCheck(missing),
-        iot_energy_floor=ConstraintCheck(low_iots),
-        uav_energy_range=ConstraintCheck(die_events),
-        collision_clearance=ConstraintCheck(collision_pairs),
-        flight_area=ConstraintCheck(clip_events),
+    return EpisodeCounts(
+        collections=tally["collect"],
+        uncollected=config.n_iots - len(collected),
+        low_energy_iots=sum(1 for s in log.final_state.iots
+                            if s.energy < config.e_iot_floor),
+        deaths=tally["die"],
+        collisions=tally["collide"] // 2,
+        clips=tally["clip"],
     )
 
 

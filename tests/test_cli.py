@@ -87,7 +87,8 @@ class TestTrain:
                 (old + "per_agent_value_weights = false\n",
                  "per_agent_value_weights"),
                 (old + "[scenario]\nuse_slant_distance = true\n",
-                 "use_slant_distance")):
+                 "use_slant_distance"),
+                (old + "[scenario]\nrng_seed = 0\n", "rng_seed")):
             bad = tmp_path / "bad.cfg"
             bad.write_text(text)
             code = cli.main(["train", "--config", str(bad),
@@ -117,6 +118,8 @@ class TestTrain:
                  id="eval-seed-negative"),
     pytest.param(["train"], "[run]\nseed = -3\n", "[run] seed",
                  id="config-seed-negative"),
+    pytest.param(["eval", "--policy", "greedy"], "[scenario]\nspeed = nan\n",
+                 "[scenario] speed", id="config-speed-nan"),
 ])
 def test_out_of_range_number_exit_2_names_it(argv, run_section, flag, mini_cfg,
                                              tmp_path, capsys):

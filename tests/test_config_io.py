@@ -69,7 +69,11 @@ class TestParse:
                 ("[train]\neval_interval = 0\n", "eval_interval"),
                 ("[train]\nlearning_rate = -1\n", "learning_rate"),
                 ("[train]\nlearning_rate = 0.0\n", "learning_rate"),
-                ("[run]\nseed = -3\n", "seed")):
+                ("[run]\nseed = -3\n", "seed"),
+                ("[train]\nepisodes = 1\nepisodes = 300\n", "line 3: key 'episodes'"),
+                ("[scenario]\nspeed = nan\n", "speed"),
+                ("[scenario]\nspeed = inf\n", "speed"),
+                ("[train]\nlearning_rate = nan\n", "learning_rate")):
             with pytest.raises(ConfigError, match=key):
                 parse_config(text)
 

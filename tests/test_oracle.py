@@ -136,10 +136,16 @@ class TestGuardsAndParsing:
         with pytest.raises(ConfigError):
             parse_instance("CFG warp_drive 9\nUAV 0 0\nIOT 0 10\nLBD 0 0 0\n")
 
-    @pytest.mark.parametrize("key,raw", [("horizon", "abc"), ("speed", "fast")])
+    @pytest.mark.parametrize("key,raw", [("horizon", "abc"), ("speed", "fast"),
+                                         ("speed", "nan"), ("speed", "-inf")])
     def test_unparsable_cfg_value_rejected(self, key, raw):
         with pytest.raises(ConfigError, match=key):
             parse_instance(f"CFG {key} {raw}\nUAV 0 0\nIOT 0 10\nLBD 0 0 0\n")
+
+    def test_repeated_cfg_key_rejected(self):
+        with pytest.raises(ConfigError, match="line 2: CFG horizon"):
+            parse_instance("CFG horizon 3\nCFG horizon 4\n"
+                           "UAV 0 0\nIOT 0 10\nLBD 0 0 0\n")
 
     def test_instance_requires_records(self):
         with pytest.raises(ConfigError):

@@ -297,9 +297,26 @@ class TestBaselinesAndEvaluate:
                        regenerate_on_collect=False, layout_file=str(layout))
         policy = make_policy("greedy", scen)
         rows, logs = rollout_policy(scen, policy, episodes=1, seed=0)
-        report = world.check_constraints(logs[0])
-        assert report.all_data_collected.satisfied
-        assert rows[0].collections == 2
+        assert world.episode_counts(logs[0]).uncollected == 0
+        assert rows[0].counts.collections == 2
+
+    def test_eval_constraint_block_sums_episode_counts(self):
+        # Low initial energy: some episodes end in a death, others run out.
+        scen = replace(small_scenario(horizon=40, n_uavs=3), e_init_frac=0.05)
+        rows, logs = rollout_policy(scen, make_policy("random", scen),
+                                    episodes=3, seed=2)
+        counts = [world.episode_counts(log) for log in logs]
+        assert [r.counts for r in rows] == counts
+        report = evaluate(scen, make_policy("random", scen), episodes=3, seed=2)
+        block = report.human_text().splitlines()[-5:]
+        for line, label, name in zip(block, (
+                "all data collected", "iot energy floor", "uav energy range",
+                "collision distance", "flight area"), (
+                "uncollected", "low_energy_iots", "deaths", "collisions", "clips")):
+            n = sum(getattr(c, name) for c in counts)
+            assert line.split(":") == [f"  {label:<18} ", f" {n == 0} / {n}"]
+        assert sum(c.deaths for c in counts) > 0
+        assert sum(c.collisions for c in counts) > 0
 
     def test_learned_policy_requires_bundle(self):
         scen = small_scenario()

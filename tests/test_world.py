@@ -12,13 +12,12 @@ from aoi_uav.physics import LaserParams, hover_power, propulsion_power
 from aoi_uav.world import (
     EpisodeLog,
     EpisodeOver,
-    check_constraints,
+    episode_counts,
     events_to_csv,
     global_state_vector,
     observe,
     parse_layout,
     peak_aoi,
-    peak_aoi_recorded,
     reset,
     states_equal,
     step,
@@ -275,7 +274,7 @@ class TestPeakAoi:
             s.has_data = False
             s.recorded_aoi = 0
         assert peak_aoi(state) == 0
-        assert peak_aoi_recorded(state) == 0
+        assert state.peak_recorded_aoi == 0
 
     def test_peak_nondecreasing_over_episode(self):
         cfg = tiny_scenario()
@@ -414,11 +413,11 @@ class TestDeterminismAndLog:
         while not done:
             state, _, done = step(state, [0], cfg)
             log.absorb(state)
-        report = check_constraints(log)
-        assert report.all_data_collected.satisfied
-        assert report.collision_clearance.satisfied
-        assert report.flight_area.satisfied
-        assert report.uav_energy_range.satisfied
+        counts = episode_counts(log)
+        assert counts.uncollected == 0
+        assert counts.collisions == 0
+        assert counts.clips == 0
+        assert counts.deaths == 0
 
     def test_constraint_report_collision(self):
         cfg, state = open_field(n_uavs=2, include_hover_action=True, horizon=2)
@@ -429,9 +428,8 @@ class TestDeterminismAndLog:
         while not done:
             state, _, done = step(state, [8, 8], cfg)
             log.absorb(state)
-        report = check_constraints(log)
-        assert not report.collision_clearance.satisfied
-        assert report.collision_clearance.violations >= 1
+        counts = episode_counts(log)
+        assert counts.collisions >= 1
 
     def test_constraint_report_boundary(self):
         cfg, state = open_field(horizon=40)
@@ -441,9 +439,8 @@ class TestDeterminismAndLog:
         while not done:
             state, _, done = step(state, [2], cfg)  # push east into the wall
             log.absorb(state)
-        report = check_constraints(log)
-        assert not report.flight_area.satisfied
-        assert report.flight_area.violations > 0
+        counts = episode_counts(log)
+        assert counts.clips > 0
 
     def test_event_csv_format(self):
         cfg, state = open_field(iot_at=((1.0, 10.0),))
