@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 check failed (oracle witness replay does not match
 the optimum, or a gradcheck trial failed), 2 config problem (including an
 out-of-range flag or key, a non-finite float, or a repeated key), 3 training
-diverged (non-finite loss or a softmax underflow in the PPO replay),
-4 checkpoint CRC/format failure, 5 oracle guard exceeded.
+diverged (non-finite loss), 4 checkpoint CRC/format failure, 5 oracle guard
+exceeded.
 """
 
 from __future__ import annotations

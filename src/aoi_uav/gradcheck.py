@@ -56,24 +56,19 @@ def worst_relative_error(analytic: dict, numeric: dict) -> float:
 
 
 def _actor_logprob_loss(rng: np.random.Generator):
-    """Random LSTM actor unrolled a few steps; loss = sum of action log-probs."""
-    obs_dim, hidden, head, n_actions, steps = 5, 6, 6, 4, 3
+    """Random LSTM actor replayed over a padded batch of two sequences of
+    unequal length; loss = sum of the replayed action log-probs."""
+    obs_dim, hidden, head, n_actions, lengths = 5, 6, 6, 4, (3, 2)
     actor = nets.init_actor(rng, obs_dim, n_actions, hidden, head)
     for t in actor.tensors("a").values():
         t.data = rng.normal(scale=0.4, size=t.data.shape)
-    obs_seq = [rng.normal(size=obs_dim) for _ in range(steps)]
-    actions = [int(rng.integers(n_actions)) for _ in range(steps)]
+    obs_seqs = [rng.normal(size=(n, obs_dim)) for n in lengths]
+    actions = rng.integers(n_actions, size=sum(lengths))
     params = actor.tensors("actor")
 
     def build():
-        h = Tensor(np.zeros(hidden))
-        c = Tensor(np.zeros(hidden))
-        terms = []
-        for obs, a in zip(obs_seq, actions):
-            h, c = nets.lstm_step(actor.lstm, Tensor(obs), h, c)
-            probs = tt.softmax(nets.policy_head(actor, h))
-            terms.append(tt.log(probs[a]))
-        return tt.sum_(tt.stack(terms))
+        log_all = nets.actor_log_probs(actor, obs_seqs)
+        return tt.sum_(log_all[np.arange(actions.size), actions])
 
     return "actor-lstm-logprob", build, params
 
@@ -90,7 +85,8 @@ def _critic_value_loss(rng: np.random.Generator):
     params = critic.tensors("critic")
 
     def build():
-        v = nets.critic_value(critic, Tensor(obs), Tensor(state))
+        v = nets.critic_value(critic, Tensor(obs),
+                              nets.global_value(critic, Tensor(state)))
         err = tt.sub(v, Tensor(np.array([target])))
         return tt.sum_(tt.mul(err, err))
 

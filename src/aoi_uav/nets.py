@@ -148,54 +148,67 @@ def init_critic(rng: np.random.Generator, obs_dim: int, state_dim: int,
 # Forward passes
 # ---------------------------------------------------------------------------
 
-def lstm_step(cell: LstmCellParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-    """One cell update; returns (h_new, c_new)."""
-    H = cell.hidden_size
-    z = tt.add(tt.add(tt.matmul(cell.w_ih, x), tt.matmul(cell.w_hh, h)), cell.bias)
-    i = tt.sigmoid(z[0:H])
-    f = tt.sigmoid(z[H:2 * H])
-    g = tt.tanh(z[2 * H:3 * H])
-    o = tt.sigmoid(z[3 * H:4 * H])
-    c_new = tt.add(tt.mul(f, c), tt.mul(i, g))
-    h_new = tt.mul(o, tt.tanh(c_new))
-    return h_new, c_new
-
-
-def policy_head(params: ActorParams, features: Tensor) -> Tensor:
-    """Action logits from actor features (LSTM hidden state or raw obs)."""
-    hid = tt.tanh(tt.add(tt.matmul(params.w_head, features), params.b_head))
-    return tt.add(tt.matmul(params.w_out, hid), params.b_out)
-
-
 def policy_head_batch(params: ActorParams, features: Tensor) -> Tensor:
-    """Action logits for a (T, feature) matrix of actor features."""
+    """Action logits for a (N, feature) matrix of actor features."""
     hid = tt.tanh(tt.add(tt.matmul(features, tt.transpose(params.w_head)),
                          params.b_head))
     return tt.add(tt.matmul(hid, tt.transpose(params.w_out)), params.b_out)
+
+
+def actor_log_probs(params: ActorParams, obs_seqs: list[np.ndarray]) -> Tensor:
+    """Log-probabilities of every action at every slot of one or more
+    observation sequences, (sum of lengths, A), sequence by sequence.
+
+    A recurrent actor replays every sequence from a zero hidden state in one
+    padded `lstm_seq` batch; the mask skips the padding after a shorter
+    sequence, and only the unpadded slots reach the policy head.
+    """
+    if params.recurrent:
+        cell = params.lstm
+        B, T = len(obs_seqs), max(len(seq) for seq in obs_seqs)
+        x = np.zeros((B, T, cell.w_ih.data.shape[1]))
+        mask = np.zeros((B, T))
+        for b, seq in enumerate(obs_seqs):
+            x[b, :len(seq)] = seq
+            mask[b, :len(seq)] = 1.0
+        zero = np.zeros((B, cell.hidden_size))
+        hs = tt.lstm_seq(x, cell.w_ih, cell.w_hh, cell.bias, zero, zero, mask)
+        features = hs[np.nonzero(mask)]                     # (N, H)
+    else:
+        features = Tensor(np.concatenate(obs_seqs))          # (N, obs)
+    return tt.log_softmax(policy_head_batch(params, features))
 
 
 def actor_step(params: ActorParams, obs: np.ndarray,
                hidden: HiddenState) -> tuple[np.ndarray, HiddenState]:
     """Action distribution for one observation; advances the hidden state.
 
-    Gradient-free convenience for rollouts; training replays the same math
-    under a tape via `lstm_step` and `policy_head_batch`.
+    Gradient-free rollout inference in plain numpy, building no `Tensor`;
+    training replays the same math under a tape via `actor_log_probs`.
     """
-    x = Tensor(obs)
     if params.recurrent:
-        h, c = lstm_step(params.lstm, x, Tensor(hidden.h), Tensor(hidden.c))
-        new_hidden = HiddenState(h.data.copy(), c.data.copy())
+        cell = params.lstm
+        z = cell.w_ih.data @ obs + cell.w_hh.data @ hidden.h + cell.bias.data
+        h, c, _, _ = tt.lstm_cell(z, hidden.c)
+        new_hidden = HiddenState(h, c)
         features = h
     else:
         new_hidden = hidden
-        features = x
-    probs = tt.softmax(policy_head(params, features))
-    return probs.data.copy(), new_hidden
+        features = obs
+    hid = np.tanh(params.w_head.data @ features + params.b_head.data)
+    logits = params.w_out.data @ hid + params.b_out.data
+    return tt.softmax_array(logits), new_hidden
 
 
-def critic_value(params: CriticParams, obs: Tensor, global_state: Tensor) -> Tensor:
-    """Blended scalar value w_l * V_local(obs) + w_g * V_global(state)."""
-    v_global = _mlp_forward(params.global_layers, global_state)
+def global_value(params: CriticParams, global_state: Tensor) -> Tensor:
+    """V_global(state): the centralized head, shared by every agent."""
+    return _mlp_forward(params.global_layers, global_state)
+
+
+def critic_value(params: CriticParams, obs: Tensor, v_global: Tensor) -> Tensor:
+    """Blended scalar value w_l * V_local(obs) + w_g * v_global, where
+    ``v_global`` is `global_value` of the state; a single-head critic
+    returns ``v_global`` itself."""
     if params.single_head:
         return v_global
     v_local = _mlp_forward(params.local_layers, obs)

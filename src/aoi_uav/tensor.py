@@ -3,10 +3,15 @@
 A ``Tape`` records operations executed while it is active; ``Tape.backward``
 replays the records in reverse to accumulate gradients into every tensor
 created with ``requires_grad=True``.  With no tape active the same ops run as
-plain numpy computations, so rollout inference and gradient replay share one
-code path.  Tensors and tapes are confined to a single thread: the active
-tape is a module global, so an op run on another thread while a tape is
-active would record onto it.
+plain numpy computations.  Two ops are fused, each one tape record with a
+hand-written backward: ``lstm_seq`` runs an LSTM over a whole padded batch
+of sequences (backpropagation through time), and ``log_softmax`` replaces
+``log(softmax(x))`` and stays finite where a probability underflows to 0.
+Rollout and evaluation actors build no ``Tensor``: they step the LSTM
+through the plain-numpy kernels ``lstm_cell`` and ``softmax_array``, which
+the ops share.  Tensors and tapes are confined to a single thread: the
+active tape is a module global, so an op run on another thread while a tape
+is active would record onto it.
 """
 
 from __future__ import annotations
@@ -115,6 +120,39 @@ def _unbroadcast(g: Array, shape: tuple) -> Array:
 
 
 # ---------------------------------------------------------------------------
+# Plain-numpy kernels, shared by the ops and by gradient-free inference
+# ---------------------------------------------------------------------------
+
+def _sigmoid(x: Array) -> Array:
+    # Split by sign to avoid overflow in exp.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def softmax_array(x: Array, axis: int = -1) -> Array:
+    """Softmax with the maximum shifted out, so exp cannot overflow."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def lstm_cell(z: Array, c: Array) -> tuple[Array, Array, Array, Array]:
+    """One LSTM update from gate pre-activations.
+
+    ``z`` holds the (i, f, g, o) pre-activations along its last axis (4H)
+    and ``c`` the cell state (H); leading axes are batch axes.  Returns the
+    new hidden and cell states, the activated gates (laid out as ``z``) and
+    ``tanh`` of the new cell state; the last two feed `lstm_seq`'s backward.
+    """
+    H = c.shape[-1]
+    gates = _sigmoid(z)
+    gates[..., 2 * H:3 * H] = np.tanh(z[..., 2 * H:3 * H])
+    i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
+    c_new = f * c + i * g
+    tanh_c = np.tanh(c_new)
+    return o * tanh_c, c_new, gates, tanh_c
+
+
+# ---------------------------------------------------------------------------
 # Forward ops
 # ---------------------------------------------------------------------------
 
@@ -191,19 +229,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _record(out, tuple(tensors), backward)
 
 
-def stack(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack scalars or equal-shape tensors along a new leading axis."""
-    tensors = [_as_tensor(t) for t in tensors]
-    out = Tensor(np.stack([t.data for t in tensors]))
-
-    def backward(g: Array) -> None:
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t.accumulate_grad(g[i])
-
-    return _record(out, tuple(tensors), backward)
-
-
 def take(a: Tensor, key) -> Tensor:
     """Slice/index a tensor; supports basic and advanced numpy indexing."""
     a = _as_tensor(a)
@@ -214,21 +239,6 @@ def take(a: Tensor, key) -> Tensor:
             full = np.zeros_like(a.data)
             np.add.at(full, key, g)
             a.accumulate_grad(full)
-
-    return _record(out, (a,), backward)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    # Split by sign to avoid overflow in exp.
-    x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    out = Tensor(out_data)
-
-    def backward(g: Array) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g * out_data * (1.0 - out_data))
 
     return _record(out, (a,), backward)
 
@@ -257,30 +267,30 @@ def exp(a: Tensor) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def log(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    if np.any(a.data <= 0.0):
-        raise ValueError("log requires strictly positive inputs")
-    out = Tensor(np.log(a.data))
-
-    def backward(g: Array) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g / a.data)
-
-    return _record(out, (a,), backward)
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = softmax_array(a.data, axis)
     out = Tensor(out_data)
 
     def backward(g: Array) -> None:
         if a.requires_grad:
             inner = (g * out_data).sum(axis=axis, keepdims=True)
             a.accumulate_grad(out_data * (g - inner))
+
+    return _record(out, (a,), backward)
+
+
+def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """``log(softmax(a))`` computed as ``shifted - log(sum(exp(shifted)))``:
+    finite wherever ``a`` is, even where the softmax underflows to 0."""
+    a = _as_tensor(a)
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    out_data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    out = Tensor(out_data)
+
+    def backward(g: Array) -> None:
+        if a.requires_grad:
+            a.accumulate_grad(g - np.exp(out_data) * g.sum(axis=axis, keepdims=True))
 
     return _record(out, (a,), backward)
 
@@ -353,6 +363,68 @@ def minimum(a, b) -> Tensor:
             b.accumulate_grad(_unbroadcast(g * ~pick_a, b.data.shape))
 
     return _record(out, (a, b), backward)
+
+
+def lstm_seq(x, w_ih, w_hh, bias, h0, c0, mask) -> Tensor:
+    """An LSTM over a padded batch of sequences, as one tape record.
+
+    Shapes: ``x`` (B, T, In), ``w_ih`` (4H, In), ``w_hh`` (4H, H), ``bias``
+    (4H,), ``h0`` and ``c0`` (B, H), ``mask`` (B, T).  The input projection
+    runs for all T at once; the recurrence then needs only ``w_hh``.  Where
+    ``mask`` is 0 the step is skipped and h and c carry over unchanged, so
+    one batch can hold sequences padded to the longest.  Returns the hidden
+    state after every step, (B, T, H); the backward is hand-written
+    backpropagation through time.
+    """
+    x, w_ih, w_hh, bias, h0, c0 = (_as_tensor(t) for t in (x, w_ih, w_hh, bias, h0, c0))
+    keep = np.asarray(mask, dtype=bool)[..., None]            # (B, T, 1)
+    B, T, _ = x.data.shape
+    H = h0.data.shape[-1]
+    zx = x.data @ w_ih.data.T + bias.data                      # (B, T, 4H)
+    w_hh_t = w_hh.data.T
+    hs, h_prev, c_prev, tanh_c = (np.empty((B, T, H)) for _ in range(4))
+    gates = np.empty((B, T, 4 * H))
+    h, c = h0.data, c0.data
+    for t in range(T):
+        h_prev[:, t], c_prev[:, t] = h, c
+        h_new, c_new, gates[:, t], tanh_c[:, t] = lstm_cell(zx[:, t] + h @ w_hh_t, c)
+        h = np.where(keep[:, t], h_new, h)
+        c = np.where(keep[:, t], c_new, c)
+        hs[:, t] = h
+    out = Tensor(hs)
+
+    def backward(g: Array) -> None:
+        i, f, gg, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
+        # Gate slopes: s(1 - s) for the sigmoid gates, 1 - g^2 for the tanh one.
+        slope = gates * (1.0 - gates)
+        slope[..., 2 * H:3 * H] = 1.0 - gg * gg
+        dtanh = o * (1.0 - tanh_c * tanh_c)
+        dz = np.empty((B, T, 4 * H))
+        dh, dc = np.zeros((B, H)), np.zeros((B, H))
+        for t in range(T - 1, -1, -1):
+            k = keep[:, t]
+            dh = dh + g[:, t]
+            dc_new = dc + dh * dtanh[:, t]
+            d_gates = np.concatenate((dc_new * gg[:, t], dc_new * c_prev[:, t],
+                                      dc_new * i[:, t], dh * tanh_c[:, t]), axis=-1)
+            dz[:, t] = np.where(k, d_gates * slope[:, t], 0.0)
+            dh = np.where(k, dz[:, t] @ w_hh.data, dh)
+            dc = np.where(k, dc_new * f[:, t], dc)
+        flat = dz.reshape(B * T, 4 * H)
+        if x.requires_grad:
+            x.accumulate_grad(dz @ w_ih.data)
+        if w_ih.requires_grad:
+            w_ih.accumulate_grad(flat.T @ x.data.reshape(B * T, -1))
+        if w_hh.requires_grad:
+            w_hh.accumulate_grad(flat.T @ h_prev.reshape(B * T, H))
+        if bias.requires_grad:
+            bias.accumulate_grad(flat.sum(axis=0))
+        if h0.requires_grad:
+            h0.accumulate_grad(dh)
+        if c0.requires_grad:
+            c0.accumulate_grad(dc)
+
+    return _record(out, (x, w_ih, w_hh, bias, h0, c0), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .nets import (
     CriticParams,
     actor_step,
     critic_value,
+    global_value,
     sample_action,
     zero_hidden,
 )
@@ -202,6 +203,7 @@ def _collect_episode(scenario: ScenarioConfig, bundle: PolicyBundle,
     def act(state: WorldState) -> list[int]:
         gstate = global_state_vector(state, scenario)
         global_states.append(gstate)
+        v_global = global_value(bundle.critic, Tensor(gstate))
         joint = []
         for j, traj in enumerate(agents):
             obs = observe(state, j, scenario)
@@ -211,7 +213,7 @@ def _collect_episode(scenario: ScenarioConfig, bundle: PolicyBundle,
             traj.actions.append(action)
             traj.log_probs.append(logp)
             traj.values.append(critic_value(
-                bundle.critic, Tensor(obs), Tensor(gstate)).item())
+                bundle.critic, Tensor(obs), v_global).item())
             joint.append(action)
         return joint
 
@@ -289,46 +291,47 @@ class LossReport:
     clip_fraction: float
 
 
-def _replay_log_probs(actor: ActorParams, traj: AgentTrajectory):
-    """Recompute per-slot log-probs and distributions under the live actor
-    by replaying the recurrent cell over the stored observation sequence."""
-    T = len(traj.obs)
-    if actor.recurrent:
-        h = Tensor(np.zeros(actor.lstm.hidden_size))
-        c = Tensor(np.zeros(actor.lstm.hidden_size))
-        feats = []
-        for obs in traj.obs:
-            h, c = nets.lstm_step(actor.lstm, Tensor(obs), h, c)
-            feats.append(h)
-        features = tt.stack(feats)                       # (T, H)
-    else:
-        features = Tensor(np.stack(traj.obs))            # (T, obs)
-    logits = nets.policy_head_batch(actor, features)     # (T, A)
-    probs = tt.softmax(logits, axis=-1)
-    if not np.all(probs.data > 0.0):
-        raise TrainingDiverged("action probability underflowed to 0 in the "
-                               "PPO replay; its log-prob is undefined")
-    log_all = tt.log(probs)
-    selected = log_all[np.arange(T), np.asarray(traj.actions)]
-    return selected, probs, log_all
+def _replay_log_probs(actor: ActorParams, *trajs: AgentTrajectory):
+    """Recompute per-slot log-probs and distributions under the live actor,
+    replaying one or more of its episodes as one padded batch.
+
+    Returns the log-probs of the stored actions (N,), the distributions
+    (N, A) and their logs (N, A), with rows episode by episode.
+    """
+    log_all = nets.actor_log_probs(actor, [np.stack(t.obs) for t in trajs])
+    actions = np.concatenate([t.actions for t in trajs])
+    selected = log_all[np.arange(actions.size), actions]
+    return selected, tt.exp(log_all), log_all
 
 
 def ppo_update(batch: TrajectoryBatch, bundle: PolicyBundle, optimizer: Adam,
                tconf: TrainConfig) -> LossReport:
     """Clipped-surrogate actor update plus value regression, multiple epochs
     over full-episode sequences; ratios are taken against the log-probs
-    stored when ``batch`` was collected."""
+    stored when ``batch`` was collected.
+
+    Each epoch replays all episodes of one agent as one batch and runs the
+    critic's global head once over the states of every episode.
+    """
+    critic = bundle.critic
+    states = Tensor(np.concatenate([np.stack(ep.global_states)
+                                    for ep in batch.episodes]))
+    agents = []
+    for j, actor in enumerate(bundle.actors):
+        trajs = [ep.agents[j] for ep in batch.episodes]
+        agents.append((actor, trajs,
+                       np.concatenate([t.log_probs for t in trajs]),
+                       np.concatenate([t.advantages for t in trajs]),
+                       Tensor(np.concatenate([np.stack(t.obs) for t in trajs])),
+                       np.concatenate([t.returns for t in trajs])[:, None]))
     report = None
     for _ in range(tconf.epochs):
         with Tape() as tape:
+            v_global = global_value(critic, states)
             objectives, entropies, value_errs = [], [], []
             ratio_data, clipped_flags = [], []
-            for ep, agent_idx, traj in batch.agent_slots():
-                T = len(traj.obs)
-                actor = bundle.actors[agent_idx]
-                new_logp, probs, log_all = _replay_log_probs(actor, traj)
-                old_logp = Tensor(np.asarray(traj.log_probs))
-                adv = Tensor(traj.advantages)
+            for actor, trajs, old_logp, adv, obs, returns in agents:
+                new_logp, probs, log_all = _replay_log_probs(actor, *trajs)
                 ratio = tt.exp(tt.sub(new_logp, old_logp))
                 clipped = tt.clip_by_value(ratio, 1.0 - tconf.clip_epsilon,
                                            1.0 + tconf.clip_epsilon)
@@ -337,17 +340,12 @@ def ppo_update(batch: TrajectoryBatch, bundle: PolicyBundle, optimizer: Adam,
                 entropies.append(tt.mul(tt.sum_(tt.mul(probs, log_all), axis=-1), -1.0))
                 ratio_data.append(ratio.data.copy())
                 clipped_flags.append(ratio.data != clipped.data)
-
-                obs_mat = Tensor(np.stack(traj.obs))
-                state_mat = Tensor(np.stack(ep.global_states))
-                v = critic_value(bundle.critic, obs_mat, state_mat)
-                target = Tensor(traj.returns.reshape(T, 1))
-                err = tt.sub(v, target)
-                value_errs.append(tt.mul(err, err))
+                err = tt.sub(critic_value(critic, obs, v_global), returns)
+                value_errs.append(tt.mul(err, err)[:, 0])
 
             surrogate = tt.mean(tt.concat(objectives))
             entropy = tt.mean(tt.concat(entropies))
-            value_loss = tt.mean(tt.concat([e[:, 0] for e in value_errs]))
+            value_loss = tt.mean(tt.concat(value_errs))
             loss = tt.add(
                 tt.sub(tt.mul(surrogate, -1.0), tt.mul(entropy, tconf.entropy_coef)),
                 tt.mul(value_loss, tconf.value_coef))

@@ -12,6 +12,7 @@ from aoi_uav.nets import (
     actor_step,
     blend_weights,
     critic_value,
+    global_value,
     init_actor,
     init_critic,
     sample_action,
@@ -101,7 +102,7 @@ class TestCritic:
     def test_equal_logits_even_blend(self):
         critic = self.fresh()
         obs, state = RNG.normal(size=OBS_DIM), RNG.normal(size=12)
-        v = critic_value(critic, Tensor(obs), Tensor(state))
+        v = critic_value(critic, Tensor(obs), global_value(critic, Tensor(state)))
         v_local = nets._mlp_forward(critic.local_layers, Tensor(obs))
         v_global = nets._mlp_forward(critic.global_layers, Tensor(state))
         assert v.item() == 0.5 * v_local.item() + 0.5 * v_global.item()
@@ -115,14 +116,14 @@ class TestCritic:
         critic.global_layers[-1][1].data[...] = 7.5
         critic.blend_logits.data[...] = [3.0, -1.0]
         v = critic_value(critic, Tensor(RNG.normal(size=OBS_DIM)),
-                         Tensor(RNG.normal(size=12)))
+                         global_value(critic, Tensor(RNG.normal(size=12))))
         assert v.item() == pytest.approx(7.5, abs=1e-12)
 
     def test_saturated_blend(self):
         critic = self.fresh()
         critic.blend_logits.data[...] = [20.0, 0.0]
         obs, state = RNG.normal(size=OBS_DIM), RNG.normal(size=12)
-        v = critic_value(critic, Tensor(obs), Tensor(state))
+        v = critic_value(critic, Tensor(obs), global_value(critic, Tensor(state)))
         v_local = nets._mlp_forward(critic.local_layers, Tensor(obs))
         assert abs(v.item() - v_local.item()) < 1e-8
 

@@ -63,12 +63,19 @@ class TestForwardSemantics:
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_activations_at_zero(self):
-        assert tt.sigmoid(Tensor(0.0)).item() == 0.5
+        _, _, gates, _ = tt.lstm_cell(np.zeros(4), np.zeros(1))
+        np.testing.assert_array_equal(gates, [0.5, 0.5, 0.0, 0.5])
         assert tt.tanh(Tensor(0.0)).item() == 0.0
 
-    def test_log_domain(self):
-        with pytest.raises(ValueError):
-            tt.log(Tensor([1.0, 0.0]))
+    def test_log_softmax_matches_log_of_softmax(self):
+        x = np.random.default_rng(5).normal(size=(4, 6))
+        np.testing.assert_allclose(tt.log_softmax(Tensor(x)).data,
+                                   np.log(tt.softmax(Tensor(x)).data), atol=1e-14)
+
+    def test_log_softmax_finite_where_softmax_underflows(self):
+        assert tt.softmax(Tensor([1000.0, 0.0])).data[1] == 0.0
+        np.testing.assert_array_equal(tt.log_softmax(Tensor([1000.0, 0.0])).data,
+                                      [0.0, -1000.0])
 
     def test_concat_and_take(self):
         a, b = Tensor([1.0, 2.0]), Tensor([3.0])
@@ -88,12 +95,6 @@ class TestBackward:
         with Tape() as tape:
             tape.backward(tt.mul(x, y))
         assert x.grad == 3.0 and y.grad == 2.0
-
-    def test_sigmoid_sum_grad_at_zero(self):
-        x = Tensor(np.zeros(5), requires_grad=True)
-        with Tape() as tape:
-            tape.backward(tt.sum_(tt.sigmoid(x)))
-        np.testing.assert_allclose(x.grad, 0.25 * np.ones(5))
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -155,8 +156,7 @@ class TestFiniteDifferenceMaster:
         x = rng.normal(size=5)
 
         def forward():
-            probs = tt.softmax(tt.matmul(params["w"], Tensor(x)))
-            return tt.log(probs[3])
+            return tt.log_softmax(tt.matmul(params["w"], Tensor(x)))[3]
 
         analytic = tape_gradients(forward, params)
         numeric = finite_difference(lambda: forward().item(), params)
@@ -182,14 +182,74 @@ class TestFiniteDifferenceMaster:
             params = {"x": Tensor(rng.uniform(0.5, 1.5, size=7), requires_grad=True)}
 
             def forward():
-                t = tt.log(params["x"])
-                t = tt.add(tt.exp(t), tt.sigmoid(t))
+                t = tt.log_softmax(params["x"])
+                t = tt.add(tt.exp(t), tt.tanh(t))
                 t = tt.mul(t, tt.tanh(params["x"]))
                 return tt.mean(t)
 
             analytic = tape_gradients(forward, params)
             numeric = finite_difference(lambda: forward().item(), params)
             assert_grads_close(analytic, numeric)
+
+
+class TestFusedOps:
+    H, IN = 3, 4
+
+    def lstm_inputs(self, rng, B, T):
+        H, IN = self.H, self.IN
+        return {"x": Tensor(rng.normal(size=(B, T, IN)), requires_grad=True),
+                "w_ih": Tensor(rng.normal(scale=0.5, size=(4 * H, IN)), requires_grad=True),
+                "w_hh": Tensor(rng.normal(scale=0.5, size=(4 * H, H)), requires_grad=True),
+                "bias": Tensor(rng.normal(scale=0.3, size=4 * H), requires_grad=True),
+                "h0": Tensor(rng.normal(scale=0.5, size=(B, H)), requires_grad=True),
+                "c0": Tensor(rng.normal(scale=0.5, size=(B, H)), requires_grad=True)}
+
+    def step_by_step(self, p, mask):
+        """Reference: one `lstm_cell` call per sequence and step."""
+        x, w_ih, w_hh, bias = (p[k].data for k in ("x", "w_ih", "w_hh", "bias"))
+        out = np.empty(x.shape[:2] + (self.H,))
+        for b in range(x.shape[0]):
+            h, c = p["h0"].data[b], p["c0"].data[b]
+            for t in range(x.shape[1]):
+                if mask[b, t]:
+                    h, c, _, _ = tt.lstm_cell(w_ih @ x[b, t] + w_hh @ h + bias, c)
+                out[b, t] = h
+        return out
+
+    @pytest.mark.parametrize("B,T,lengths", [(1, 1, (1,)), (1, 5, (5,)),
+                                             (3, 4, (4, 2, 1))])
+    def test_lstm_seq_forward_and_finite_differences(self, B, T, lengths):
+        rng = np.random.default_rng(31 + B * T)
+        p = self.lstm_inputs(rng, B, T)
+        mask = np.array([[t < n for t in range(T)] for n in lengths], dtype=float)
+        weight = rng.normal(size=(B, T, self.H))
+
+        def forward():
+            hs = tt.lstm_seq(p["x"], p["w_ih"], p["w_hh"], p["bias"],
+                             p["h0"], p["c0"], mask)
+            return tt.sum_(tt.mul(hs, weight))
+
+        hs = tt.lstm_seq(p["x"], p["w_ih"], p["w_hh"], p["bias"], p["h0"], p["c0"], mask)
+        np.testing.assert_allclose(hs.data, self.step_by_step(p, mask), atol=1e-14)
+        analytic = tape_gradients(forward, p)
+        numeric = finite_difference(lambda: forward().item(), p)
+        assert_grads_close(analytic, numeric)
+        if min(lengths) < T:  # padding: a masked step carries h and c over
+            np.testing.assert_array_equal(hs.data[2, 1:], np.repeat(hs.data[2, :1], 3, 0))
+            np.testing.assert_array_equal(analytic["x"][2, 1:], 0.0)
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 6)])
+    def test_log_softmax_finite_differences(self, shape):
+        rng = np.random.default_rng(37)
+        params = {"a": Tensor(rng.normal(size=shape), requires_grad=True)}
+        weight = rng.normal(size=shape)
+
+        def forward():
+            return tt.sum_(tt.mul(tt.log_softmax(params["a"]), weight))
+
+        analytic = tape_gradients(forward, params)
+        numeric = finite_difference(lambda: forward().item(), params)
+        assert_grads_close(analytic, numeric)
 
 
 class TestAdam:
