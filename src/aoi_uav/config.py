@@ -100,6 +100,8 @@ class ScenarioConfig:
             raise ConfigError("speed and slot_dt must be > 0")
         if self.area_half_side <= 0.0:
             raise ConfigError("area_half_side must be > 0")
+        if self.altitude <= 0.0:
+            raise ConfigError("altitude must be > 0")
         if self.lbd_layout not in ("center", "ring"):
             raise ConfigError("lbd_layout must be 'center' or 'ring'")
         try:
@@ -153,6 +155,13 @@ class TrainConfig:
                 raise ConfigError(f"{key} must be >= 1")
         if self.learning_rate <= 0.0:
             raise ConfigError("learning_rate must be > 0")
+        for key in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ConfigError(f"{key} must be in [0, 1)")
+        if self.adam_eps <= 0.0:
+            raise ConfigError("adam_eps must be > 0")
+        if self.clip_norm < 0.0:
+            raise ConfigError("clip_norm must be >= 0 (0 disables clipping)")
 
 
 def tiny_scenario(**overrides) -> ScenarioConfig:

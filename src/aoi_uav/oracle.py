@@ -141,7 +141,7 @@ def witness_from_text(text: str, n_uavs: int) -> list[tuple[int, ...]]:
 def _memo_key(state: WorldState) -> tuple:
     pos = tuple((round(float(u.pos[0]), 6), round(float(u.pos[1]), 6))
                 for u in state.uavs)
-    mask = tuple(s.has_data for s in state.iots)
+    mask = state.has_data.tobytes()
     energy = tuple(round(u.energy / ENERGY_QUANTUM) for u in state.uavs)
     return (state.slot, pos, mask, energy)
 
@@ -157,7 +157,7 @@ def exact_min_peak_aoi(instance: TinyInstance) -> OracleResult:
 
     def search(state: WorldState) -> int:
         nonlocal expanded
-        if not any(s.has_data for s in state.iots):
+        if not state.has_data.any():
             return 0
         if world.is_done(state, cfg):
             return horizon
@@ -187,7 +187,7 @@ def exact_min_peak_aoi(instance: TinyInstance) -> OracleResult:
     state = start
     idle = tuple(0 for _ in range(cfg.n_uavs))
     while len(witness) < horizon:
-        if not any(s.has_data for s in state.iots) or world.is_done(state, cfg):
+        if not state.has_data.any() or world.is_done(state, cfg):
             witness.append(idle)
             if not world.is_done(state, cfg):
                 state, _, _ = world.step(state, list(idle), cfg)

@@ -410,14 +410,15 @@ class GreedyPolicy:
         if self.charging[agent]:
             k, _ = world._nearest_lbd_horizontal(uav.pos, state.lbds)
             return state.lbds[k][:2]
-        pending = [(state.slot - s.gen_time,
-                    -float(np.hypot(*(s.pos - uav.pos))), -i, s)
-                   for i, s in enumerate(state.iots) if s.has_data]
-        if not pending:
+        pending = np.flatnonzero(state.has_data)
+        if not pending.size:
             k, _ = world._nearest_lbd_horizontal(uav.pos, state.lbds)
             return state.lbds[k][:2]
-        pending.sort(reverse=True)
-        return pending[0][3].pos
+        # Oldest first, then nearest, then lowest index (lexsort is stable).
+        offset = state.iot_pos[pending] - uav.pos
+        order = np.lexsort((np.hypot(offset[:, 0], offset[:, 1]),
+                            state.gen_time[pending]))
+        return state.iot_pos[pending[order[0]]]
 
     def act(self, state: WorldState, agent: int, rng: np.random.Generator,
             greedy: bool) -> int:

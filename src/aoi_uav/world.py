@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +35,7 @@ class EpisodeOver(RuntimeError):
     """step() called on a finished episode."""
 
 
-@dataclass
-class Event:
+class Event(NamedTuple):
     slot: int
     entity_kind: str  # uav | iot
     entity_id: int
@@ -55,32 +55,32 @@ class UavState:
 
 
 @dataclass
-class IotState:
-    pos: np.ndarray               # (2,) ground position, m
-    gen_time: int = 0             # slot the buffered data was generated
-    has_data: bool = True
-    recorded_aoi: int = 0         # age at the most recent collection
-    energy: float = 0.0
-    data_remaining: float = 0.0   # bits buffered
-
-    def copy(self) -> "IotState":
-        return IotState(self.pos.copy(), self.gen_time, self.has_data,
-                        self.recorded_aoi, self.energy, self.data_remaining)
-
-
-@dataclass
 class WorldState:
+    """One slot of the world.  IoT state is held column-wise, one entry per
+    IoT; ``lbds`` and ``iot_pos`` are never written after ``reset``, so
+    copies share them."""
+
     slot: int
     uavs: list[UavState]
-    iots: list[IotState]
     lbds: np.ndarray              # (L, 3) positions, m
+    iot_pos: np.ndarray           # (I, 2) ground positions, m
+    gen_time: np.ndarray          # (I,) int64 slot the buffered data was generated
+    has_data: np.ndarray          # (I,) bool
+    recorded_aoi: np.ndarray      # (I,) int64 age at the most recent collection
+    iot_energy: np.ndarray        # (I,) J
     peak_recorded_aoi: int = 0    # max age over all collections so far
     events: list[Event] = field(default_factory=list)  # current slot only
 
     def copy(self) -> "WorldState":
-        return WorldState(self.slot, [u.copy() for u in self.uavs],
-                          [s.copy() for s in self.iots], self.lbds.copy(),
+        return WorldState(self.slot, [u.copy() for u in self.uavs], self.lbds,
+                          self.iot_pos, self.gen_time.copy(), self.has_data.copy(),
+                          self.recorded_aoi.copy(), self.iot_energy.copy(),
                           self.peak_recorded_aoi, list(self.events))
+
+    def iot_ages(self) -> np.ndarray:
+        """Per-IoT age: slots since generation if pending, else the age
+        recorded at its last collection."""
+        return np.where(self.has_data, self.slot - self.gen_time, self.recorded_aoi)
 
 
 @dataclass(frozen=True)
@@ -196,6 +196,10 @@ def reset(config: ScenarioConfig, seed: int,
         lbds = np.array(layout_lbds)
     else:
         lbds = default_lbd_positions(config)
+    for k, (x, y, z) in enumerate(lbds):
+        if z >= config.altitude:
+            raise ConfigError(f"LBD record {k + 1} ({x:g} {y:g} {z:g}): height "
+                              f"must be below altitude {config.altitude:g}")
 
     if layout_iots:
         if len(layout_iots) != config.n_iots:
@@ -210,11 +214,13 @@ def reset(config: ScenarioConfig, seed: int,
     e0 = config.e_init_frac * config.e_full
     uavs = [UavState(pos=uav_pos[j].astype(float).copy(), energy=e0)
             for j in range(config.n_uavs)]
-    iots = [IotState(pos=iot_pos[i].astype(float).copy(),
-                     energy=config.e_iot_init,
-                     data_remaining=config.data_volume)
-            for i in range(config.n_iots)]
-    return WorldState(slot=0, uavs=uavs, iots=iots, lbds=lbds)
+    n = config.n_iots
+    return WorldState(slot=0, uavs=uavs, lbds=lbds,
+                      iot_pos=np.array(iot_pos, dtype=float),
+                      gen_time=np.zeros(n, dtype=np.int64),
+                      has_data=np.ones(n, dtype=bool),
+                      recorded_aoi=np.zeros(n, dtype=np.int64),
+                      iot_energy=np.full(n, config.e_iot_init, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -324,52 +330,52 @@ def step(state: WorldState, joint_action: list[int],
             any_death[j] = True
             events.append(Event(t, "uav", j, "die", float(t)))
 
-    # 5. Data collection: one collector per IoT (nearest alive UAV in range),
-    #    a UAV may collect several IoTs in the same slot.
+    # 5. Data collection: one collector per IoT (nearest alive UAV in range,
+    #    lower UAV index on ties), a UAV may collect several IoTs in the same
+    #    slot.
     collect_counts = [0] * config.n_uavs
-    for i, iot in enumerate(nxt.iots):
-        if not iot.has_data:
-            continue
-        best = None
-        for j in alive_idx:
-            if not nxt.uavs[j].alive:
+    collectors = [j for j in alive_idx if nxt.uavs[j].alive]
+    pending = nxt.has_data.nonzero()[0].tolist()
+    if collectors and pending:
+        offset = nxt.iot_pos[:, None] - [nxt.uavs[j].pos for j in collectors]
+        dist = np.hypot(offset[..., 0], offset[..., 1]).tolist()  # [I][collectors]
+        for i in pending:
+            # The nearest UAV is in range exactly when any is; index() keeps
+            # the lower UAV index on ties.
+            d = min(dist[i])
+            if d > config.comm_radius:
                 continue
-            d = float(np.hypot(*(nxt.uavs[j].pos - iot.pos)))
-            if d <= config.comm_radius and (best is None or d < best[0]):
-                best = (d, j)
-        if best is None:
-            continue
-        d, j = best
-        if config.rate_gated_collection:
-            rate = transmission_rate(config.channel, d, config.altitude)
-            if rate * config.slot_dt < iot.data_remaining:
-                continue
-        age = t - iot.gen_time
-        iot.recorded_aoi = age
-        iot.energy = max(iot.energy - config.channel.tx_power_w * config.slot_dt, 0.0)
-        if config.regenerate_on_collect:
-            iot.gen_time = t
-            iot.data_remaining = config.data_volume
-        else:
-            iot.has_data = False
-            iot.data_remaining = 0.0
-        collect_counts[j] += 1
-        events.append(Event(t, "iot", i, "collect", float(j)))
-        nxt.peak_recorded_aoi = max(nxt.peak_recorded_aoi, age)
+            j = collectors[dist[i].index(d)]
+            if config.rate_gated_collection:
+                rate = transmission_rate(config.channel, d, config.altitude)
+                if rate * config.slot_dt < config.data_volume:
+                    continue
+            age = t - int(nxt.gen_time[i])
+            nxt.recorded_aoi[i] = age
+            nxt.iot_energy[i] = max(
+                nxt.iot_energy[i] - config.channel.tx_power_w * config.slot_dt, 0.0)
+            if config.regenerate_on_collect:
+                nxt.gen_time[i] = t
+            else:
+                nxt.has_data[i] = False
+            collect_counts[j] += 1
+            events.append(Event(t, "iot", i, "collect", float(j)))
+            nxt.peak_recorded_aoi = max(nxt.peak_recorded_aoi, age)
 
     done = is_done(nxt, config)
 
     # 6/7. Rewards from the updated state and this slot's event tallies.
+    r_a = -peak_aoi(nxt) / config.aoi_norm
     rewards = [
         _reward(nxt, j, collect_counts[j], collide_counts[j] + clip_counts[j],
-                any_death[j], config)
+                any_death[j], r_a, config)
         for j in range(config.n_uavs)
     ]
     return nxt, rewards, done
 
 
 def _reward(state: WorldState, agent: int, collected: int, penal_events: int,
-            died: bool, config: ScenarioConfig) -> RewardBreakdown:
+            died: bool, r_a: float, config: ScenarioConfig) -> RewardBreakdown:
     rw = config.reward
     uav = state.uavs[agent]
     _, d_lbd = _nearest_lbd_horizontal(uav.pos, state.lbds)
@@ -384,32 +390,15 @@ def _reward(state: WorldState, agent: int, collected: int, penal_events: int,
     r_p -= rw.event_penalty * penal_events
     if died:
         r_p -= rw.death_penalty
-    r_a = -peak_aoi(state) / config.aoi_norm
     r_s = float(collected)
     total = rw.alpha_a * r_a + rw.beta_p * r_p + rw.gamma_s * r_s
     return RewardBreakdown(r_a=r_a, r_p=r_p, r_s=r_s, total=total)
 
 
-def reward_of(state_before: WorldState, state_after: WorldState, agent: int,
-              config: ScenarioConfig) -> RewardBreakdown:
-    """Recompute one agent's reward for the transition into ``state_after``."""
-    collected = sum(1 for e in state_after.events
-                    if e.event == "collect" and int(e.value) == agent)
-    penal = sum(1 for e in state_after.events
-                if e.entity_kind == "uav" and e.entity_id == agent
-                and e.event in ("collide", "clip"))
-    died = any(e.entity_kind == "uav" and e.entity_id == agent and e.event == "die"
-               for e in state_after.events)
-    return _reward(state_after, agent, collected, penal, died, config)
-
-
 def peak_aoi(state: WorldState) -> int:
     """Network peak AoI including ages of still-pending data."""
-    peak = state.peak_recorded_aoi
-    for iot in state.iots:
-        if iot.has_data:
-            peak = max(peak, state.slot - iot.gen_time)
-    return peak
+    oldest = min(state.gen_time[state.has_data].tolist(), default=state.slot)
+    return max(state.peak_recorded_aoi, state.slot - oldest)
 
 
 # ---------------------------------------------------------------------------
@@ -429,16 +418,14 @@ def observe(state: WorldState, agent: int, config: ScenarioConfig) -> np.ndarray
     out[1] = uav.pos[1] / half
     out[2] = uav.energy / config.e_full
 
-    order = sorted(range(len(state.iots)),
-                   key=lambda i: (float(np.hypot(*(state.iots[i].pos - uav.pos))), i))
-    for row, i in enumerate(order[:config.obs_k_nearest]):
-        iot = state.iots[i]
-        age = (state.slot - iot.gen_time) if iot.has_data else iot.recorded_aoi
-        base = 3 + 4 * row
-        out[base] = (iot.pos[0] - uav.pos[0]) / span
-        out[base + 1] = (iot.pos[1] - uav.pos[1]) / span
-        out[base + 2] = age / config.aoi_norm
-        out[base + 3] = 1.0 if iot.has_data else 0.0
+    offset = state.iot_pos - uav.pos
+    # A stable sort keeps the lower IoT index first among equal distances.
+    near = np.argsort(np.hypot(offset[:, 0], offset[:, 1]),
+                      kind="stable")[:config.obs_k_nearest]
+    rows = out[3:3 + 4 * len(near)].reshape(-1, 4)
+    rows[:, :2] = offset[near] / span
+    rows[:, 2] = state.iot_ages()[near] / config.aoi_norm
+    rows[:, 3] = state.has_data[near]
 
     k, _ = _nearest_lbd_horizontal(uav.pos, state.lbds)
     out[-2] = (state.lbds[k][0] - uav.pos[0]) / span
@@ -455,10 +442,8 @@ def global_state_vector(state: WorldState, config: ScenarioConfig) -> np.ndarray
         out[3 * j + 1] = uav.pos[1] / half
         out[3 * j + 2] = uav.energy / config.e_full
     base = 3 * config.n_uavs
-    for i, iot in enumerate(state.iots):
-        age = (state.slot - iot.gen_time) if iot.has_data else iot.recorded_aoi
-        out[base + 2 * i] = age / config.aoi_norm
-        out[base + 2 * i + 1] = 1.0 if iot.has_data else 0.0
+    out[base::2] = state.iot_ages() / config.aoi_norm
+    out[base + 1::2] = state.has_data
     return out
 
 
@@ -484,8 +469,8 @@ def episode_counts(log: EpisodeLog) -> EpisodeCounts:
     return EpisodeCounts(
         collections=tally["collect"],
         uncollected=config.n_iots - len(collected),
-        low_energy_iots=sum(1 for s in log.final_state.iots
-                            if s.energy < config.e_iot_floor),
+        low_energy_iots=int(np.count_nonzero(
+            log.final_state.iot_energy < config.e_iot_floor)),
         deaths=tally["die"],
         collisions=tally["collide"] // 2,
         clips=tally["clip"],
@@ -512,15 +497,9 @@ def states_equal(a: WorldState, b: WorldState) -> bool:
         if (not np.array_equal(ua.pos, ub.pos) or ua.energy != ub.energy
                 or ua.alive != ub.alive or ua.charging_lbd != ub.charging_lbd):
             return False
-    for sa, sb in zip(a.iots, b.iots):
-        if (not np.array_equal(sa.pos, sb.pos) or sa.gen_time != sb.gen_time
-                or sa.has_data != sb.has_data or sa.recorded_aoi != sb.recorded_aoi
-                or sa.energy != sb.energy or sa.data_remaining != sb.data_remaining):
-            return False
-    if len(a.events) != len(b.events):
-        return False
-    for ea, eb in zip(a.events, b.events):
-        if (ea.slot, ea.entity_kind, ea.entity_id, ea.event, ea.value) != (
-                eb.slot, eb.entity_kind, eb.entity_id, eb.event, eb.value):
-            return False
-    return True
+    return (np.array_equal(a.iot_pos, b.iot_pos)
+            and np.array_equal(a.gen_time, b.gen_time)
+            and np.array_equal(a.has_data, b.has_data)
+            and np.array_equal(a.recorded_aoi, b.recorded_aoi)
+            and np.array_equal(a.iot_energy, b.iot_energy)
+            and a.events == b.events)

@@ -73,7 +73,14 @@ class TestParse:
                 ("[train]\nepisodes = 1\nepisodes = 300\n", "line 3: key 'episodes'"),
                 ("[scenario]\nspeed = nan\n", "speed"),
                 ("[scenario]\nspeed = inf\n", "speed"),
-                ("[train]\nlearning_rate = nan\n", "learning_rate")):
+                ("[train]\nlearning_rate = nan\n", "learning_rate"),
+                ("[scenario]\naltitude = 0.0\n", "altitude"),
+                ("[scenario]\naltitude = -5\n", "altitude"),
+                ("[train]\nadam_beta1 = 1.0\n", "adam_beta1"),
+                ("[train]\nadam_beta1 = -0.1\n", "adam_beta1"),
+                ("[train]\nadam_beta2 = 1.0\n", "adam_beta2"),
+                ("[train]\nadam_eps = 0.0\n", "adam_eps"),
+                ("[train]\nclip_norm = -1.0\n", "clip_norm")):
             with pytest.raises(ConfigError, match=key):
                 parse_config(text)
 

@@ -1,5 +1,7 @@
 """Environment dynamics: reset, movement, charging, collection, rewards."""
 
+import copy
+import itertools
 import math
 from dataclasses import replace
 
@@ -35,8 +37,7 @@ def open_field(n_uavs=1, n_iots=1, iot_at=((0.0, 400.0),), horizon=10, **kw):
     """Scenario with IoTs pinned via recorded layout-free positions."""
     cfg = replace(CANON, n_uavs=n_uavs, n_iots=n_iots, horizon=horizon, **kw)
     state = reset(cfg, seed=1)
-    for s, pos in zip(state.iots, iot_at):
-        s.pos = np.array(pos, dtype=float)
+    state.iot_pos[:len(iot_at)] = iot_at
     return cfg, state
 
 
@@ -53,9 +54,9 @@ class TestReset:
 
     def test_iot_count_and_flags(self):
         state = reset(CANON, seed=0)
-        assert len(state.iots) == 50
-        assert all(s.has_data for s in state.iots)
-        assert all(s.gen_time == 0 for s in state.iots)
+        assert state.iot_pos.shape == (50, 2)
+        assert state.has_data.all()
+        assert (state.gen_time == 0).all()
 
     def test_canonical_uav_spawn(self):
         state = reset(CANON, seed=0)
@@ -198,18 +199,18 @@ class TestCollection:
         nxt, rewards, _ = step(state, [0], cfg)  # north: (1,5), dist 45 < 60
         assert any(e.event == "collect" for e in nxt.events)
         assert rewards[0].r_s == 1.0
-        assert nxt.iots[0].recorded_aoi == 1
+        assert nxt.recorded_aoi[0] == 1
 
     def test_regenerate_keeps_data_flag(self):
         cfg, state = open_field(iot_at=((1.0, 10.0),))
         nxt, _, _ = step(state, [0], cfg)
-        assert nxt.iots[0].has_data
-        assert nxt.iots[0].gen_time == 1
+        assert nxt.has_data[0]
+        assert nxt.gen_time[0] == 1
 
     def test_one_shot_clears_flag(self):
         cfg, state = open_field(iot_at=((1.0, 10.0),), regenerate_on_collect=False)
         nxt, _, _ = step(state, [0], cfg)
-        assert not nxt.iots[0].has_data
+        assert not nxt.has_data[0]
 
     def test_single_collector_per_iot(self):
         cfg, state = open_field(n_uavs=2, iot_at=((0.0, 0.0),),
@@ -228,7 +229,7 @@ class TestCollection:
     def test_iot_energy_drains_on_collect(self):
         cfg, state = open_field(iot_at=((1.0, 10.0),))
         nxt, _, _ = step(state, [0], cfg)
-        assert nxt.iots[0].energy == cfg.e_iot_init - cfg.channel.tx_power_w * cfg.slot_dt
+        assert nxt.iot_energy[0] == cfg.e_iot_init - cfg.channel.tx_power_w * cfg.slot_dt
 
     def test_rate_gate_blocks_oversized_buffers(self):
         # At ~1e7 bit/s a 1e9-bit buffer cannot clear in one slot, so the
@@ -237,8 +238,7 @@ class TestCollection:
         gated = replace(CANON, n_uavs=1, horizon=5, rate_gated_collection=True,
                         data_volume=1e9)
         state = reset(gated, seed=1)
-        state.iots[0].pos = np.array([1.0, 10.0])
-        state.iots[0].data_remaining = gated.data_volume
+        state.iot_pos[0] = [1.0, 10.0]
         nxt, _, _ = step(state, [0], gated)
         assert not any(e.event == "collect" and e.entity_id == 0
                        for e in nxt.events)
@@ -247,7 +247,7 @@ class TestCollection:
         gated = replace(CANON, n_uavs=1, horizon=5, rate_gated_collection=True,
                         data_volume=1e6)
         state = reset(gated, seed=1)
-        state.iots[0].pos = np.array([1.0, 10.0])
+        state.iot_pos[0] = [1.0, 10.0]
         nxt, _, _ = step(state, [0], gated)
         assert any(e.event == "collect" and e.entity_id == 0
                    for e in nxt.events)
@@ -257,9 +257,8 @@ class TestPeakAoi:
     def test_max_over_recorded(self):
         state = reset(replace(CANON, n_iots=3), seed=0)
         state.slot = 12
-        for s, aoi in zip(state.iots, (3, 9, 4)):
-            s.recorded_aoi = aoi
-            s.has_data = False
+        state.recorded_aoi[:] = (3, 9, 4)
+        state.has_data[:] = False
         state.peak_recorded_aoi = 9
         assert peak_aoi(state) == 9
 
@@ -270,9 +269,8 @@ class TestPeakAoi:
 
     def test_all_collected_at_generation(self):
         state = reset(replace(CANON, n_iots=2), seed=0)
-        for s in state.iots:
-            s.has_data = False
-            s.recorded_aoi = 0
+        state.has_data[:] = False
+        state.recorded_aoi[:] = 0
         assert peak_aoi(state) == 0
         assert state.peak_recorded_aoi == 0
 
@@ -319,20 +317,6 @@ class TestRewards:
         rw = cfg.reward
         assert r.total == rw.alpha_a * r.r_a + rw.beta_p * r.r_p + rw.gamma_s * r.r_s
 
-    def test_reward_of_matches_step(self):
-        cfg = tiny_scenario()
-        state = reset(cfg, seed=9)
-        rng = np.random.default_rng(9)
-        for _ in range(15):
-            actions = list(rng.integers(0, cfg.n_actions, cfg.n_uavs))
-            nxt, rewards, done = step(state, actions, cfg)
-            for j in range(cfg.n_uavs):
-                again = world.reward_of(state, nxt, j, cfg)
-                assert again == rewards[j]
-            state = nxt
-            if done:
-                break
-
     def test_collision_penalty_folded_into_rp(self):
         cfg, state = open_field(n_uavs=2, include_hover_action=True)
         state.uavs[0].pos = np.array([100.0, 0.0])
@@ -370,10 +354,20 @@ class TestObservation:
         obs1 = observe(state, 0, cfg)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            perm = rng.permutation(len(state.iots))
+            perm = rng.permutation(cfg.n_iots)
             shuffled = state.copy()
-            shuffled.iots = [state.iots[i].copy() for i in perm]
+            for name in ("iot_pos", "gen_time", "has_data", "recorded_aoi",
+                         "iot_energy"):
+                setattr(shuffled, name, getattr(state, name)[perm])
             np.testing.assert_array_equal(observe(shuffled, 0, cfg), obs1)
+
+    def test_equidistant_iots_listed_lower_index_first(self):
+        for iot_at in (((1.0, 30.0), (1.0, -30.0)), ((1.0, -30.0), (1.0, 30.0))):
+            cfg, state = open_field(n_iots=2, iot_at=iot_at, obs_k_nearest=2)
+            obs = observe(state, 0, cfg)
+            span = 2.0 * cfg.area_half_side
+            assert obs[4] == iot_at[0][1] / span
+            assert obs[8] == iot_at[1][1] / span
 
     def test_dead_agent_rejected(self):
         cfg, state = open_field()
@@ -385,6 +379,31 @@ class TestObservation:
         cfg = tiny_scenario()
         state = reset(cfg, seed=1)
         assert global_state_vector(state, cfg).shape == (cfg.global_state_dim,)
+
+
+class TestIotColumns:
+    def test_iot_ages_follow_per_iot_rule(self):
+        # IoT 0 pending since slot 2, IoT 1 collected one-shot at age 4,
+        # IoT 2 regenerated at slot 7 after a collection at age 5.
+        state = reset(replace(CANON, n_iots=3), seed=0)
+        state.slot = 10
+        state.gen_time[:] = (2, 0, 7)
+        state.has_data[:] = (True, False, True)
+        state.recorded_aoi[:] = (0, 4, 5)
+        expected = [state.slot - int(state.gen_time[i]) if state.has_data[i]
+                    else int(state.recorded_aoi[i]) for i in range(3)]
+        assert state.iot_ages().tolist() == expected == [8, 4, 3]
+
+    def test_stepping_every_child_leaves_parent_unchanged(self):
+        # The oracle expands every joint action from one state, and copies
+        # share iot_pos and lbds with it.
+        cfg = replace(tiny_scenario(), regenerate_on_collect=False)
+        state = reset(cfg, seed=4)
+        state, _, _ = step(state, [0] * cfg.n_uavs, cfg)
+        snapshot = copy.deepcopy(state)
+        for joint in itertools.product(range(cfg.n_actions), repeat=cfg.n_uavs):
+            step(state, list(joint), cfg)
+        assert states_equal(state, snapshot)
 
 
 class TestDeterminismAndLog:
@@ -477,9 +496,17 @@ class TestLayoutFile:
         cfg = replace(CANON, n_uavs=1, n_iots=2, n_lbds=1,
                       layout_file=str(layout))
         state = reset(cfg, seed=99)
-        np.testing.assert_array_equal(state.iots[0].pos, [10.0, 20.0])
-        np.testing.assert_array_equal(state.iots[1].pos, [-30.0, 5.0])
+        np.testing.assert_array_equal(state.iot_pos[0], [10.0, 20.0])
+        np.testing.assert_array_equal(state.iot_pos[1], [-30.0, 5.0])
         np.testing.assert_array_equal(state.uavs[0].pos, [1.0, 0.0])
+
+    def test_lbd_not_below_altitude_rejected(self, tmp_path):
+        layout = tmp_path / "field.txt"
+        for z in (80, 100):
+            layout.write_text(f"IOT 0 0\nLBD 0 0 {z}\nUAV 1 0\n")
+            cfg = replace(CANON, n_uavs=1, n_iots=1, layout_file=str(layout))
+            with pytest.raises(ConfigError, match="LBD record 1"):
+                reset(cfg, seed=0)
 
     def test_bad_record_rejected(self):
         with pytest.raises(ConfigError):
