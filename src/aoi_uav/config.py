@@ -84,10 +84,16 @@ class ScenarioConfig:
             raise ConfigError("n_iots must be >= 1")
         if self.n_lbds < 1:
             raise ConfigError("n_lbds must be >= 1")
+        if self.flight_limit <= 0.0:
+            raise ConfigError("flight_limit must be > 0")
+        if self.charge_radius < 0.0:
+            raise ConfigError("charge_radius must be >= 0")
         if self.charge_radius > self.flight_limit:
             raise ConfigError("charge_radius must not exceed flight_limit")
         if not 0.0 < self.e_init_frac <= 1.0:
             raise ConfigError("e_init_frac must be in (0, 1]")
+        if self.e_full <= 0.0:
+            raise ConfigError("e_full must be > 0")
         if self.e_charge_threshold >= self.e_full:
             raise ConfigError("e_charge_threshold must be below e_full")
         if self.comm_radius <= 0.0:

@@ -4,7 +4,9 @@ Each agent owns a recurrent actor (one LSTM cell feeding a small policy
 head); a single centralized critic blends a local value of the agent's own
 observation with a global value of the full state through a softmax-
 constrained weight pair, so the blend stays a convex combination no matter
-how the weights train.
+how the weights train.  Rollouts run every agent's actor in one call over
+weights stacked along a leading agent axis (`stack_actors`), and compute
+every agent's value in plain numpy (`critic_values`).
 """
 
 from __future__ import annotations
@@ -91,8 +93,10 @@ class HiddenState:
     c: np.ndarray
 
 
-def zero_hidden(hidden_size: int) -> HiddenState:
-    return HiddenState(np.zeros(hidden_size), np.zeros(hidden_size))
+def zero_hidden(hidden_size: int, *agents: int) -> HiddenState:
+    """Zero state of one actor, or with ``agents`` = (U,) of a stack of U."""
+    shape = (*agents, hidden_size)
+    return HiddenState(np.zeros(shape), np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +127,37 @@ def init_actor(rng: np.random.Generator, obs_dim: int, n_actions: int,
                                 (n_actions, head_hidden)),
         b_out=tt.zeros(n_actions),
     )
+
+
+def stack_actors(actors: list[ActorParams]) -> ActorParams:
+    """A copy of every agent's actor weights stacked along a leading agent
+    axis, (U, ...), so that one `actor_step` serves all agents.  It is for
+    rollout inference only: training updates the per-agent actors, not the
+    stack."""
+    def stack(weight) -> Tensor:
+        return Tensor(np.stack([weight(a).data for a in actors]))
+    return _build_actor(actors[0], stack)
+
+
+def actor_row(stacked: ActorParams, agent: int) -> ActorParams:
+    """Agent ``agent``'s actor as views of its row of a `stack_actors` stack."""
+    return _build_actor(stacked, lambda weight: Tensor(weight(stacked).data[agent]))
+
+
+def _build_actor(like: ActorParams, make) -> ActorParams:
+    """An actor with ``like``'s architecture whose every weight is
+    ``make(weight)``, ``weight`` being the accessor of that weight."""
+    lstm = None
+    if like.recurrent:
+        lstm = LstmCellParams(w_ih=make(lambda a: a.lstm.w_ih),
+                              w_hh=make(lambda a: a.lstm.w_hh),
+                              bias=make(lambda a: a.lstm.bias),
+                              hidden_size=like.lstm.hidden_size)
+    return ActorParams(lstm=lstm,
+                       w_head=make(lambda a: a.w_head),
+                       b_head=make(lambda a: a.b_head),
+                       w_out=make(lambda a: a.w_out),
+                       b_out=make(lambda a: a.b_out))
 
 
 def _init_mlp(rng: np.random.Generator, dims: list[int]) -> list[tuple[Tensor, Tensor]]:
@@ -179,24 +214,38 @@ def actor_log_probs(params: ActorParams, obs_seqs: list[np.ndarray]) -> Tensor:
     return tt.log_softmax(policy_head_batch(params, features))
 
 
+def _matvec(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``w @ x`` for one vector or a stack of rows of ``x``, with ``w`` one
+    (out, in) matrix or a (U, out, in) stack matched to the rows.
+
+    Every row comes out bit for bit equal to ``w @ x`` on its own, whatever
+    the number of rows; ``x @ w.T`` does not, so rollouts never use it.
+    """
+    return np.matmul(w, x[..., None])[..., 0]
+
+
 def actor_step(params: ActorParams, obs: np.ndarray,
                hidden: HiddenState) -> tuple[np.ndarray, HiddenState]:
     """Action distribution for one observation; advances the hidden state.
 
-    Gradient-free rollout inference in plain numpy, building no `Tensor`;
-    training replays the same math under a tape via `actor_log_probs`.
+    With `stack_actors` weights, ``obs`` and ``hidden`` hold one row per
+    agent and every agent steps at once; each row equals that agent's own
+    call bit for bit.  Gradient-free rollout inference in plain numpy,
+    building no `Tensor`; training replays the same math under a tape via
+    `actor_log_probs`.
     """
     if params.recurrent:
         cell = params.lstm
-        z = cell.w_ih.data @ obs + cell.w_hh.data @ hidden.h + cell.bias.data
+        z = (_matvec(cell.w_ih.data, obs) + _matvec(cell.w_hh.data, hidden.h)
+             + cell.bias.data)
         h, c, _, _ = tt.lstm_cell(z, hidden.c)
         new_hidden = HiddenState(h, c)
         features = h
     else:
         new_hidden = hidden
         features = obs
-    hid = np.tanh(params.w_head.data @ features + params.b_head.data)
-    logits = params.w_out.data @ hid + params.b_out.data
+    hid = np.tanh(_matvec(params.w_head.data, features) + params.b_head.data)
+    logits = _matvec(params.w_out.data, hid) + params.b_out.data
     return tt.softmax_array(logits), new_hidden
 
 
@@ -214,6 +263,27 @@ def critic_value(params: CriticParams, obs: Tensor, v_global: Tensor) -> Tensor:
     v_local = _mlp_forward(params.local_layers, obs)
     weights = blend_weights(params)
     return tt.add(tt.mul(weights[0:1], v_local), tt.mul(weights[1:2], v_global))
+
+
+def critic_values(params: CriticParams, obs: np.ndarray,
+                  global_state: np.ndarray) -> np.ndarray:
+    """Every agent's `critic_value` for one slot, (U,), from the (U, obs)
+    observation rows and the global state, in plain numpy with the same
+    arithmetic; rollout collection uses it, building no `Tensor`."""
+    v_global = _mlp_array(params.global_layers, global_state)      # (1,)
+    if params.single_head:
+        return np.repeat(v_global, len(obs))
+    v_local = _mlp_array(params.local_layers, obs)                 # (U, 1)
+    weights = tt.softmax_array(params.blend_logits.data)
+    return (weights[0:1] * v_local + weights[1:2] * v_global)[:, 0]
+
+
+def _mlp_array(layers: list[tuple[Tensor, Tensor]], x: np.ndarray) -> np.ndarray:
+    for idx, (w, b) in enumerate(layers):
+        x = _matvec(w.data, x) + b.data
+        if idx < len(layers) - 1:
+            x = np.tanh(x)
+    return x
 
 
 def _mlp_forward(layers: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:

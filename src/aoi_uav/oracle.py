@@ -139,11 +139,43 @@ def witness_from_text(text: str, n_uavs: int) -> list[tuple[int, ...]]:
 
 
 def _memo_key(state: WorldState) -> tuple:
-    pos = tuple((round(float(u.pos[0]), 6), round(float(u.pos[1]), 6))
-                for u in state.uavs)
+    pos = tuple(round(x, 6) for x in state.uav_pos.ravel().tolist())
     mask = state.has_data.tobytes()
-    energy = tuple(round(u.energy / ENERGY_QUANTUM) for u in state.uavs)
+    energy = tuple(round(e / ENERGY_QUANTUM) for e in state.uav_energy.tolist())
     return (state.slot, pos, mask, energy)
+
+
+def _search(state: WorldState, cfg: ScenarioConfig, joint_actions: list,
+            memo: dict[tuple, tuple[int, tuple[int, ...] | None]]) -> int:
+    """Best achievable peak AoI from ``state``; records each expanded
+    state's (value, best joint action) in ``memo``.
+
+    A module-level function rather than a closure: a nested function that
+    calls itself is a reference cycle, which would keep every solve's memo
+    alive until the cycle collector happened to run.
+    """
+    if not state.has_data.any():
+        return 0
+    if world.is_done(state, cfg):
+        return cfg.horizon
+    key = _memo_key(state)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit[0]
+    best_val, best_joint = cfg.horizon + 1, None
+    for joint in joint_actions:
+        nxt, _, _ = world.step(state, list(joint), cfg)
+        collected = any(e.event == "collect" for e in nxt.events)
+        val = max(nxt.slot if collected else 0,
+                  _search(nxt, cfg, joint_actions, memo))
+        if val < best_val:
+            best_val, best_joint = val, joint
+            # A node with pending data can never score below slot+1, so
+            # hitting that is already optimal here.
+            if best_val == state.slot + 1:
+                break
+    memo[key] = (best_val, best_joint)
+    return best_val
 
 
 def exact_min_peak_aoi(instance: TinyInstance) -> OracleResult:
@@ -153,35 +185,9 @@ def exact_min_peak_aoi(instance: TinyInstance) -> OracleResult:
     horizon = cfg.horizon
     joint_actions = list(product(range(cfg.n_actions), repeat=cfg.n_uavs))
     memo: dict[tuple, tuple[int, tuple[int, ...] | None]] = {}
-    expanded = 0
-
-    def search(state: WorldState) -> int:
-        nonlocal expanded
-        if not state.has_data.any():
-            return 0
-        if world.is_done(state, cfg):
-            return horizon
-        key = _memo_key(state)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[0]
-        expanded += 1
-        best_val, best_joint = horizon + 1, None
-        for joint in joint_actions:
-            nxt, _, _ = world.step(state, list(joint), cfg)
-            collected = [e for e in nxt.events if e.event == "collect"]
-            val = max(nxt.slot if collected else 0, search(nxt))
-            if val < best_val:
-                best_val, best_joint = val, joint
-                # A node with pending data can never score below slot+1, so
-                # hitting that is already optimal here.
-                if best_val == state.slot + 1:
-                    break
-        memo[key] = (best_val, best_joint)
-        return best_val
 
     start = instance.initial_state()
-    optimum = search(start)
+    optimum = _search(start, cfg, joint_actions, memo)
 
     witness: list[tuple[int, ...]] = []
     state = start
@@ -196,7 +202,10 @@ def exact_min_peak_aoi(instance: TinyInstance) -> OracleResult:
         joint = entry[1] if entry and entry[1] is not None else idle
         witness.append(joint)
         state, _, _ = world.step(state, list(joint), cfg)
-    return OracleResult(optimum=optimum, witness=witness, states_expanded=expanded)
+    # Every expanded state is memoized exactly once: its descendants lie at
+    # later slots, so none can reach it before its entry is written.
+    return OracleResult(optimum=optimum, witness=witness,
+                        states_expanded=len(memo))
 
 
 def replay_verify(instance: TinyInstance,

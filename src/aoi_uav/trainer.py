@@ -19,10 +19,14 @@ from .config import ScenarioConfig, TrainConfig
 from .nets import (
     ActorParams,
     CriticParams,
+    HiddenState,
+    actor_row,
     actor_step,
     critic_value,
+    critic_values,
     global_value,
     sample_action,
+    stack_actors,
     zero_hidden,
 )
 from .tensor import Adam, Tape, Tensor
@@ -195,25 +199,27 @@ def run_episode(scenario: ScenarioConfig, act, episode_idx: int
 
 
 def _collect_episode(scenario: ScenarioConfig, bundle: PolicyBundle,
-                     episode_idx: int, rng: np.random.Generator) -> EpisodeTrajectory:
+                     actors: ActorParams, episode_idx: int,
+                     rng: np.random.Generator) -> EpisodeTrajectory:
+    """One sampled episode; ``actors`` is `stack_actors` of the bundle's."""
     agents = [AgentTrajectory() for _ in range(scenario.n_uavs)]
-    hiddens = [zero_hidden(bundle.hidden_size) for _ in agents]
+    hidden = zero_hidden(bundle.hidden_size, scenario.n_uavs)
     global_states: list[np.ndarray] = []
 
     def act(state: WorldState) -> list[int]:
+        nonlocal hidden
         gstate = global_state_vector(state, scenario)
         global_states.append(gstate)
-        v_global = global_value(bundle.critic, Tensor(gstate))
+        obs = observe(state, None, scenario)
+        probs, hidden = actor_step(actors, obs, hidden)
+        values = critic_values(bundle.critic, obs, gstate).tolist()
         joint = []
         for j, traj in enumerate(agents):
-            obs = observe(state, j, scenario)
-            traj.obs.append(obs)
-            probs, hiddens[j] = actor_step(bundle.actors[j], obs, hiddens[j])
-            action, logp = sample_action(probs, rng)
+            action, logp = sample_action(probs[j], rng)
+            traj.obs.append(obs[j])
             traj.actions.append(action)
             traj.log_probs.append(logp)
-            traj.values.append(critic_value(
-                bundle.critic, Tensor(obs), v_global).item())
+            traj.values.append(values[j])
             joint.append(action)
         return joint
 
@@ -235,8 +241,9 @@ def collect_rollout(scenario: ScenarioConfig, bundle: PolicyBundle,
     serves the episodes in order.
     """
     rng = np.random.default_rng(seed)
+    actors = stack_actors(bundle.actors)
     return TrajectoryBatch(episodes=[
-        _collect_episode(scenario, bundle, first_episode_idx + e, rng)
+        _collect_episode(scenario, bundle, actors, first_episode_idx + e, rng)
         for e in range(episodes)])
 
 
@@ -371,12 +378,22 @@ def ppo_update(batch: TrajectoryBatch, bundle: PolicyBundle, optimizer: Adam,
 # Baseline policies
 # ---------------------------------------------------------------------------
 
-class RandomPolicy:
+class _PerAgentPolicy:
+    """A policy that chooses agent by agent, in index order."""
+
+    def joint_action(self, state: WorldState, rng: np.random.Generator,
+                     greedy: bool) -> list[int]:
+        return [self.act(state, j, rng, greedy)
+                for j in range(self.scenario.n_uavs)]
+
+
+class RandomPolicy(_PerAgentPolicy):
     """Uniform over the action set."""
 
     name = "random"
 
     def __init__(self, scenario: ScenarioConfig):
+        self.scenario = scenario
         self.n_actions = scenario.n_actions
 
     def begin_episode(self) -> None:
@@ -387,7 +404,7 @@ class RandomPolicy:
         return int(rng.integers(self.n_actions))
 
 
-class GreedyPolicy:
+class GreedyPolicy(_PerAgentPolicy):
     """Chase the oldest pending IoT; divert to the nearest charging station
     below the energy threshold and stay until full."""
 
@@ -402,20 +419,17 @@ class GreedyPolicy:
 
     def _target(self, state: WorldState, agent: int) -> np.ndarray:
         cfg = self.scenario
-        uav = state.uavs[agent]
-        if uav.energy <= cfg.e_charge_threshold:
+        pos, energy = state.uav_pos[agent], state.uav_energy[agent]
+        if energy <= cfg.e_charge_threshold:
             self.charging[agent] = True
-        elif uav.energy >= cfg.e_full - cfg.epsilon_energy:
+        elif energy >= cfg.e_full - cfg.epsilon_energy:
             self.charging[agent] = False
-        if self.charging[agent]:
-            k, _ = world._nearest_lbd_horizontal(uav.pos, state.lbds)
-            return state.lbds[k][:2]
         pending = np.flatnonzero(state.has_data)
-        if not pending.size:
-            k, _ = world._nearest_lbd_horizontal(uav.pos, state.lbds)
+        if self.charging[agent] or not pending.size:
+            k, _ = world._nearest_lbd_horizontal(pos, state.lbds)
             return state.lbds[k][:2]
         # Oldest first, then nearest, then lowest index (lexsort is stable).
-        offset = state.iot_pos[pending] - uav.pos
+        offset = state.iot_pos[pending] - pos
         order = np.lexsort((np.hypot(offset[:, 0], offset[:, 1]),
                             state.gen_time[pending]))
         return state.iot_pos[pending[order[0]]]
@@ -424,7 +438,7 @@ class GreedyPolicy:
             greedy: bool) -> int:
         cfg = self.scenario
         target = self._target(state, agent)
-        pos = state.uavs[agent].pos
+        pos = state.uav_pos[agent]
         step_len = cfg.speed * cfg.slot_dt
         best_action, best_dist = 0, float("inf")
         for a in range(cfg.n_actions):
@@ -436,25 +450,37 @@ class GreedyPolicy:
 
 
 class LearnedPolicy:
-    """Greedy or sampling wrapper around trained actors."""
+    """Greedy or sampling wrapper around trained actors, held as one
+    `stack_actors` stack, with one hidden-state row per agent.
+    `joint_action` steps every agent's actor in one call; `act` steps agent
+    ``agent``'s alone, on its rows of the stack and the hidden state."""
 
     name = "learned"
 
     def __init__(self, scenario: ScenarioConfig, bundle: PolicyBundle):
         self.scenario = scenario
-        self.bundle = bundle
-        self.hiddens = [zero_hidden(bundle.hidden_size)
-                        for _ in range(scenario.n_uavs)]
+        self.hidden_size = bundle.hidden_size
+        self.actors = stack_actors(bundle.actors)
+        self.begin_episode()
 
     def begin_episode(self) -> None:
-        self.hiddens = [zero_hidden(self.bundle.hidden_size)
-                        for _ in range(self.scenario.n_uavs)]
+        self.hidden = zero_hidden(self.hidden_size, self.scenario.n_uavs)
+
+    def joint_action(self, state: WorldState, rng: np.random.Generator,
+                     greedy: bool) -> list[int]:
+        obs = observe(state, None, self.scenario)
+        probs, self.hidden = actor_step(self.actors, obs, self.hidden)
+        if greedy:
+            return np.argmax(probs, axis=1).tolist()
+        return [sample_action(p, rng)[0] for p in probs]
 
     def act(self, state: WorldState, agent: int, rng: np.random.Generator,
             greedy: bool) -> int:
         obs = observe(state, agent, self.scenario)
-        probs, self.hiddens[agent] = actor_step(
-            self.bundle.actors[agent], obs, self.hiddens[agent])
+        probs, row = actor_step(
+            actor_row(self.actors, agent), obs,
+            HiddenState(self.hidden.h[agent], self.hidden.c[agent]))
+        self.hidden.h[agent], self.hidden.c[agent] = row.h, row.c
         if greedy:
             return int(np.argmax(probs))
         action, _ = sample_action(probs, rng)
@@ -486,8 +512,7 @@ def rollout_policy(scenario: ScenarioConfig, policy, episodes: int, seed: int,
     rng = np.random.default_rng(seed)
 
     def act(state: WorldState) -> list[int]:
-        return [policy.act(state, j, rng, greedy)
-                for j in range(scenario.n_uavs)]
+        return policy.joint_action(state, rng, greedy)
 
     for e in range(episodes):
         policy.begin_episode()

@@ -1,10 +1,12 @@
 """Discrete-time multi-UAV data collection environment.
 
-One `step` advances all UAVs by one slot in a fixed order: movement with
-boundary clipping, collision detection, charging assignment, propulsion
-drain, data collection, AoI bookkeeping, and reward computation.  Everything
-is deterministic given (config, seed, actions); randomness enters only
-through IoT placement at reset.
+`WorldState` holds UAV and IoT state as numpy columns, one row per entity.
+One `step` advances all UAVs by one slot in a fixed order, each phase acting
+on every UAV at once: movement with boundary clipping, collision detection,
+charging assignment, propulsion drain, data collection, AoI bookkeeping, and
+reward computation.  `observe` builds every agent's observation in one call.
+Everything is deterministic given (config, seed, actions); randomness enters
+only through IoT placement at reset.
 """
 
 from __future__ import annotations
@@ -43,26 +45,25 @@ class Event(NamedTuple):
     value: float
 
 
-@dataclass
-class UavState:
+class UavSnapshot(NamedTuple):
     pos: np.ndarray               # (2,) horizontal position, m
     energy: float
-    alive: bool = True
-    charging_lbd: int | None = None
-
-    def copy(self) -> "UavState":
-        return UavState(self.pos.copy(), self.energy, self.alive, self.charging_lbd)
+    alive: bool
+    charging_lbd: int | None
 
 
 @dataclass
 class WorldState:
-    """One slot of the world.  IoT state is held column-wise, one entry per
-    IoT; ``lbds`` and ``iot_pos`` are never written after ``reset``, so
-    copies share them."""
+    """One slot of the world, held column-wise: one row per UAV and one
+    entry per IoT.  ``lbds`` and ``iot_pos`` are never written after
+    ``reset``, so every state that `step` builds shares them."""
 
     slot: int
-    uavs: list[UavState]
     lbds: np.ndarray              # (L, 3) positions, m
+    uav_pos: np.ndarray           # (U, 2) horizontal positions, m
+    uav_energy: np.ndarray        # (U,) J
+    uav_alive: np.ndarray         # (U,) bool
+    charging_lbd: np.ndarray      # (U,) int64 LBD charging the UAV this slot, -1 none
     iot_pos: np.ndarray           # (I, 2) ground positions, m
     gen_time: np.ndarray          # (I,) int64 slot the buffered data was generated
     has_data: np.ndarray          # (I,) bool
@@ -71,11 +72,15 @@ class WorldState:
     peak_recorded_aoi: int = 0    # max age over all collections so far
     events: list[Event] = field(default_factory=list)  # current slot only
 
-    def copy(self) -> "WorldState":
-        return WorldState(self.slot, [u.copy() for u in self.uavs], self.lbds,
-                          self.iot_pos, self.gen_time.copy(), self.has_data.copy(),
-                          self.recorded_aoi.copy(), self.iot_energy.copy(),
-                          self.peak_recorded_aoi, list(self.events))
+    @property
+    def uavs(self) -> list[UavSnapshot]:
+        """A read-only per-UAV snapshot of the UAV columns, kept for
+        acceptance criterion 4, which reads ``state.uavs[j].energy``.
+        Library code reads the columns."""
+        return [UavSnapshot(pos.copy(), energy, alive, None if k < 0 else k)
+                for pos, energy, alive, k in zip(
+                    self.uav_pos, self.uav_energy.tolist(),
+                    self.uav_alive.tolist(), self.charging_lbd.tolist())]
 
     def iot_ages(self) -> np.ndarray:
         """Per-IoT age: slots since generation if pending, else the age
@@ -211,11 +216,12 @@ def reset(config: ScenarioConfig, seed: int,
         h = config.area_half_side
         iot_pos = rng.uniform(-h, h, size=(config.n_iots, 2))
 
-    e0 = config.e_init_frac * config.e_full
-    uavs = [UavState(pos=uav_pos[j].astype(float).copy(), energy=e0)
-            for j in range(config.n_uavs)]
-    n = config.n_iots
-    return WorldState(slot=0, uavs=uavs, lbds=lbds,
+    u, n = config.n_uavs, config.n_iots
+    return WorldState(slot=0, lbds=lbds,
+                      uav_pos=np.array(uav_pos, dtype=float),
+                      uav_energy=np.full(u, config.e_init_frac * config.e_full),
+                      uav_alive=np.ones(u, dtype=bool),
+                      charging_lbd=np.full(u, -1, dtype=np.int64),
                       iot_pos=np.array(iot_pos, dtype=float),
                       gen_time=np.zeros(n, dtype=np.int64),
                       has_data=np.ones(n, dtype=bool),
@@ -228,7 +234,7 @@ def reset(config: ScenarioConfig, seed: int,
 # ---------------------------------------------------------------------------
 
 def is_done(state: WorldState, config: ScenarioConfig) -> bool:
-    return state.slot >= config.horizon or any(not u.alive for u in state.uavs)
+    return state.slot >= config.horizon or not all(state.uav_alive)
 
 
 def _nearest_lbd_horizontal(pos: np.ndarray, lbds: np.ndarray) -> tuple[int, float]:
@@ -248,139 +254,132 @@ def step(state: WorldState, joint_action: list[int],
         if not 0 <= a < config.n_actions:
             raise ValueError(f"action index {a} outside 0..{config.n_actions - 1}")
 
-    nxt = state.copy()
-    nxt.events = []
-    nxt.slot = state.slot + 1
-    t = nxt.slot
-    events = nxt.events
-    step_len = config.speed * config.slot_dt
+    # A death ends the episode, so every UAV enters the slot alive.  Each
+    # phase works on all UAVs at once and then appends its events UAV by
+    # UAV; values that reach events and rewards are Python scalars.
+    t = state.slot + 1
+    events: list[Event] = []
+    n = config.n_uavs
     half = config.area_half_side
 
-    moved_speed = [0.0] * config.n_uavs
-    clip_counts = [0] * config.n_uavs
-
     # 1. Movement with square and flight-disc clipping.
-    for j, uav in enumerate(nxt.uavs):
-        if not uav.alive:
-            continue
-        a = joint_action[j]
-        delta = _ACTION_UNIT[a] * step_len
-        moved_speed[j] = 0.0 if a == 8 else config.speed
-        target = uav.pos + delta
-        if np.any(delta):
-            events.append(Event(t, "uav", j, "move", float(np.hypot(*delta))))
-        clipped = np.clip(target, -half, half)
-        r = float(np.hypot(*clipped))
-        if r > config.flight_limit:
-            clipped = clipped * (config.flight_limit / r)
-        correction = float(np.hypot(*(clipped - target)))
-        if correction > 1e-12:
-            events.append(Event(t, "uav", j, "clip", correction))
-            clip_counts[j] += 1
-        uav.pos = clipped
+    delta = _ACTION_UNIT.take(joint_action, axis=0) * (config.speed * config.slot_dt)
+    target = state.uav_pos + delta
+    pos = np.minimum(np.maximum(target, -half), half)
+    radius = np.hypot(pos[:, 0], pos[:, 1]).tolist()
+    for j in range(n):
+        if radius[j] > config.flight_limit:
+            pos[j] *= config.flight_limit / radius[j]
+    moved = np.hypot(delta[:, 0], delta[:, 1]).tolist()
+    fix = pos - target
+    corrections = np.hypot(fix[:, 0], fix[:, 1]).tolist()
+    clip_counts = [0] * n
+    for j in range(n):
+        if moved[j] > 0.0:
+            events.append(Event(t, "uav", j, "move", moved[j]))
+        if corrections[j] > 1e-12:
+            events.append(Event(t, "uav", j, "clip", corrections[j]))
+            clip_counts[j] = 1
 
     # 2. Pairwise collision detection (soft constraint: logged and penalized).
-    collide_counts = [0] * config.n_uavs
-    alive_idx = [j for j, u in enumerate(nxt.uavs) if u.alive]
-    for ai, j in enumerate(alive_idx):
-        for k in alive_idx[ai + 1:]:
-            d = float(np.hypot(*(nxt.uavs[j].pos - nxt.uavs[k].pos)))
-            if d < config.collision_dist:
-                collide_counts[j] += 1
-                collide_counts[k] += 1
-                events.append(Event(t, "uav", j, "collide", d))
-                events.append(Event(t, "uav", k, "collide", d))
+    px, py = pos[:, 0], pos[:, 1]
+    collide_counts = [0] * n
+    if n > 1:
+        gap = np.hypot(px[:, None] - px, py[:, None] - py).tolist()
+        for j in range(n):
+            for k in range(j + 1, n):
+                d = gap[j][k]
+                if d < config.collision_dist:
+                    collide_counts[j] += 1
+                    collide_counts[k] += 1
+                    events.append(Event(t, "uav", j, "collide", d))
+                    events.append(Event(t, "uav", k, "collide", d))
 
     # 3. Charging assignment: globally nearest-first, one UAV per LBD and one
     #    LBD per UAV; ties broken by lower UAV then LBD index.
-    charge_gain = [0.0] * config.n_uavs
-    for u in nxt.uavs:
-        u.charging_lbd = None
-    candidates = []
-    for j in alive_idx:
-        for k in range(len(nxt.lbds)):
-            dh = float(np.hypot(nxt.uavs[j].pos[0] - nxt.lbds[k][0],
-                                nxt.uavs[j].pos[1] - nxt.lbds[k][1]))
-            if dh <= config.charge_radius:
-                candidates.append((dh, j, k))
-    candidates.sort()
+    lbds = state.lbds
+    lbd_dist = np.hypot(px[:, None] - lbds[:, 0], py[:, None] - lbds[:, 1]).tolist()
+    candidates = sorted((dh, j, k) for j, row in enumerate(lbd_dist)
+                        for k, dh in enumerate(row) if dh <= config.charge_radius)
+    charge_gain = [0.0] * n
+    charging = [-1] * n
     used_lbd: set[int] = set()
     for dh, j, k in candidates:
-        if nxt.uavs[j].charging_lbd is not None or k in used_lbd:
+        if charging[j] >= 0 or k in used_lbd:
             continue
-        nxt.uavs[j].charging_lbd = k
+        charging[j] = k
         used_lbd.add(k)
-        beam_height = config.altitude - float(nxt.lbds[k][2])
+        beam_height = config.altitude - float(lbds[k][2])
         power = laser_power_received(config.laser, dh, beam_height)
         charge_gain[j] = power * config.slot_dt
         events.append(Event(t, "uav", j, "charge", charge_gain[j]))
 
-    # 4. Propulsion drain and energy update; an empty battery kills the UAV
-    #    and ends the episode.
-    any_death = [False] * config.n_uavs
-    for j in alive_idx:
-        uav = nxt.uavs[j]
-        drain = propulsion_power(config.propulsion, moved_speed[j]) * config.slot_dt
+    # 4. Propulsion drain, one power evaluation per distinct speed, and the
+    #    energy update; an empty battery kills the UAV and ends the episode.
+    speeds = [0.0 if a == 8 else config.speed for a in joint_action]
+    drain_at = {v: propulsion_power(config.propulsion, v) * config.slot_dt
+                for v in set(speeds)}
+    energy = state.uav_energy.tolist()
+    died = [False] * n
+    for j in range(n):
+        drain = drain_at[speeds[j]]
         events.append(Event(t, "uav", j, "drain", drain))
-        energy = uav.energy + charge_gain[j] - drain
-        energy = min(max(energy, 0.0), config.e_full)
-        uav.energy = energy
-        if energy <= 0.0:
-            uav.alive = False
-            any_death[j] = True
+        energy[j] = min(max(energy[j] + charge_gain[j] - drain, 0.0), config.e_full)
+        if energy[j] <= 0.0:
+            died[j] = True
             events.append(Event(t, "uav", j, "die", float(t)))
+
+    nxt = WorldState(t, lbds, pos, np.array(energy), np.logical_not(died),
+                     np.array(charging), state.iot_pos, state.gen_time.copy(),
+                     state.has_data.copy(), state.recorded_aoi.copy(),
+                     state.iot_energy.copy(), state.peak_recorded_aoi, events)
 
     # 5. Data collection: one collector per IoT (nearest alive UAV in range,
     #    lower UAV index on ties), a UAV may collect several IoTs in the same
-    #    slot.
-    collect_counts = [0] * config.n_uavs
-    collectors = [j for j in alive_idx if nxt.uavs[j].alive]
-    pending = nxt.has_data.nonzero()[0].tolist()
-    if collectors and pending:
-        offset = nxt.iot_pos[:, None] - [nxt.uavs[j].pos for j in collectors]
-        dist = np.hypot(offset[..., 0], offset[..., 1]).tolist()  # [I][collectors]
-        for i in pending:
-            # The nearest UAV is in range exactly when any is; index() keeps
-            # the lower UAV index on ties.
-            d = min(dist[i])
-            if d > config.comm_radius:
+    #    slot.  A dead UAV's distances are infinite.
+    collect_counts = [0] * n
+    offset = state.iot_pos[:, None] - pos
+    dist = np.hypot(offset[..., 0], offset[..., 1])                # (I, U)
+    if any(died):
+        dist[:, died] = np.inf
+    in_range = np.flatnonzero(
+        nxt.has_data & (dist.min(axis=1) <= config.comm_radius)).tolist()
+    for i, row in zip(in_range, dist[in_range].tolist()):
+        d = min(row)
+        j = row.index(d)  # the lower UAV index on ties
+        if config.rate_gated_collection:
+            rate = transmission_rate(config.channel, d, config.altitude)
+            if rate * config.slot_dt < config.data_volume:
                 continue
-            j = collectors[dist[i].index(d)]
-            if config.rate_gated_collection:
-                rate = transmission_rate(config.channel, d, config.altitude)
-                if rate * config.slot_dt < config.data_volume:
-                    continue
-            age = t - int(nxt.gen_time[i])
-            nxt.recorded_aoi[i] = age
-            nxt.iot_energy[i] = max(
-                nxt.iot_energy[i] - config.channel.tx_power_w * config.slot_dt, 0.0)
-            if config.regenerate_on_collect:
-                nxt.gen_time[i] = t
-            else:
-                nxt.has_data[i] = False
-            collect_counts[j] += 1
-            events.append(Event(t, "iot", i, "collect", float(j)))
-            nxt.peak_recorded_aoi = max(nxt.peak_recorded_aoi, age)
+        age = t - int(nxt.gen_time[i])
+        nxt.recorded_aoi[i] = age
+        nxt.iot_energy[i] = max(
+            nxt.iot_energy[i] - config.channel.tx_power_w * config.slot_dt, 0.0)
+        if config.regenerate_on_collect:
+            nxt.gen_time[i] = t
+        else:
+            nxt.has_data[i] = False
+        collect_counts[j] += 1
+        events.append(Event(t, "iot", i, "collect", float(j)))
+        nxt.peak_recorded_aoi = max(nxt.peak_recorded_aoi, age)
 
-    done = is_done(nxt, config)
+    done = t >= config.horizon or any(died)
 
-    # 6/7. Rewards from the updated state and this slot's event tallies.
+    # 6/7. Rewards from the updated state and this slot's event tallies; the
+    #      nearest-LBD distance is the row minimum of the charging matrix.
     r_a = -peak_aoi(nxt) / config.aoi_norm
     rewards = [
-        _reward(nxt, j, collect_counts[j], collide_counts[j] + clip_counts[j],
-                any_death[j], r_a, config)
-        for j in range(config.n_uavs)
+        _reward(min(lbd_dist[j]), energy[j], collect_counts[j],
+                collide_counts[j] + clip_counts[j], died[j], r_a, config)
+        for j in range(n)
     ]
     return nxt, rewards, done
 
 
-def _reward(state: WorldState, agent: int, collected: int, penal_events: int,
+def _reward(d_lbd: float, energy: float, collected: int, penal_events: int,
             died: bool, r_a: float, config: ScenarioConfig) -> RewardBreakdown:
     rw = config.reward
-    uav = state.uavs[agent]
-    _, d_lbd = _nearest_lbd_horizontal(uav.pos, state.lbds)
     d_c = max(0.0, d_lbd - config.charge_radius)
-    energy = uav.energy
     if energy <= config.e_charge_threshold:
         r_p = -d_c * rw.r_pen1
     elif abs(energy - config.e_full) <= config.epsilon_energy:
@@ -405,43 +404,51 @@ def peak_aoi(state: WorldState) -> int:
 # Observations and global state
 # ---------------------------------------------------------------------------
 
-def observe(state: WorldState, agent: int, config: ScenarioConfig) -> np.ndarray:
+def observe(state: WorldState, agent: int | None,
+            config: ScenarioConfig) -> np.ndarray:
     """Fixed-width local observation: own pose and energy, the K nearest
-    IoTs (relative position, age, data flag), and the nearest LBD offset."""
-    uav = state.uavs[agent]
-    if not uav.alive:
-        raise ValueError(f"agent {agent} is not alive")
+    IoTs (relative position, age, data flag), and the nearest LBD offset.
+
+    ``agent`` None observes every agent at once, one row each, (U, obs_dim);
+    an agent index gives that agent's row alone, (obs_dim,).
+    """
+    agents = np.arange(config.n_uavs) if agent is None else np.array([agent])
+    dead = agents[~state.uav_alive[agents]]
+    if dead.size:
+        raise ValueError(f"agent {int(dead[0])} is not alive")
     half = config.area_half_side
     span = 2.0 * half
-    out = np.zeros(config.obs_dim)
-    out[0] = uav.pos[0] / half
-    out[1] = uav.pos[1] / half
-    out[2] = uav.energy / config.e_full
+    pos = state.uav_pos[agents]                                   # (N, 2)
+    out = np.zeros((len(agents), config.obs_dim))
+    out[:, 0] = pos[:, 0] / half
+    out[:, 1] = pos[:, 1] / half
+    out[:, 2] = state.uav_energy[agents] / config.e_full
 
-    offset = state.iot_pos - uav.pos
+    offset = state.iot_pos - pos[:, None]                         # (N, I, 2)
     # A stable sort keeps the lower IoT index first among equal distances.
-    near = np.argsort(np.hypot(offset[:, 0], offset[:, 1]),
-                      kind="stable")[:config.obs_k_nearest]
-    rows = out[3:3 + 4 * len(near)].reshape(-1, 4)
-    rows[:, :2] = offset[near] / span
-    rows[:, 2] = state.iot_ages()[near] / config.aoi_norm
-    rows[:, 3] = state.has_data[near]
+    near = np.argsort(np.hypot(offset[..., 0], offset[..., 1]), axis=1,
+                      kind="stable")[:, :config.obs_k_nearest]     # (N, K)
+    rows = np.empty(near.shape + (4,))
+    rows[..., :2] = (state.iot_pos[near] - pos[:, None]) / span
+    rows[..., 2] = state.iot_ages()[near] / config.aoi_norm
+    rows[..., 3] = state.has_data[near]
+    out[:, 3:3 + 4 * near.shape[1]] = rows.reshape(len(agents), -1)
 
-    k, _ = _nearest_lbd_horizontal(uav.pos, state.lbds)
-    out[-2] = (state.lbds[k][0] - uav.pos[0]) / span
-    out[-1] = (state.lbds[k][1] - uav.pos[1]) / span
-    return out
+    lbd_x, lbd_y = state.lbds[:, 0], state.lbds[:, 1]
+    k = np.argmin(np.hypot(lbd_x - pos[:, :1], lbd_y - pos[:, 1:]), axis=1)
+    out[:, -2] = (lbd_x[k] - pos[:, 0]) / span
+    out[:, -1] = (lbd_y[k] - pos[:, 1]) / span
+    return out if agent is None else out[0]
 
 
 def global_state_vector(state: WorldState, config: ScenarioConfig) -> np.ndarray:
     """Centralized-training state: all UAV poses/energies, all IoT ages/flags."""
     half = config.area_half_side
     out = np.zeros(config.global_state_dim)
-    for j, uav in enumerate(state.uavs):
-        out[3 * j] = uav.pos[0] / half
-        out[3 * j + 1] = uav.pos[1] / half
-        out[3 * j + 2] = uav.energy / config.e_full
     base = 3 * config.n_uavs
+    out[0:base:3] = state.uav_pos[:, 0] / half
+    out[1:base:3] = state.uav_pos[:, 1] / half
+    out[2:base:3] = state.uav_energy / config.e_full
     out[base::2] = state.iot_ages() / config.aoi_norm
     out[base + 1::2] = state.has_data
     return out
@@ -491,13 +498,12 @@ def states_equal(a: WorldState, b: WorldState) -> bool:
     """Bitwise equality of two world states (for determinism checks)."""
     if a.slot != b.slot or a.peak_recorded_aoi != b.peak_recorded_aoi:
         return False
-    if not np.array_equal(a.lbds, b.lbds):
-        return False
-    for ua, ub in zip(a.uavs, b.uavs):
-        if (not np.array_equal(ua.pos, ub.pos) or ua.energy != ub.energy
-                or ua.alive != ub.alive or ua.charging_lbd != ub.charging_lbd):
-            return False
-    return (np.array_equal(a.iot_pos, b.iot_pos)
+    return (np.array_equal(a.lbds, b.lbds)
+            and np.array_equal(a.uav_pos, b.uav_pos)
+            and np.array_equal(a.uav_energy, b.uav_energy)
+            and np.array_equal(a.uav_alive, b.uav_alive)
+            and np.array_equal(a.charging_lbd, b.charging_lbd)
+            and np.array_equal(a.iot_pos, b.iot_pos)
             and np.array_equal(a.gen_time, b.gen_time)
             and np.array_equal(a.has_data, b.has_data)
             and np.array_equal(a.recorded_aoi, b.recorded_aoi)

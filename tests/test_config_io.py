@@ -80,7 +80,16 @@ class TestParse:
                 ("[train]\nadam_beta1 = -0.1\n", "adam_beta1"),
                 ("[train]\nadam_beta2 = 1.0\n", "adam_beta2"),
                 ("[train]\nadam_eps = 0.0\n", "adam_eps"),
-                ("[train]\nclip_norm = -1.0\n", "clip_norm")):
+                ("[train]\nclip_norm = -1.0\n", "clip_norm"),
+                ("[scenario]\ne_full = 0.0\ne_charge_threshold = -1.0\n",
+                 "e_full"),
+                ("[scenario]\ne_full = -100.0\ne_charge_threshold = -200.0\n",
+                 "e_full"),
+                ("[scenario]\nflight_limit = -5.0\ncharge_radius = -10.0\n",
+                 "flight_limit"),
+                ("[scenario]\nflight_limit = 0.0\ncharge_radius = 0.0\n",
+                 "flight_limit"),
+                ("[scenario]\ncharge_radius = -10.0\n", "charge_radius")):
             with pytest.raises(ConfigError, match=key):
                 parse_config(text)
 

@@ -9,13 +9,16 @@ from aoi_uav import nets, tensor as tt
 from aoi_uav.gradcheck import run_gradcheck
 from aoi_uav.nets import (
     HiddenState,
+    actor_row,
     actor_step,
     blend_weights,
     critic_value,
+    critic_values,
     global_value,
     init_actor,
     init_critic,
     sample_action,
+    stack_actors,
     zero_hidden,
 )
 from aoi_uav.tensor import Tensor
@@ -95,6 +98,34 @@ class TestActor:
         assert fresh_actor().recurrent
 
 
+class TestStackedActors:
+    """One `actor_step` over stacked weights must equal every agent's own
+    call bit for bit, step after step."""
+
+    @pytest.mark.parametrize("recurrent", [True, False])
+    def test_stacked_step_equals_per_agent_steps(self, recurrent):
+        actors = [fresh_actor(seed, recurrent) for seed in range(4)]
+        stacked = stack_actors(actors)
+        rng = np.random.default_rng(5)
+        hidden = zero_hidden(HIDDEN, len(actors))
+        own = [zero_hidden(HIDDEN) for _ in actors]
+        for _ in range(6):
+            obs = rng.normal(size=(len(actors), OBS_DIM))
+            probs, hidden = actor_step(stacked, obs, hidden)
+            for j, actor in enumerate(actors):
+                p_j, own[j] = actor_step(actor, obs[j], own[j])
+                np.testing.assert_array_equal(probs[j], p_j)
+                np.testing.assert_array_equal(hidden.h[j], own[j].h)
+                np.testing.assert_array_equal(hidden.c[j], own[j].c)
+
+    def test_row_of_stack_is_the_agent_actor(self):
+        actors = [fresh_actor(seed) for seed in range(3)]
+        row = actor_row(stack_actors(actors), 1)
+        assert row.tensors("a").keys() == actors[1].tensors("a").keys()
+        for name, t in row.tensors("a").items():
+            np.testing.assert_array_equal(t.data, actors[1].tensors("a")[name].data)
+
+
 class TestCritic:
     def fresh(self, seed=0, **kw):
         return init_critic(np.random.default_rng(seed), OBS_DIM, 12, 10, 6, **kw)
@@ -126,6 +157,17 @@ class TestCritic:
         v = critic_value(critic, Tensor(obs), global_value(critic, Tensor(state)))
         v_local = nets._mlp_forward(critic.local_layers, Tensor(obs))
         assert abs(v.item() - v_local.item()) < 1e-8
+
+    @pytest.mark.parametrize("single_head", [False, True])
+    def test_numpy_values_equal_tensor_values(self, single_head):
+        critic = self.fresh(single_head=single_head)
+        if not single_head:
+            critic.blend_logits.data[...] = [0.3, -0.4]
+        obs, state = RNG.normal(size=(4, OBS_DIM)), RNG.normal(size=12)
+        v_global = global_value(critic, Tensor(state))
+        expected = [critic_value(critic, Tensor(row), v_global).item()
+                    for row in obs]
+        np.testing.assert_array_equal(critic_values(critic, obs, state), expected)
 
     def test_blend_weights_convex_after_updates(self):
         critic = self.fresh()

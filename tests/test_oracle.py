@@ -1,5 +1,6 @@
 """Exhaustive-search oracle: hand-traced optima, witnesses, invariances."""
 
+import gc
 from dataclasses import replace
 from importlib import resources
 
@@ -44,6 +45,18 @@ class TestHandTracedOptima:
         result = exact_min_peak_aoi(inst)
         assert result.optimum == 3
         assert replay_verify(inst, result.witness) == 3
+
+    def test_solve_leaves_no_reference_cycles(self):
+        # The memo must be freed when the solve returns, not whenever the
+        # cycle collector next runs.
+        inst = bundled("two_iot_symmetric.txt")
+        gc.collect()
+        gc.disable()
+        try:
+            exact_min_peak_aoi(inst)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_witness_text_round_trip(self):
         inst = bundled("two_iot_symmetric.txt")

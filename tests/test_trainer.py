@@ -129,6 +129,26 @@ class TestRolloutCollection:
         assert ([world.events_to_csv(ep.log.events) for ep in batch.episodes]
                 == [world.events_to_csv(log.events) for log in logs])
 
+    @pytest.mark.parametrize("algo", ["mappo_lstm", "mappo_ff"])
+    def test_joint_action_rollout_matches_per_agent_acts(self, algo):
+        # rollout_policy asks the learned policy for the whole joint action
+        # at once; a loop of per-agent act calls must play the same episodes.
+        scen = small_scenario(horizon=30, n_uavs=3)
+        bundle = build_bundle(scen, replace(SMALL_TRAIN, algo=algo), seed=6)
+        _, logs = rollout_policy(scen, make_policy("learned", scen, bundle),
+                                 2, seed=0)
+        policy = make_policy("learned", scen, bundle)
+        rng = np.random.default_rng(0)
+        for log in logs:
+            policy.begin_episode()
+            state, events, done = world.reset(scen, scen.rng_seed), [], False
+            while not done:
+                joint = [policy.act(state, j, rng, True)
+                         for j in range(scen.n_uavs)]
+                state, _, done = world.step(state, joint, scen)
+                events.extend(state.events)
+            assert world.events_to_csv(events) == world.events_to_csv(log.events)
+
     def test_padded_batch_replay_matches_per_episode_replay(self):
         # A UAV death ends an episode early, so the batch replay pads the
         # shorter episodes; the padding must change no log-prob or gradient.

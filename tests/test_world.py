@@ -93,7 +93,7 @@ class TestMovement:
 
     def test_flight_disc_clip_logged(self):
         cfg, state = open_field(horizon=300)
-        state.uavs[0].pos = np.array([499.0, 0.0])
+        state.uav_pos[0] = np.array([499.0, 0.0])
         nxt, _, _ = step(state, [2], cfg)  # east, through the boundary
         assert math.hypot(*nxt.uavs[0].pos) <= cfg.flight_limit + 1e-9
         assert any(e.event == "clip" for e in nxt.events)
@@ -114,15 +114,15 @@ class TestMovement:
 class TestChargingAndEnergy:
     def test_hover_above_lbd_net_gain(self):
         cfg, state = open_field(include_hover_action=True)
-        state.uavs[0].pos = np.array([0.0, 0.0])
+        state.uav_pos[0] = np.array([0.0, 0.0])
         before = state.uavs[0].energy
         nxt, _, _ = step(state, [8], cfg)
         assert nxt.uavs[0].energy - before == pytest.approx(HOVER_CHARGE_DELTA, abs=1e-9)
 
     def test_one_uav_per_lbd(self):
         cfg, state = open_field(n_uavs=2, include_hover_action=True)
-        state.uavs[0].pos = np.array([10.0, 0.0])
-        state.uavs[1].pos = np.array([0.0, 20.0])
+        state.uav_pos[0] = np.array([10.0, 0.0])
+        state.uav_pos[1] = np.array([0.0, 20.0])
         nxt, _, _ = step(state, [8, 8], cfg)
         charging = [u.charging_lbd for u in nxt.uavs]
         assert charging.count(0) == 1
@@ -130,8 +130,8 @@ class TestChargingAndEnergy:
 
     def test_charging_tie_breaks_by_lower_index(self):
         cfg, state = open_field(n_uavs=2, include_hover_action=True)
-        state.uavs[0].pos = np.array([15.0, 0.0])
-        state.uavs[1].pos = np.array([-15.0, 0.0])
+        state.uav_pos[0] = np.array([15.0, 0.0])
+        state.uav_pos[1] = np.array([-15.0, 0.0])
         nxt, _, _ = step(state, [8, 8], cfg)
         assert nxt.uavs[0].charging_lbd == 0
         assert nxt.uavs[1].charging_lbd is None
@@ -141,7 +141,7 @@ class TestChargingAndEnergy:
                       horizon=5, include_hover_action=True)
         state = reset(cfg, seed=2)
         # Ring stations sit on the charging-radius circle; park on one.
-        state.uavs[0].pos = state.lbds[3][:2].copy()
+        state.uav_pos[0] = state.lbds[3][:2].copy()
         nxt, _, _ = step(state, [8], cfg)
         assert nxt.uavs[0].charging_lbd == 3
 
@@ -215,8 +215,8 @@ class TestCollection:
     def test_single_collector_per_iot(self):
         cfg, state = open_field(n_uavs=2, iot_at=((0.0, 0.0),),
                                 include_hover_action=True)
-        state.uavs[0].pos = np.array([5.0, 0.0])
-        state.uavs[1].pos = np.array([9.0, 0.0])
+        state.uav_pos[0] = np.array([5.0, 0.0])
+        state.uav_pos[1] = np.array([9.0, 0.0])
         nxt, rewards, _ = step(state, [8, 8], cfg)
         assert rewards[0].r_s == 1.0 and rewards[1].r_s == 0.0
 
@@ -290,22 +290,22 @@ class TestPeakAoi:
 class TestRewards:
     def test_healthy_band_gets_r0(self):
         cfg, state = open_field()
-        state.uavs[0].energy = 20000.0
-        state.uavs[0].pos = np.array([400.0, 0.0])  # outside charging area
+        state.uav_energy[0] = 20000.0
+        state.uav_pos[0] = np.array([400.0, 0.0])  # outside charging area
         nxt, rewards, _ = step(state, [4], cfg)
         assert rewards[0].r_p == cfg.reward.r_0
 
     def test_low_energy_inside_area_no_penalty(self):
         cfg, state = open_field(include_hover_action=True)
-        state.uavs[0].energy = 5000.0
-        state.uavs[0].pos = np.array([0.0, 100.0])  # inside charging disc
+        state.uav_energy[0] = 5000.0
+        state.uav_pos[0] = np.array([0.0, 100.0])  # inside charging disc
         nxt, rewards, _ = step(state, [8], cfg)
         assert rewards[0].r_p == 0.0
 
     def test_low_energy_outside_area_penalized(self):
         cfg, state = open_field()
-        state.uavs[0].energy = 5000.0
-        state.uavs[0].pos = np.array([400.0, 0.0])
+        state.uav_energy[0] = 5000.0
+        state.uav_pos[0] = np.array([400.0, 0.0])
         nxt, rewards, _ = step(state, [4], cfg)  # south, stays outside
         d_c = float(np.hypot(*nxt.uavs[0].pos)) - cfg.charge_radius
         assert rewards[0].r_p == pytest.approx(-d_c * cfg.reward.r_pen1)
@@ -319,9 +319,9 @@ class TestRewards:
 
     def test_collision_penalty_folded_into_rp(self):
         cfg, state = open_field(n_uavs=2, include_hover_action=True)
-        state.uavs[0].pos = np.array([100.0, 0.0])
-        state.uavs[1].pos = np.array([104.0, 0.0])
-        state.uavs[0].energy = state.uavs[1].energy = 20000.0
+        state.uav_pos[0] = np.array([100.0, 0.0])
+        state.uav_pos[1] = np.array([104.0, 0.0])
+        state.uav_energy[[0, 1]] = 20000.0
         nxt, rewards, _ = step(state, [8, 8], cfg)
         assert rewards[0].r_p == cfg.reward.r_0 - cfg.reward.event_penalty
         assert rewards[1].r_p == cfg.reward.r_0 - cfg.reward.event_penalty
@@ -330,7 +330,7 @@ class TestRewards:
 class TestObservation:
     def test_center_agent_entries(self):
         cfg, state = open_field(include_hover_action=True)
-        state.uavs[0].pos = np.array([0.0, 0.0])
+        state.uav_pos[0] = np.array([0.0, 0.0])
         obs = observe(state, 0, cfg)
         assert obs[0] == 0.0 and obs[1] == 0.0
         assert obs[2] == cfg.e_init_frac
@@ -355,7 +355,7 @@ class TestObservation:
         rng = np.random.default_rng(0)
         for _ in range(20):
             perm = rng.permutation(cfg.n_iots)
-            shuffled = state.copy()
+            shuffled = copy.deepcopy(state)
             for name in ("iot_pos", "gen_time", "has_data", "recorded_aoi",
                          "iot_energy"):
                 setattr(shuffled, name, getattr(state, name)[perm])
@@ -371,9 +371,28 @@ class TestObservation:
 
     def test_dead_agent_rejected(self):
         cfg, state = open_field()
-        state.uavs[0].alive = False
+        state.uav_alive[0] = False
         with pytest.raises(ValueError):
             observe(state, 0, cfg)
+
+    @pytest.mark.parametrize("cfg", [CANON, tiny_scenario(),
+                                     replace(CANON, n_lbds=10, lbd_layout="ring")])
+    def test_all_agents_equal_per_agent_rows(self, cfg):
+        state = reset(cfg, seed=3)
+        rng = np.random.default_rng(3)
+        for _ in range(25):
+            rows = observe(state, None, cfg)
+            assert rows.shape == (cfg.n_uavs, cfg.obs_dim)
+            for j in range(cfg.n_uavs):
+                np.testing.assert_array_equal(rows[j], observe(state, j, cfg))
+            state, _, _ = step(
+                state, list(rng.integers(0, cfg.n_actions, cfg.n_uavs)), cfg)
+
+    def test_all_agents_rejects_a_dead_agent(self):
+        cfg, state = open_field(n_uavs=3)
+        state.uav_alive[1] = False
+        with pytest.raises(ValueError, match="agent 1"):
+            observe(state, None, cfg)
 
     def test_global_state_dimension(self):
         cfg = tiny_scenario()
@@ -395,8 +414,8 @@ class TestIotColumns:
         assert state.iot_ages().tolist() == expected == [8, 4, 3]
 
     def test_stepping_every_child_leaves_parent_unchanged(self):
-        # The oracle expands every joint action from one state, and copies
-        # share iot_pos and lbds with it.
+        # The oracle expands every joint action from one state, and every
+        # child shares iot_pos and lbds with it.
         cfg = replace(tiny_scenario(), regenerate_on_collect=False)
         state = reset(cfg, seed=4)
         state, _, _ = step(state, [0] * cfg.n_uavs, cfg)
@@ -440,8 +459,8 @@ class TestDeterminismAndLog:
 
     def test_constraint_report_collision(self):
         cfg, state = open_field(n_uavs=2, include_hover_action=True, horizon=2)
-        state.uavs[0].pos = np.array([100.0, 0.0])
-        state.uavs[1].pos = np.array([105.0, 0.0])
+        state.uav_pos[0] = np.array([100.0, 0.0])
+        state.uav_pos[1] = np.array([105.0, 0.0])
         log = EpisodeLog(config=cfg)
         done = False
         while not done:
@@ -452,7 +471,7 @@ class TestDeterminismAndLog:
 
     def test_constraint_report_boundary(self):
         cfg, state = open_field(horizon=40)
-        state.uavs[0].pos = np.array([480.0, 0.0])
+        state.uav_pos[0] = np.array([480.0, 0.0])
         log = EpisodeLog(config=cfg)
         done = False
         while not done:
@@ -518,3 +537,115 @@ class TestLayoutFile:
         cfg = replace(CANON, n_iots=2, layout_file=str(layout))
         with pytest.raises(ConfigError):
             reset(cfg, seed=0)
+
+
+class TestGoldenMultiUavStep:
+    """A scripted 3-UAV, 2-LBD run whose slots hit every branch of `step`.
+
+    Slot 1: UAV 0 clips at the square edge, UAV 1 at the flight disc, all
+    three UAVs collide pairwise, UAVs 0 and 2 contest LBD 0 (the nearer one
+    wins) and UAV 2 collects IoTs 0 and 1.  UAV 1 then hovers off-station and
+    dies at slot 4.  Every byte below was captured before the UAV state
+    became columns.
+    """
+
+    CFG = replace(CANON, n_uavs=3, n_iots=4, n_lbds=2, area_half_side=50.0,
+                  speed=10.0, horizon=10, charge_radius=12.0, flight_limit=55.0,
+                  e_full=1000.0, e_init_frac=0.2, e_charge_threshold=100.0,
+                  comm_radius=6.0, collision_dist=15.0,
+                  include_hover_action=True)
+    LAYOUT = ([(42.0, 24.0), (46.0, 21.0), (-40.0, 40.0), (0.0, -45.0)],
+              [(48.0, 18.0, 0.0), (-30.0, -30.0, 10.0)],
+              [(45.0, 20.0), (42.0, 26.0), (44.0, 12.0)])
+    PLAN = ([2, 1, 0], [8, 8, 4], [8, 8, 6], [8, 8, 6])
+
+    EVENTS_CSV = (
+        'slot,entity_kind,entity_id,event,value\n'
+        '1,uav,0,move,10.0\n'
+        '1,uav,0,clip,5.0\n'
+        '1,uav,1,move,10.0\n'
+        '1,uav,1,clip,4.174869855485993\n'
+        '1,uav,2,move,10.0\n'
+        '1,uav,0,collide,11.600955089041028\n'
+        '1,uav,1,collide,11.600955089041028\n'
+        '1,uav,0,collide,6.324555320336759\n'
+        '1,uav,2,collide,6.324555320336759\n'
+        '1,uav,1,collide,8.884770793250228\n'
+        '1,uav,2,collide,8.884770793250228\n'
+        '1,uav,0,charge,149.98799298292946\n'
+        '1,uav,0,drain,40.60243756526654\n'
+        '1,uav,1,drain,40.60243756526654\n'
+        '1,uav,2,drain,40.60243756526654\n'
+        '1,iot,0,collect,2.0\n'
+        '1,iot,1,collect,2.0\n'
+        '2,uav,2,move,10.0\n'
+        '2,uav,0,collide,11.600955089041028\n'
+        '2,uav,1,collide,11.600955089041028\n'
+        '2,uav,0,collide,10.0\n'
+        '2,uav,2,collide,10.0\n'
+        '2,uav,0,charge,149.98799298292946\n'
+        '2,uav,0,drain,56.2926\n'
+        '2,uav,1,drain,56.2926\n'
+        '2,uav,2,drain,40.60243756526654\n'
+        '2,iot,1,collect,0.0\n'
+        '3,uav,2,move,10.0\n'
+        '3,uav,0,collide,11.600955089041028\n'
+        '3,uav,1,collide,11.600955089041028\n'
+        '3,uav,0,charge,149.98799298292946\n'
+        '3,uav,0,drain,56.2926\n'
+        '3,uav,1,drain,56.2926\n'
+        '3,uav,2,drain,40.60243756526654\n'
+        '3,iot,1,collect,0.0\n'
+        '4,uav,2,move,10.0\n'
+        '4,uav,0,collide,11.600955089041028\n'
+        '4,uav,1,collide,11.600955089041028\n'
+        '4,uav,0,charge,149.98799298292946\n'
+        '4,uav,0,drain,56.2926\n'
+        '4,uav,1,drain,56.2926\n'
+        '4,uav,1,die,4.0\n'
+        '4,uav,2,drain,40.60243756526654\n'
+        '4,iot,1,collect,0.0\n'
+    )
+    REWARDS = [
+        ['RewardBreakdown(r_a=-0.1, r_p=-2.9, r_s=0.0, total=-1.55)',
+         'RewardBreakdown(r_a=-0.1, r_p=-2.9, r_s=0.0, total=-1.55)',
+         'RewardBreakdown(r_a=-0.1, r_p=-1.9, r_s=2.0, total=0.95)'],
+        ['RewardBreakdown(r_a=-0.2, r_p=-1.9, r_s=1.0, total=-0.1499999999999999)',
+         'RewardBreakdown(r_a=-0.2, r_p=-0.9, r_s=0.0, total=-0.65)',
+         'RewardBreakdown(r_a=-0.2, r_p=-0.9, r_s=0.0, total=-0.65)'],
+        ['RewardBreakdown(r_a=-0.3, r_p=-0.9, r_s=1.0, total=0.25)',
+         'RewardBreakdown(r_a=-0.3, r_p=-1.00960313696972, r_s=0.0, '
+         'total=-0.80480156848486)',
+         'RewardBreakdown(r_a=-0.3, r_p=-0.032315462117278176, r_s=0.0, '
+         'total=-0.3161577310586391)'],
+        ['RewardBreakdown(r_a=-0.4, r_p=-0.9, r_s=1.0, total=0.1499999999999999)',
+         'RewardBreakdown(r_a=-0.4, r_p=-11.00960313696972, r_s=0.0, '
+         'total=-5.90480156848486)',
+         'RewardBreakdown(r_a=-0.4, r_p=-0.1273863375370596, r_s=0.0, '
+         'total=-0.46369316876852984)'],
+    ]
+
+    def test_events_rewards_and_final_state_pinned(self):
+        state = reset(self.CFG, seed=0, layout=self.LAYOUT)
+        events, rewards, done = [], [], False
+        for joint in self.PLAN:
+            assert not done
+            state, step_rewards, done = step(state, joint, self.CFG)
+            events.extend(state.events)
+            rewards.append([repr(r) for r in step_rewards])
+        assert done and state.slot == 4
+        assert events_to_csv(events) == self.EVENTS_CSV
+        assert rewards == self.REWARDS
+        uavs = state.uavs
+        assert [u.pos.tolist() for u in uavs] == [
+            [50.0, 20.0], [45.609035326038665, 30.73785771045466], [24.0, 12.0]]
+        assert [u.energy for u in uavs] == [590.4717343664512, 0.0,
+                                            37.590249738933835]
+        assert [u.alive for u in uavs] == [True, False, True]
+        assert [u.charging_lbd for u in uavs] == [0, None, None]
+        assert state.gen_time.tolist() == [1, 4, 0, 0]
+        assert state.has_data.tolist() == [True, True, True, True]
+        assert state.recorded_aoi.tolist() == [1, 1, 0, 0]
+        assert state.iot_energy.tolist() == [999.9, 999.5999999999999,
+                                             1000.0, 1000.0]
+        assert state.peak_recorded_aoi == 1
