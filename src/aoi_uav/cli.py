@@ -1,5 +1,9 @@
 """Command-line harness: train / eval / sweep / oracle / gradcheck.
 
+Every subcommand that samples follows one RNG rule: episode ``e`` under
+``--seed s`` draws from ``np.random.default_rng([s, e])``, whether `train`
+collects it in a lock-step batch or `eval` and `sweep` play it alone.
+
 Exit codes: 0 success, 1 check failed (oracle witness replay does not match
 the optimum, or a gradcheck trial failed), 2 config problem (including an
 out-of-range flag or key, a non-finite float, or a repeated key), 3 training
@@ -94,9 +98,9 @@ def cmd_train(args) -> int:
             checkpoint.save(str(out_dir / "checkpoints" / f"ep_{episode}.ckpt"),
                             trainer.bundle_to_tensors(bundle))
 
-        def event_sink(episode, log):
+        def event_sink(episode, events):
             (out_dir / "events" / f"ep_{episode}.csv").write_text(
-                world.events_to_csv(log.events), encoding="utf-8")
+                world.events_to_csv(events), encoding="utf-8")
 
         result = trainer.train(
             scenario, tconf, seed,
@@ -164,7 +168,7 @@ def cmd_sweep(args) -> int:
             policy = trainer.make_policy("learned", swept, result.bundle)
         else:
             policy = trainer.make_policy(args.policy, swept)
-        metrics, _ = trainer.rollout_policy(swept, policy, args.episodes, seed)
+        metrics = trainer.rollout_policy(swept, policy, args.episodes, seed)
         peaks = np.array([m.peak_aoi for m in metrics], dtype=float)
         rows.append((value, float(peaks.mean()), float(peaks.std())))
         print(f"{args.param}={value}: mean peak AoI {peaks.mean():.3f} "

@@ -108,6 +108,8 @@ class ScenarioConfig:
             raise ConfigError("area_half_side must be > 0")
         if self.altitude <= 0.0:
             raise ConfigError("altitude must be > 0")
+        if self.reward.aoi_norm < 0.0:
+            raise ConfigError("aoi_norm must be >= 0 (0 means the horizon)")
         if self.lbd_layout not in ("center", "ring"):
             raise ConfigError("lbd_layout must be 'center' or 'ring'")
         try:

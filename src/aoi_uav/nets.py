@@ -6,7 +6,9 @@ observation with a global value of the full state through a softmax-
 constrained weight pair, so the blend stays a convex combination no matter
 how the weights train.  Rollouts run every agent's actor in one call over
 weights stacked along a leading agent axis (`stack_actors`), and compute
-every agent's value in plain numpy (`critic_values`).
+every agent's value in plain numpy (`critic_values`); training collection
+adds a leading episode axis to both and samples every row at once
+(`sample_actions`).
 """
 
 from __future__ import annotations
@@ -269,13 +271,16 @@ def critic_values(params: CriticParams, obs: np.ndarray,
                   global_state: np.ndarray) -> np.ndarray:
     """Every agent's `critic_value` for one slot, (U,), from the (U, obs)
     observation rows and the global state, in plain numpy with the same
-    arithmetic; rollout collection uses it, building no `Tensor`."""
-    v_global = _mlp_array(params.global_layers, global_state)      # (1,)
+    arithmetic; rollout collection uses it, building no `Tensor`.  With a
+    leading episode axis on both, (B, U, obs) and (B, state), it gives
+    (B, U), each row equal to its episode's own call."""
+    v_global = _mlp_array(params.global_layers, global_state)      # (…, 1)
     if params.single_head:
-        return np.repeat(v_global, len(obs))
-    v_local = _mlp_array(params.local_layers, obs)                 # (U, 1)
+        return np.broadcast_to(v_global, obs.shape[:-1])
+    v_local = _mlp_array(params.local_layers, obs)                 # (…, U, 1)
     weights = tt.softmax_array(params.blend_logits.data)
-    return (weights[0:1] * v_local + weights[1:2] * v_global)[:, 0]
+    blended = weights[0:1] * v_local + weights[1:2] * v_global[..., None, :]
+    return blended[..., 0]
 
 
 def _mlp_array(layers: list[tuple[Tensor, Tensor]], x: np.ndarray) -> np.ndarray:
@@ -299,6 +304,18 @@ def _mlp_forward(layers: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
 def blend_weights(params: CriticParams) -> Tensor:
     """Softmax of the blend logits: positive weights summing to one."""
     return tt.softmax(params.blend_logits)
+
+
+def sample_actions(probs: np.ndarray,
+                   u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`sample_action` on every distribution of ``probs`` (…, A) at once,
+    given each one's uniform draw ``u`` (…); returns the indices and their
+    log probabilities, both (…), equal to `sample_action`'s one by one."""
+    cdf = np.cumsum(probs, axis=-1)
+    idx = np.minimum((cdf <= u[..., None]).sum(axis=-1), probs.shape[-1] - 1)
+    flat = probs.reshape(-1, probs.shape[-1])
+    chosen = flat[np.arange(len(flat)), idx.ravel()].tolist()
+    return idx, np.array([math.log(p) for p in chosen]).reshape(idx.shape)
 
 
 def sample_action(probs: np.ndarray, rng: np.random.Generator) -> tuple[int, float]:

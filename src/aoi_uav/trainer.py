@@ -1,16 +1,18 @@
 """Training loop: rollout collection, advantage estimation, clipped-surrogate
 policy updates, plus heuristic baselines and the evaluation harness.
 
-Training rollouts and policy evaluation share one episode loop,
-`run_episode`; they differ only in how the joint action is chosen and what
-is recorded.  Each rollout draws from a single RNG stream, episode by
-episode, so the output is a function of the seed alone.
+Training collection steps every episode of an update in lock step
+(`world.step_batch`); evaluation plays one episode at a time through
+`run_episode` and `world.step`.  Both follow one RNG rule: episode ``e`` of
+a rollout seeded ``s`` draws from its own stream,
+``np.random.default_rng([s, e])``, so an episode's output depends on the
+seed and its index alone, not on how many episodes run beside it.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -26,11 +28,19 @@ from .nets import (
     critic_values,
     global_value,
     sample_action,
+    sample_actions,
     stack_actors,
     zero_hidden,
 )
 from .tensor import Adam, Tape, Tensor
-from .world import EpisodeLog, WorldState, global_state_vector, observe, peak_aoi
+from .world import (
+    EpisodeLog,
+    Event,
+    WorldState,
+    global_state_vector,
+    observe,
+    peak_aoi,
+)
 
 METRICS_CSV_HEADER = ("episode,cum_reward,aoi_reward,energy_reward,peak_aoi,"
                       "collections,collisions,clips,wall_ms")
@@ -103,11 +113,11 @@ def bundle_from_tensors(tensors: dict[str, np.ndarray],
 
 @dataclass
 class AgentTrajectory:
-    obs: list[np.ndarray] = field(default_factory=list)
-    actions: list[int] = field(default_factory=list)
-    log_probs: list[float] = field(default_factory=list)      # at collection
-    rewards: list[float] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
+    obs: np.ndarray              # (T, obs_dim)
+    actions: list[int]
+    log_probs: list[float]       # at collection
+    rewards: list[float]
+    values: list[float]
     advantages: np.ndarray | None = None
     returns: np.ndarray | None = None
 
@@ -133,9 +143,9 @@ class EpisodeMetrics:
 @dataclass
 class EpisodeTrajectory:
     agents: list[AgentTrajectory]
-    global_states: list[np.ndarray]
+    global_states: np.ndarray    # (T, global_state_dim)
     metrics: EpisodeMetrics
-    log: EpisodeLog
+    events: list[Event] | None   # only when collected with events
 
 
 @dataclass
@@ -148,23 +158,22 @@ class TrajectoryBatch:
                 yield ep, agent_idx, traj
 
 
-def _episode_metrics(episode: int, rewards_by_agent, breakdown_by_agent,
-                     log: EpisodeLog, config: ScenarioConfig,
-                     wall_ms: float) -> EpisodeMetrics:
+def _episode_metrics(episode: int, rewards: list[list[float]],
+                     r_a: list[float], r_p: list[list[float]],
+                     final: WorldState, counts: world.EpisodeCounts,
+                     config: ScenarioConfig, wall_ms: float) -> EpisodeMetrics:
+    """One episode's metrics from each agent's per-slot total and energy
+    rewards, the per-slot AoI reward and the final state."""
     n = config.n_uavs
-    cum = sum(sum(rs) for rs in rewards_by_agent) / n
-    aoi = sum(config.reward.alpha_a * b.r_a for b in breakdown_by_agent[0])
-    energy = sum(sum(config.reward.beta_p * b.r_p for b in bs)
-                 for bs in breakdown_by_agent) / n
-    final = log.final_state
+    rw = config.reward
     return EpisodeMetrics(
         episode=episode,
-        cum_reward=cum,
-        aoi_reward=aoi,
-        energy_reward=energy,
+        cum_reward=sum(sum(rs) for rs in rewards) / n,
+        aoi_reward=sum(rw.alpha_a * r for r in r_a),
+        energy_reward=sum(sum(rw.beta_p * r for r in rs) for rs in r_p) / n,
         peak_aoi=peak_aoi(final),
         peak_aoi_recorded=final.peak_recorded_aoi,
-        counts=world.episode_counts(log),
+        counts=counts,
         wall_ms=wall_ms,
     )
 
@@ -174,77 +183,109 @@ def _episode_metrics(episode: int, rewards_by_agent, breakdown_by_agent,
 # ---------------------------------------------------------------------------
 
 def run_episode(scenario: ScenarioConfig, act, episode_idx: int
-                ) -> tuple[EpisodeMetrics, EpisodeLog, list[list[float]]]:
+                ) -> tuple[EpisodeMetrics, EpisodeLog]:
     """Play one episode from reset; ``act(state)`` returns the joint action.
 
-    Returns the episode metrics, its event log and each agent's per-slot
-    rewards.  ``wall_ms`` covers the reset and every slot.
+    Returns the episode metrics and its event log.  ``wall_ms`` covers the
+    reset and every slot.
     """
     t0 = time.perf_counter()
     state = world.reset(scenario, scenario.rng_seed)
     log = EpisodeLog(config=scenario)
     rewards: list[list[float]] = [[] for _ in range(scenario.n_uavs)]
-    breakdowns: list[list] = [[] for _ in range(scenario.n_uavs)]
+    r_p: list[list[float]] = [[] for _ in range(scenario.n_uavs)]
+    r_a: list[float] = []
     done = False
     while not done:
         state, step_rewards, done = world.step(state, act(state), scenario)
         log.absorb(state)
+        r_a.append(step_rewards[0].r_a)
         for j, breakdown in enumerate(step_rewards):
             rewards[j].append(breakdown.total)
-            breakdowns[j].append(breakdown)
+            r_p[j].append(breakdown.r_p)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    metrics = _episode_metrics(episode_idx, rewards, breakdowns, log,
-                               scenario, wall_ms)
-    return metrics, log, rewards
-
-
-def _collect_episode(scenario: ScenarioConfig, bundle: PolicyBundle,
-                     actors: ActorParams, episode_idx: int,
-                     rng: np.random.Generator) -> EpisodeTrajectory:
-    """One sampled episode; ``actors`` is `stack_actors` of the bundle's."""
-    agents = [AgentTrajectory() for _ in range(scenario.n_uavs)]
-    hidden = zero_hidden(bundle.hidden_size, scenario.n_uavs)
-    global_states: list[np.ndarray] = []
-
-    def act(state: WorldState) -> list[int]:
-        nonlocal hidden
-        gstate = global_state_vector(state, scenario)
-        global_states.append(gstate)
-        obs = observe(state, None, scenario)
-        probs, hidden = actor_step(actors, obs, hidden)
-        values = critic_values(bundle.critic, obs, gstate).tolist()
-        joint = []
-        for j, traj in enumerate(agents):
-            action, logp = sample_action(probs[j], rng)
-            traj.obs.append(obs[j])
-            traj.actions.append(action)
-            traj.log_probs.append(logp)
-            traj.values.append(values[j])
-            joint.append(action)
-        return joint
-
-    metrics, log, rewards = run_episode(scenario, act, episode_idx)
-    for traj, agent_rewards in zip(agents, rewards):
-        traj.rewards = agent_rewards
-    return EpisodeTrajectory(agents=agents, global_states=global_states,
-                             metrics=metrics, log=log)
+    metrics = _episode_metrics(episode_idx, rewards, r_a, r_p, state,
+                               world.episode_counts(log), scenario, wall_ms)
+    return metrics, log
 
 
 def collect_rollout(scenario: ScenarioConfig, bundle: PolicyBundle,
-                    episodes: int, seed: int, *,
-                    first_episode_idx: int = 0) -> TrajectoryBatch:
+                    episodes: int, seed: int, *, first_episode_idx: int = 0,
+                    with_events: bool = False) -> TrajectoryBatch:
     """Run full episodes under the bundle's actors, sampling actions.
 
-    Hidden states reset at episode boundaries; every quantity the update
-    needs (observations, actions, collection-time log-probs, rewards,
-    values, global states) is stored.  One RNG stream seeded ``seed``
-    serves the episodes in order.
+    The episodes run in lock step as one `world.WorldBatch`: each slot makes
+    one `global_state_vector`, `observe`, `actor_step`, `critic_values`,
+    `sample_actions` and `world.step` call over every episode still
+    running, and an episode leaves the batch when it ends.  Episode ``i``
+    (counted from ``first_episode_idx``) draws U uniforms per slot from
+    ``np.random.default_rng([seed, i])``, so its trajectory equals the one
+    it would have alone.  Hidden states start at zero.  Every quantity the
+    update needs is stored; ``with_events`` keeps each episode's events.
+
+    An episode's ``wall_ms`` is its share of the rollout's wall time: the
+    reset split evenly over the episodes, and each slot's time split
+    evenly over the episodes running in it, so the episodes' ``wall_ms``
+    add up to the time of the reset and the slots.
     """
-    rng = np.random.default_rng(seed)
+    t0 = time.perf_counter()
+    n = scenario.n_uavs
+    # Each episode's stream drawn up front, U uniforms per slot in order,
+    # which are the numbers that slot-by-slot draws would give.
+    draws = np.stack([
+        np.random.default_rng([seed, first_episode_idx + e]).random(
+            (scenario.horizon, n)) for e in range(episodes)])
     actors = stack_actors(bundle.actors)
-    return TrajectoryBatch(episodes=[
-        _collect_episode(scenario, bundle, actors, first_episode_idx + e, rng)
-        for e in range(episodes)])
+    batch = world.WorldBatch.repeat(world.reset(scenario, scenario.rng_seed),
+                                    episodes, record_events=with_events)
+    hidden = zero_hidden(bundle.hidden_size, episodes, n)
+    slots = []    # per slot: the running episodes, then one row per episode
+    events = [[] for _ in range(episodes)]
+    ends = {}     # episode -> (final state, counts)
+    wall = np.full(episodes, (time.perf_counter() - t0) / episodes)
+    live = np.arange(episodes)
+    while live.size:
+        t_slot = time.perf_counter()
+        gstate = global_state_vector(batch, scenario)
+        obs = observe(batch, None, scenario)
+        probs, hidden = actor_step(actors, obs, hidden)
+        values = critic_values(bundle.critic, obs, gstate)
+        actions, logp = sample_actions(probs, draws[live, batch.slot])
+        batch, rewards, done = world.step(batch, actions, scenario)
+        slots.append((live, obs, gstate, actions, logp, values, rewards.total,
+                      rewards.r_p, rewards.r_a))
+        for e, slot_events in zip(live.tolist(), batch.events):
+            events[e].extend(slot_events)
+        running = live
+        if done.any():
+            for k in np.flatnonzero(done).tolist():
+                ends[int(live[k])] = (batch.row(k),
+                                      batch.episode_counts(k, scenario))
+            keep = ~done
+            batch, live = batch.take(keep), live[keep]
+            hidden = HiddenState(hidden.h[keep], hidden.c[keep])
+        wall[running] += (time.perf_counter() - t_slot) / running.size
+
+    owner, obs, gstate, actions, logp, values, totals, r_p, r_a = (
+        np.concatenate(column) for column in zip(*slots))
+    trajectories = []
+    for e in range(episodes):
+        rows = np.flatnonzero(owner == e)           # the episode's slots, in order
+        rewards = totals[rows].T.tolist()
+        agents = [AgentTrajectory(obs=obs[rows, j],
+                                  actions=actions[rows, j].tolist(),
+                                  log_probs=logp[rows, j].tolist(),
+                                  rewards=rewards[j],
+                                  values=values[rows, j].tolist())
+                  for j in range(n)]
+        final, counts = ends[e]
+        metrics = _episode_metrics(
+            first_episode_idx + e, rewards, r_a[rows].tolist(),
+            r_p[rows].T.tolist(), final, counts, scenario, wall[e] * 1e3)
+        trajectories.append(EpisodeTrajectory(
+            agents=agents, global_states=gstate[rows], metrics=metrics,
+            events=events[e] if with_events else None))
+    return TrajectoryBatch(episodes=trajectories)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +346,7 @@ def _replay_log_probs(actor: ActorParams, *trajs: AgentTrajectory):
     Returns the log-probs of the stored actions (N,), the distributions
     (N, A) and their logs (N, A), with rows episode by episode.
     """
-    log_all = nets.actor_log_probs(actor, [np.stack(t.obs) for t in trajs])
+    log_all = nets.actor_log_probs(actor, [t.obs for t in trajs])
     actions = np.concatenate([t.actions for t in trajs])
     selected = log_all[np.arange(actions.size), actions]
     return selected, tt.exp(log_all), log_all
@@ -321,15 +362,14 @@ def ppo_update(batch: TrajectoryBatch, bundle: PolicyBundle, optimizer: Adam,
     critic's global head once over the states of every episode.
     """
     critic = bundle.critic
-    states = Tensor(np.concatenate([np.stack(ep.global_states)
-                                    for ep in batch.episodes]))
+    states = Tensor(np.concatenate([ep.global_states for ep in batch.episodes]))
     agents = []
     for j, actor in enumerate(bundle.actors):
         trajs = [ep.agents[j] for ep in batch.episodes]
         agents.append((actor, trajs,
                        np.concatenate([t.log_probs for t in trajs]),
                        np.concatenate([t.advantages for t in trajs]),
-                       Tensor(np.concatenate([np.stack(t.obs) for t in trajs])),
+                       Tensor(np.concatenate([t.obs for t in trajs])),
                        np.concatenate([t.returns for t in trajs])[:, None]))
     report = None
     for _ in range(tconf.epochs):
@@ -436,14 +476,15 @@ class GreedyPolicy(_PerAgentPolicy):
 
     def act(self, state: WorldState, agent: int, rng: np.random.Generator,
             greedy: bool) -> int:
+        """The move whose end point is nearest the target, lower index
+        first among moves within 1e-12 m of each other."""
         cfg = self.scenario
         target = self._target(state, agent)
-        pos = state.uav_pos[agent]
-        step_len = cfg.speed * cfg.slot_dt
+        ends = (state.uav_pos[agent]
+                + world._ACTION_UNIT[:cfg.n_actions] * (cfg.speed * cfg.slot_dt))
+        gap = ends - target
         best_action, best_dist = 0, float("inf")
-        for a in range(cfg.n_actions):
-            cand = pos + world._ACTION_UNIT[a] * step_len
-            d = float(np.hypot(*(cand - target)))
+        for a, d in enumerate(np.hypot(gap[:, 0], gap[:, 1]).tolist()):
             if d < best_dist - 1e-12:
                 best_action, best_dist = a, d
         return best_action
@@ -506,20 +547,19 @@ def make_policy(kind: str, scenario: ScenarioConfig,
 
 def rollout_policy(scenario: ScenarioConfig, policy, episodes: int, seed: int,
                    *, greedy: bool = True,
-                   first_episode_idx: int = 0) -> tuple[list[EpisodeMetrics], list[EpisodeLog]]:
-    """Run a policy for whole episodes, returning metrics and event logs."""
-    rows, logs = [], []
-    rng = np.random.default_rng(seed)
-
-    def act(state: WorldState) -> list[int]:
-        return policy.joint_action(state, rng, greedy)
-
-    for e in range(episodes):
+                   first_episode_idx: int = 0) -> list[EpisodeMetrics]:
+    """Run a policy for whole episodes, one at a time, returning each
+    episode's metrics.  Episode ``i`` (counted from ``first_episode_idx``)
+    draws from ``np.random.default_rng([seed, i])``, the stream that
+    `collect_rollout` gives it."""
+    rows = []
+    for idx in range(first_episode_idx, first_episode_idx + episodes):
+        rng = np.random.default_rng([seed, idx])
         policy.begin_episode()
-        metrics, log, _ = run_episode(scenario, act, first_episode_idx + e)
+        metrics, _ = run_episode(
+            scenario, lambda state: policy.joint_action(state, rng, greedy), idx)
         rows.append(metrics)
-        logs.append(log)
-    return rows, logs
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +576,10 @@ class TrainResult:
 def train(scenario: ScenarioConfig, tconf: TrainConfig, seed: int,
           metrics_sink=None, checkpoint_sink=None, event_sink=None) -> TrainResult:
     """Alternate rollout collection, advantage estimation, and PPO updates
-    for ``tconf.episodes`` episodes."""
+    for ``tconf.episodes`` episodes.  Each update collects its episodes in
+    lock step from the run seed, episode ``i`` of the run drawing from
+    ``np.random.default_rng([seed, i])``; ``event_sink(episode, events)``,
+    when given, receives each episode's event list."""
     scenario.validate()
     tconf.validate()
     bundle = build_bundle(scenario, tconf, seed)
@@ -546,24 +589,22 @@ def train(scenario: ScenarioConfig, tconf: TrainConfig, seed: int,
     metrics: list[EpisodeMetrics] = []
     reports: list[LossReport] = []
     episodes_done = 0
-    update_idx = 0
     next_checkpoint = tconf.eval_interval
     last_checkpoint = -1
 
     while episodes_done < tconf.episodes:
         todo = min(tconf.episodes_per_update, tconf.episodes - episodes_done)
-        rollout_seed = seed + 1_000_003 * (update_idx + 1)
-        batch = collect_rollout(scenario, bundle, todo, rollout_seed,
-                                first_episode_idx=episodes_done)
+        batch = collect_rollout(scenario, bundle, todo, seed,
+                                first_episode_idx=episodes_done,
+                                with_events=event_sink is not None)
         compute_advantages(batch, tconf.gamma, tconf.gae_lambda)
         reports.append(ppo_update(batch, bundle, optimizer, tconf))
-        update_idx += 1
         for ep in batch.episodes:
             metrics.append(ep.metrics)
             if metrics_sink is not None:
                 metrics_sink(ep.metrics)
             if event_sink is not None:
-                event_sink(ep.metrics.episode, ep.log)
+                event_sink(ep.metrics.episode, ep.events)
         episodes_done += todo
         if checkpoint_sink is not None and episodes_done >= next_checkpoint:
             checkpoint_sink(episodes_done, bundle)
@@ -626,9 +667,9 @@ class EvalReport:
 def evaluate(scenario: ScenarioConfig, policy, episodes: int,
              seed: int) -> EvalReport:
     """Deterministic evaluation: a learned policy acts by argmax, the greedy
-    heuristic has no randomness, and the random baseline draws from the
-    stream seeded ``seed``."""
-    rows, _ = rollout_policy(scenario, policy, episodes, seed)
+    heuristic has no randomness, and the random baseline's episode ``e``
+    draws from ``np.random.default_rng([seed, e])``."""
+    rows = rollout_policy(scenario, policy, episodes, seed)
     totals = [sum(col) for col in zip(*(astuple(r.counts) for r in rows))]
     return EvalReport(
         policy=getattr(policy, "name", "policy"),

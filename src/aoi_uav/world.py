@@ -5,6 +5,10 @@ One `step` advances all UAVs by one slot in a fixed order, each phase acting
 on every UAV at once: movement with boundary clipping, collision detection,
 charging assignment, propulsion drain, data collection, AoI bookkeeping, and
 reward computation.  `observe` builds every agent's observation in one call.
+`step_batch` advances B episodes of one scenario in lock step, with
+`WorldState`'s columns given a leading episode axis (`WorldBatch`); each of
+its rows equals `step` on that episode bit for bit.  Training collection
+uses it; evaluation, the oracle and direct callers use `step`.
 Everything is deterministic given (config, seed, actions); randomness enters
 only through IoT placement at reset.
 """
@@ -245,7 +249,14 @@ def _nearest_lbd_horizontal(pos: np.ndarray, lbds: np.ndarray) -> tuple[int, flo
 
 def step(state: WorldState, joint_action: list[int],
          config: ScenarioConfig) -> tuple[WorldState, list[RewardBreakdown], bool]:
-    """Advance one slot; returns (next state, per-agent rewards, done)."""
+    """Advance one slot; returns (next state, per-agent rewards, done).
+
+    A `WorldBatch` with (B, U) actions goes to `step_batch`, so one entry
+    point, the one the benchmark's span tracer times, steps an episode or a
+    lock-step batch of them.
+    """
+    if isinstance(state, WorldBatch):
+        return step_batch(state, joint_action, config)
     if is_done(state, config):
         raise EpisodeOver(f"episode finished at slot {state.slot}")
     if len(joint_action) != config.n_uavs:
@@ -401,56 +412,358 @@ def peak_aoi(state: WorldState) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Lock-step batches
+# ---------------------------------------------------------------------------
+
+@dataclass
+class WorldBatch:
+    """B running episodes of one scenario at the same slot: `WorldState`'s
+    columns with a leading episode axis, plus each episode's running counts
+    of the events that `EpisodeCounts` tallies (a collision counts once for
+    each UAV of the pair).  ``lbds`` and ``iot_pos`` are shared by every
+    episode.  Events are built only for a batch made with
+    ``record_events``; ``events`` then holds each episode's events of the
+    current slot, and is empty otherwise."""
+
+    slot: int
+    lbds: np.ndarray              # (L, 3)
+    uav_pos: np.ndarray           # (B, U, 2)
+    uav_energy: np.ndarray        # (B, U)
+    uav_alive: np.ndarray         # (B, U) bool
+    charging_lbd: np.ndarray      # (B, U) int64, -1 none
+    iot_pos: np.ndarray           # (I, 2)
+    gen_time: np.ndarray          # (B, I) int64
+    has_data: np.ndarray          # (B, I) bool
+    recorded_aoi: np.ndarray      # (B, I) int64
+    iot_energy: np.ndarray        # (B, I)
+    peak_recorded_aoi: np.ndarray  # (B,) int64
+    collects: np.ndarray          # (B, I) int64 collections of each IoT so far
+    clips: np.ndarray             # (B, U) int64 boundary clips of each UAV
+    collisions: np.ndarray        # (B, U) int64 collisions of each UAV
+    record_events: bool = False
+    events: list[list[Event]] = field(default_factory=list)
+
+    iot_ages = WorldState.iot_ages
+
+    @classmethod
+    def repeat(cls, state: WorldState, episodes: int,
+               record_events: bool = False) -> "WorldBatch":
+        """``episodes`` copies of one episode's state, its tallies zero; a
+        batch of one shares the state's columns."""
+        def rows(column):
+            if episodes == 1:
+                return column[None]
+            return np.repeat(column[None], episodes, axis=0)
+        return cls(state.slot, state.lbds, rows(state.uav_pos),
+                   rows(state.uav_energy), rows(state.uav_alive),
+                   rows(state.charging_lbd), state.iot_pos,
+                   rows(state.gen_time), rows(state.has_data),
+                   rows(state.recorded_aoi), rows(state.iot_energy),
+                   np.full(episodes, state.peak_recorded_aoi, dtype=np.int64),
+                   np.zeros((episodes, len(state.gen_time)), dtype=np.int64),
+                   np.zeros((episodes, len(state.uav_energy)), dtype=np.int64),
+                   np.zeros((episodes, len(state.uav_energy)), dtype=np.int64),
+                   record_events,
+                   [[] for _ in range(episodes)] if record_events else [])
+
+    def take(self, keep: np.ndarray) -> "WorldBatch":
+        """The episodes where the mask ``keep`` is true."""
+        return WorldBatch(self.slot, self.lbds, self.uav_pos[keep],
+                          self.uav_energy[keep], self.uav_alive[keep],
+                          self.charging_lbd[keep], self.iot_pos,
+                          self.gen_time[keep], self.has_data[keep],
+                          self.recorded_aoi[keep], self.iot_energy[keep],
+                          self.peak_recorded_aoi[keep], self.collects[keep],
+                          self.clips[keep], self.collisions[keep],
+                          self.record_events,
+                          [e for e, k in zip(self.events, keep.tolist()) if k])
+
+    def row(self, b: int) -> WorldState:
+        """Episode ``b`` as a `WorldState` that shares the batch's columns;
+        its ``events`` are the slot's events if the batch records them."""
+        return WorldState(self.slot, self.lbds, self.uav_pos[b],
+                          self.uav_energy[b], self.uav_alive[b],
+                          self.charging_lbd[b], self.iot_pos, self.gen_time[b],
+                          self.has_data[b], self.recorded_aoi[b],
+                          self.iot_energy[b], int(self.peak_recorded_aoi[b]),
+                          self.events[b] if self.record_events else [])
+
+    def episode_counts(self, b: int, config: ScenarioConfig) -> EpisodeCounts:
+        """Episode ``b``'s `EpisodeCounts` from its running counts; equal to
+        `episode_counts` of its event log once it has finished.  A death
+        ends the episode, so its dead UAVs are its deaths."""
+        return EpisodeCounts(
+            collections=int(self.collects[b].sum()),
+            uncollected=config.n_iots - int(np.count_nonzero(self.collects[b])),
+            low_energy_iots=int(np.count_nonzero(
+                self.iot_energy[b] < config.e_iot_floor)),
+            deaths=int(np.count_nonzero(~self.uav_alive[b])),
+            collisions=int(self.collisions[b].sum()) // 2,
+            clips=int(self.clips[b].sum()))
+
+
+@dataclass
+class BatchRewards:
+    """One lock-step slot's rewards: `RewardBreakdown`'s fields as arrays."""
+
+    r_a: np.ndarray    # (B,) shared by the agents of an episode
+    r_p: np.ndarray    # (B, U)
+    r_s: np.ndarray    # (B, U)
+    total: np.ndarray  # (B, U)
+
+
+def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
+               ) -> tuple[WorldBatch, BatchRewards, np.ndarray]:
+    """Advance every episode of ``batch`` one slot; ``actions`` is (B, U).
+    Returns the next batch, the rewards and which episodes ended, (B,).
+
+    Row b of the result equals `step` on episode b bit for bit: state,
+    rewards, done and, in a batch that records events, the event list; the
+    running counts count the events either way.  Every phase acts on all B·U UAVs
+    at once, and only charging assignment loops, once per round of
+    min(U, L).  A batch of one episode goes through `step`, which is
+    faster on a single row even with the conversion to and from a batch.
+    """
+    n = config.n_uavs
+    actions = np.asarray(actions)
+    if actions.shape != batch.uav_energy.shape:
+        raise ValueError(f"expected actions of shape {batch.uav_energy.shape}, "
+                         f"got {actions.shape}")
+    if len(actions) == 1:
+        return _step_one(batch, actions[0].tolist(), config)
+    if batch.slot >= config.horizon or not batch.uav_alive.all():
+        raise EpisodeOver(f"batch holds a finished episode at slot {batch.slot}")
+    if not 0 <= actions.min() <= actions.max() < config.n_actions:
+        raise ValueError(f"action index outside 0..{config.n_actions - 1}")
+    t = batch.slot + 1
+    half = config.area_half_side
+    B = len(actions)
+    lbds = batch.lbds
+    n_lbds = len(lbds)
+
+    # 1. Movement with square and flight-disc clipping.
+    delta = _ACTION_UNIT[actions] * (config.speed * config.slot_dt)   # (B, U, 2)
+    target = batch.uav_pos + delta
+    pos = np.minimum(np.maximum(target, -half), half)
+    radius = np.hypot(pos[..., 0], pos[..., 1])
+    outside = radius > config.flight_limit
+    if outside.any():
+        pos[outside] *= (config.flight_limit / radius[outside])[:, None]
+    moved = np.hypot(delta[..., 0], delta[..., 1])
+    fix = pos - target
+    corrections = np.hypot(fix[..., 0], fix[..., 1])
+    clipped = corrections > 1e-12
+
+    # 2. Pairwise collisions, pairs j < k.
+    px, py = pos[..., 0], pos[..., 1]
+    gap = np.hypot(px[..., :, None] - px[..., None, :],
+                   py[..., :, None] - py[..., None, :])               # (B, U, U)
+    upper = np.less.outer(np.arange(n), np.arange(n))                # j < k
+    close = (gap < config.collision_dist) & upper
+    collide_counts = close.sum(axis=2) + close.sum(axis=1)
+
+    # 3. Charging: each round gives every episode its nearest open
+    #    (UAV, LBD) pair, lower UAV then LBD index on ties, which is the
+    #    order in which `step` walks its sorted candidates.
+    lbd_dist = np.hypot(px[..., None] - lbds[:, 0], py[..., None] - lbds[:, 1])
+    open_dist = np.where(lbd_dist <= config.charge_radius, lbd_dist, np.inf)
+    charging = np.full((B, n), -1, dtype=np.int64)
+    charge_gain = np.zeros((B, n))
+    charges = []                                  # (episode, uav, gain) in order
+    for _ in range(min(n, n_lbds)):
+        flat = open_dist.reshape(B, -1)
+        best = flat.argmin(axis=1)
+        rows = np.flatnonzero(np.isfinite(flat[np.arange(B), best]))
+        if not rows.size:
+            break
+        uav, lbd = np.divmod(best[rows], n_lbds)
+        charging[rows, uav] = lbd
+        open_dist[rows, uav, :] = np.inf
+        open_dist[rows, :, lbd] = np.inf
+        for b, j, k in zip(rows.tolist(), uav.tolist(), lbd.tolist()):
+            beam_height = config.altitude - float(lbds[k][2])
+            power = laser_power_received(config.laser, float(lbd_dist[b, j, k]),
+                                         beam_height)
+            gain = power * config.slot_dt
+            charge_gain[b, j] = gain
+            charges.append((b, j, gain))
+
+    # 4. Propulsion drain and the energy update.
+    drain = np.where(actions == 8,
+                     propulsion_power(config.propulsion, 0.0) * config.slot_dt,
+                     propulsion_power(config.propulsion, config.speed)
+                     * config.slot_dt)
+    energy = np.minimum(np.maximum(batch.uav_energy + charge_gain - drain, 0.0),
+                        config.e_full)
+    died = energy <= 0.0
+
+    # 5. Data collection: the nearest alive UAV in range collects.
+    offset = batch.iot_pos[:, None] - pos[:, None]                    # (B, I, U, 2)
+    dist = np.hypot(offset[..., 0], offset[..., 1])
+    if died.any():
+        dist[np.broadcast_to(died[:, None, :], dist.shape)] = np.inf
+    collector = dist.argmin(axis=2)                  # (B, I), lower UAV on ties
+    collector_dist = dist.min(axis=2)
+    hit = batch.has_data & (collector_dist <= config.comm_radius)
+    if config.rate_gated_collection:
+        for b, i in zip(*np.nonzero(hit)):
+            rate = transmission_rate(config.channel, float(collector_dist[b, i]),
+                                     config.altitude)
+            if rate * config.slot_dt < config.data_volume:
+                hit[b, i] = False
+    age = t - batch.gen_time
+    recorded_aoi = np.where(hit, age, batch.recorded_aoi)
+    tx_energy = config.channel.tx_power_w * config.slot_dt
+    iot_energy = np.where(hit, np.maximum(batch.iot_energy - tx_energy, 0.0),
+                          batch.iot_energy)
+    if config.regenerate_on_collect:
+        gen_time, has_data = np.where(hit, t, batch.gen_time), batch.has_data
+    else:
+        gen_time, has_data = batch.gen_time, batch.has_data & ~hit
+    collect_counts = (hit[..., None]
+                      & (collector[..., None] == np.arange(n))).sum(axis=1)
+    peak_recorded = np.maximum(batch.peak_recorded_aoi,
+                               np.where(hit, age, 0).max(axis=1))
+
+    nxt = WorldBatch(t, lbds, pos, energy, ~died, charging, batch.iot_pos,
+                     gen_time, has_data, recorded_aoi, iot_energy, peak_recorded,
+                     batch.collects + hit, batch.clips + clipped,
+                     batch.collisions + collide_counts, batch.record_events)
+
+    # 6/7. Rewards, as `_reward` computes them.
+    oldest = np.where(has_data, gen_time, t).min(axis=1)
+    r_a = -np.maximum(peak_recorded, t - oldest) / config.aoi_norm
+    rw = config.reward
+    d_c = np.maximum(0.0, lbd_dist.min(axis=2) - config.charge_radius)
+    r_p = np.where(energy <= config.e_charge_threshold, -d_c * rw.r_pen1,
+                   np.where(np.abs(energy - config.e_full) <= config.epsilon_energy,
+                            -d_c * rw.r_pen2, rw.r_0))
+    r_p = r_p - rw.event_penalty * (collide_counts + clipped)
+    r_p = np.where(died, r_p - rw.death_penalty, r_p)
+    r_s = collect_counts.astype(float)
+    total = rw.alpha_a * r_a[:, None] + rw.beta_p * r_p + rw.gamma_s * r_s
+    if batch.record_events:
+        nxt.events = _batch_events(t, moved, corrections, close, gap, charges,
+                                   drain, died, hit, collector)
+    return (nxt, BatchRewards(r_a, r_p, r_s, total),
+            died.any(axis=1) | (t >= config.horizon))
+
+
+def _step_one(batch: WorldBatch, joint_action: list[int], config: ScenarioConfig
+              ) -> tuple[WorldBatch, BatchRewards, np.ndarray]:
+    """`step_batch` on a batch of one episode, through `step`."""
+    state, rewards, done = step(batch.row(0), joint_action, config)
+    nxt = WorldBatch.repeat(state, 1, batch.record_events)
+    nxt.collects, nxt.clips, nxt.collisions = (
+        batch.collects.copy(), batch.clips.copy(), batch.collisions.copy())
+    count_of = {"collect": nxt.collects, "clip": nxt.clips,
+                "collide": nxt.collisions}
+    for e in state.events:
+        if e.event in count_of:
+            count_of[e.event][0, e.entity_id] += 1
+    if batch.record_events:
+        nxt.events = [state.events]
+    return (nxt, BatchRewards(np.array([rewards[0].r_a]),
+                              np.array([[r.r_p for r in rewards]]),
+                              np.array([[r.r_s for r in rewards]]),
+                              np.array([[r.total for r in rewards]])),
+            np.array([done]))
+
+
+def _batch_events(t, moved, corrections, close, gap, charges, drain, died, hit,
+                  collector) -> list[list[Event]]:
+    """Each episode's events of one `step_batch` slot, in `step`'s order."""
+    B, n = moved.shape
+    per_charge: list[list] = [[] for _ in range(B)]
+    for b, j, gain in charges:
+        per_charge[b].append(Event(t, "uav", j, "charge", gain))
+    out = []
+    for b, (mv, fix, gaps, drains, dead) in enumerate(zip(
+            moved.tolist(), corrections.tolist(), gap.tolist(), drain.tolist(),
+            died.tolist())):
+        events = []
+        for j in range(n):
+            if mv[j] > 0.0:
+                events.append(Event(t, "uav", j, "move", mv[j]))
+            if fix[j] > 1e-12:
+                events.append(Event(t, "uav", j, "clip", fix[j]))
+        for j, k in np.argwhere(close[b]).tolist():
+            events.append(Event(t, "uav", j, "collide", gaps[j][k]))
+            events.append(Event(t, "uav", k, "collide", gaps[j][k]))
+        events.extend(per_charge[b])
+        for j in range(n):
+            events.append(Event(t, "uav", j, "drain", drains[j]))
+            if dead[j]:
+                events.append(Event(t, "uav", j, "die", float(t)))
+        for i in np.flatnonzero(hit[b]).tolist():
+            events.append(Event(t, "iot", i, "collect", float(collector[b, i])))
+        out.append(events)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Observations and global state
 # ---------------------------------------------------------------------------
 
-def observe(state: WorldState, agent: int | None,
+def observe(state: WorldState | WorldBatch, agent: int | None,
             config: ScenarioConfig) -> np.ndarray:
     """Fixed-width local observation: own pose and energy, the K nearest
     IoTs (relative position, age, data flag), and the nearest LBD offset.
 
     ``agent`` None observes every agent at once, one row each, (U, obs_dim);
-    an agent index gives that agent's row alone, (obs_dim,).
+    an agent index gives that agent's row alone, (obs_dim,).  A `WorldBatch`
+    gives the same with a leading episode axis.
     """
     agents = np.arange(config.n_uavs) if agent is None else np.array([agent])
-    dead = agents[~state.uav_alive[agents]]
-    if dead.size:
+    alive = state.uav_alive[..., agents]
+    if not alive.all():
+        dead = agents[~alive.reshape(-1, len(agents)).all(axis=0)]
         raise ValueError(f"agent {int(dead[0])} is not alive")
     half = config.area_half_side
     span = 2.0 * half
-    pos = state.uav_pos[agents]                                   # (N, 2)
-    out = np.zeros((len(agents), config.obs_dim))
-    out[:, 0] = pos[:, 0] / half
-    out[:, 1] = pos[:, 1] / half
-    out[:, 2] = state.uav_energy[agents] / config.e_full
+    pos = state.uav_pos[..., agents, :]                           # (…, N, 2)
+    out = np.zeros(pos.shape[:-1] + (config.obs_dim,))
+    out[..., 0] = pos[..., 0] / half
+    out[..., 1] = pos[..., 1] / half
+    out[..., 2] = state.uav_energy[..., agents] / config.e_full
 
-    offset = state.iot_pos - pos[:, None]                         # (N, I, 2)
+    offset = state.iot_pos - pos[..., None, :]                    # (…, N, I, 2)
     # A stable sort keeps the lower IoT index first among equal distances.
-    near = np.argsort(np.hypot(offset[..., 0], offset[..., 1]), axis=1,
-                      kind="stable")[:, :config.obs_k_nearest]     # (N, K)
+    near = np.argsort(np.hypot(offset[..., 0], offset[..., 1]), axis=-1,
+                      kind="stable")[..., :config.obs_k_nearest]   # (…, N, K)
     rows = np.empty(near.shape + (4,))
-    rows[..., :2] = (state.iot_pos[near] - pos[:, None]) / span
-    rows[..., 2] = state.iot_ages()[near] / config.aoi_norm
-    rows[..., 3] = state.has_data[near]
-    out[:, 3:3 + 4 * near.shape[1]] = rows.reshape(len(agents), -1)
+    rows[..., :2] = (state.iot_pos[near] - pos[..., None, :]) / span
+    rows[..., 2] = _per_episode(state.iot_ages(), near) / config.aoi_norm
+    rows[..., 3] = _per_episode(state.has_data, near)
+    out[..., 3:3 + 4 * near.shape[-1]] = rows.reshape(near.shape[:-1] + (-1,))
 
     lbd_x, lbd_y = state.lbds[:, 0], state.lbds[:, 1]
-    k = np.argmin(np.hypot(lbd_x - pos[:, :1], lbd_y - pos[:, 1:]), axis=1)
-    out[:, -2] = (lbd_x[k] - pos[:, 0]) / span
-    out[:, -1] = (lbd_y[k] - pos[:, 1]) / span
-    return out if agent is None else out[0]
+    k = np.argmin(np.hypot(lbd_x - pos[..., :1], lbd_y - pos[..., 1:]), axis=-1)
+    out[..., -2] = (lbd_x[k] - pos[..., 0]) / span
+    out[..., -1] = (lbd_y[k] - pos[..., 1]) / span
+    return out if agent is None else out[..., 0, :]
 
 
-def global_state_vector(state: WorldState, config: ScenarioConfig) -> np.ndarray:
-    """Centralized-training state: all UAV poses/energies, all IoT ages/flags."""
+def _per_episode(column: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """``column[near]`` for one episode's IoT column (I,), or row by row for
+    a batch's (B, I) column and (B, N, K) indices."""
+    if column.ndim == 1:
+        return column[near]
+    return column[np.arange(len(column))[:, None, None], near]
+
+
+def global_state_vector(state: WorldState | WorldBatch,
+                        config: ScenarioConfig) -> np.ndarray:
+    """Centralized-training state: all UAV poses/energies, all IoT ages/flags;
+    (global_state_dim,), or one row per episode of a `WorldBatch`."""
     half = config.area_half_side
-    out = np.zeros(config.global_state_dim)
+    out = np.zeros(state.uav_energy.shape[:-1] + (config.global_state_dim,))
     base = 3 * config.n_uavs
-    out[0:base:3] = state.uav_pos[:, 0] / half
-    out[1:base:3] = state.uav_pos[:, 1] / half
-    out[2:base:3] = state.uav_energy / config.e_full
-    out[base::2] = state.iot_ages() / config.aoi_norm
-    out[base + 1::2] = state.has_data
+    out[..., 0:base:3] = state.uav_pos[..., 0] / half
+    out[..., 1:base:3] = state.uav_pos[..., 1] / half
+    out[..., 2:base:3] = state.uav_energy / config.e_full
+    out[..., base::2] = state.iot_ages() / config.aoi_norm
+    out[..., base + 1::2] = state.has_data
     return out
 
 

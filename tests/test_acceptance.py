@@ -260,8 +260,8 @@ class TestCriterion7Learning:
         final = result.metrics[-20:]
         learned_cum = float(np.mean([m.cum_reward for m in final]))
         learned_peak = float(np.mean([m.peak_aoi for m in final]))
-        rand_rows, _ = rollout_policy(scenario, make_policy("random", scenario),
-                                      20, seed=7, greedy=False)
+        rand_rows = rollout_policy(scenario, make_policy("random", scenario),
+                                   20, seed=7, greedy=False)
         random_cum = float(np.mean([m.cum_reward for m in rand_rows]))
         random_peak = float(np.mean([m.peak_aoi for m in rand_rows]))
         dt = time.perf_counter() - t0

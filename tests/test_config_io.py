@@ -89,7 +89,8 @@ class TestParse:
                  "flight_limit"),
                 ("[scenario]\nflight_limit = 0.0\ncharge_radius = 0.0\n",
                  "flight_limit"),
-                ("[scenario]\ncharge_radius = -10.0\n", "charge_radius")):
+                ("[scenario]\ncharge_radius = -10.0\n", "charge_radius"),
+                ("[reward]\naoi_norm = -5.0\n", "aoi_norm")):
             with pytest.raises(ConfigError, match=key):
                 parse_config(text)
 

@@ -18,6 +18,7 @@ from aoi_uav.nets import (
     init_actor,
     init_critic,
     sample_action,
+    sample_actions,
     stack_actors,
     zero_hidden,
 )
@@ -118,6 +119,23 @@ class TestStackedActors:
                 np.testing.assert_array_equal(hidden.h[j], own[j].h)
                 np.testing.assert_array_equal(hidden.c[j], own[j].c)
 
+    @pytest.mark.parametrize("recurrent", [True, False])
+    def test_episode_axis_rows_equal_each_episode(self, recurrent):
+        # Lock-step collection adds a leading episode axis; each episode's
+        # rows must not depend on how many episodes share the call.
+        stacked = stack_actors([fresh_actor(seed, recurrent) for seed in range(3)])
+        rng = np.random.default_rng(6)
+        hidden = zero_hidden(HIDDEN, 5, 3)
+        own = [zero_hidden(HIDDEN, 3) for _ in range(5)]
+        for _ in range(6):
+            obs = rng.normal(size=(5, 3, OBS_DIM))
+            probs, hidden = actor_step(stacked, obs, hidden)
+            for b in range(5):
+                p_b, own[b] = actor_step(stacked, obs[b], own[b])
+                np.testing.assert_array_equal(probs[b], p_b)
+                np.testing.assert_array_equal(hidden.h[b], own[b].h)
+                np.testing.assert_array_equal(hidden.c[b], own[b].c)
+
     def test_row_of_stack_is_the_agent_actor(self):
         actors = [fresh_actor(seed) for seed in range(3)]
         row = actor_row(stack_actors(actors), 1)
@@ -169,6 +187,16 @@ class TestCritic:
                     for row in obs]
         np.testing.assert_array_equal(critic_values(critic, obs, state), expected)
 
+    @pytest.mark.parametrize("single_head", [False, True])
+    def test_episode_axis_values_equal_each_episode(self, single_head):
+        critic = self.fresh(single_head=single_head)
+        obs, states = RNG.normal(size=(4, 3, OBS_DIM)), RNG.normal(size=(4, 12))
+        values = critic_values(critic, obs, states)
+        assert values.shape == (4, 3)
+        for b in range(4):
+            np.testing.assert_array_equal(values[b],
+                                          critic_values(critic, obs[b], states[b]))
+
     def test_blend_weights_convex_after_updates(self):
         critic = self.fresh()
         params = {"blend": critic.blend_logits}
@@ -208,6 +236,22 @@ class TestSampling:
         for _ in range(20):
             idx, logp = sample_action(probs, rng)
             assert logp == math.log(probs[idx])
+
+
+class TestBatchSampling:
+    def test_rows_equal_sample_action(self):
+        # U uniforms drawn at once equal U draws one by one, so the batch
+        # sampler picks what sample_action picks, row by row.
+        rng = np.random.default_rng(3)
+        probs = tt.softmax_array(rng.normal(size=(5, 3, N_ACTIONS)) * 3.0)
+        probs[0, 0] = np.eye(N_ACTIONS)[N_ACTIONS - 1]   # a saturated row
+        streams = [np.random.default_rng([9, b]) for b in range(5)]
+        idx, logp = sample_actions(
+            probs, np.stack([s.random(3) for s in streams]))
+        for b in range(5):
+            replay = np.random.default_rng([9, b])
+            for j in range(3):
+                assert (idx[b, j], logp[b, j]) == sample_action(probs[b, j], replay)
 
 
 class TestGradientMasterProperty:

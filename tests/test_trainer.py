@@ -1,6 +1,7 @@
 """Rollouts, GAE, clipped-surrogate mechanics, baselines, evaluation."""
 
 import math
+import time
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -38,7 +39,7 @@ def synthetic_batch(rewards, values):
     """Single-episode, single-agent batch with the given scalar sequences."""
     T = len(rewards)
     traj = AgentTrajectory(
-        obs=[np.zeros(3)] * T,
+        obs=np.zeros((T, 3)),
         actions=[0] * T,
         log_probs=[0.0] * T,
         rewards=list(rewards),
@@ -46,11 +47,25 @@ def synthetic_batch(rewards, values):
     )
     ep = EpisodeTrajectory(
         agents=[traj],
-        global_states=[np.zeros(4)] * T,
+        global_states=np.zeros((T, 4)),
         metrics=None,
-        log=None,
+        events=None,
     )
     return TrajectoryBatch(episodes=[ep])
+
+
+def stable(row):
+    return row.csv_row().rsplit(",", 1)[0]  # drop wall_ms
+
+
+def sampled_episode_log(scen, bundle, seed, idx):
+    """Episode ``idx`` of a sampling LearnedPolicy, as `rollout_policy`
+    plays it, with its event log."""
+    policy = make_policy("learned", scen, bundle)
+    rng = np.random.default_rng([seed, idx])
+    _, log = trainer.run_episode(
+        scen, lambda state: policy.joint_action(state, rng, False), idx)
+    return log
 
 
 def brute_force_gae(rewards, values, gamma, lam):
@@ -95,39 +110,82 @@ class TestRolloutCollection:
                 np.testing.assert_array_equal(np.stack(ta.obs), np.stack(tb.obs))
 
     def test_episode_order_follows_first_episode_idx(self):
-        # One RNG stream serves the episodes in order: a shorter rollout is a
-        # prefix of a longer one, and first_episode_idx only renumbers.
+        # Episode i draws from default_rng([seed, i]): a shorter rollout is
+        # a prefix of a longer one, and a rollout that starts at episode 2
+        # replays episodes 2 and 3 of the longer one.
         scen = small_scenario(horizon=6)
         bundle = build_bundle(scen, SMALL_TRAIN, seed=0)
         full = collect_rollout(scen, bundle, episodes=4, seed=9)
         head = collect_rollout(scen, bundle, episodes=2, seed=9)
-        shifted = collect_rollout(scen, bundle, episodes=4, seed=9,
-                                  first_episode_idx=7)
+        tail = collect_rollout(scen, bundle, episodes=2, seed=9,
+                               first_episode_idx=2)
         assert [ep.metrics.episode for ep in full.episodes] == [0, 1, 2, 3]
-        assert [ep.metrics.episode for ep in shifted.episodes] == [7, 8, 9, 10]
+        assert [ep.metrics.episode for ep in tail.episodes] == [2, 3]
         actions = [[t.actions for t in ep.agents] for ep in full.episodes]
         assert [[t.actions for t in ep.agents] for ep in head.episodes] == actions[:2]
-        assert [[t.actions for t in ep.agents] for ep in shifted.episodes] == actions
+        assert [[t.actions for t in ep.agents] for ep in tail.episodes] == actions[2:]
         assert actions[0] != actions[1]
+        other_seed = collect_rollout(scen, bundle, episodes=1, seed=10)
+        assert [t.actions for t in other_seed.episodes[0].agents] != actions[0]
 
     def test_collection_matches_sampling_policy_rollout(self):
-        # Training collection and a sampling LearnedPolicy rollout share the
-        # episode loop and the RNG draw order.
+        # Lock-step collection and a sampling LearnedPolicy played one
+        # episode at a time through world.step draw the same numbers from
+        # the same per-episode streams, so they play the same episodes.
         scen = small_scenario(horizon=8)
         bundle = build_bundle(scen, SMALL_TRAIN, seed=4)
         batch = collect_rollout(scen, bundle, episodes=3, seed=13,
-                                first_episode_idx=5)
-        rows, logs = rollout_policy(scen, make_policy("learned", scen, bundle),
-                                    3, seed=13, greedy=False,
-                                    first_episode_idx=5)
-
-        def stable(row):
-            return row.csv_row().rsplit(",", 1)[0]  # drop wall_ms
+                                first_episode_idx=5, with_events=True)
+        rows = rollout_policy(scen, make_policy("learned", scen, bundle),
+                              3, seed=13, greedy=False, first_episode_idx=5)
+        logs = [sampled_episode_log(scen, bundle, 13, i) for i in (5, 6, 7)]
 
         assert ([stable(ep.metrics) for ep in batch.episodes]
                 == [stable(row) for row in rows])
-        assert ([world.events_to_csv(ep.log.events) for ep in batch.episodes]
+        assert ([world.events_to_csv(ep.events) for ep in batch.episodes]
                 == [world.events_to_csv(log.events) for log in logs])
+
+    @pytest.mark.parametrize("algo", ["mappo_lstm", "mappo_ff"])
+    def test_lock_step_collection_matches_each_episode_alone(self, algo):
+        # Low energy ends some episodes early by a death, so episodes leave
+        # the batch at different slots, and the last one runs on alone.
+        scen = replace(small_scenario(horizon=40, n_uavs=3), e_init_frac=0.03)
+        bundle = build_bundle(scen, replace(SMALL_TRAIN, algo=algo), seed=2)
+        batch = collect_rollout(scen, bundle, episodes=5, seed=9,
+                                first_episode_idx=3, with_events=True)
+        lengths = [len(ep.agents[0].actions) for ep in batch.episodes]
+        assert len(set(lengths)) > 2 and min(lengths) < scen.horizon
+        for e, ep in enumerate(batch.episodes):
+            alone = collect_rollout(scen, bundle, episodes=1, seed=9,
+                                    first_episode_idx=3 + e,
+                                    with_events=True).episodes[0]
+            assert stable(ep.metrics) == stable(alone.metrics)
+            assert world.events_to_csv(ep.events) == world.events_to_csv(alone.events)
+            np.testing.assert_array_equal(ep.global_states, alone.global_states)
+            for a, b in zip(ep.agents, alone.agents):
+                np.testing.assert_array_equal(a.obs, b.obs)
+                assert (a.actions, a.log_probs, a.rewards, a.values) == (
+                    b.actions, b.log_probs, b.rewards, b.values)
+
+    def test_events_kept_only_when_asked(self):
+        scen = small_scenario(horizon=5)
+        bundle = build_bundle(scen, SMALL_TRAIN, seed=0)
+        plain = collect_rollout(scen, bundle, episodes=2, seed=1)
+        kept = collect_rollout(scen, bundle, episodes=2, seed=1, with_events=True)
+        assert [ep.events for ep in plain.episodes] == [None, None]
+        assert all(ep.events for ep in kept.episodes)
+        assert ([stable(ep.metrics) for ep in plain.episodes]
+                == [stable(ep.metrics) for ep in kept.episodes])
+
+    def test_wall_ms_shares_fit_in_the_collection_time(self):
+        scen = small_scenario(horizon=10)
+        bundle = build_bundle(scen, SMALL_TRAIN, seed=0)
+        t0 = time.perf_counter()
+        batch = collect_rollout(scen, bundle, episodes=3, seed=1)
+        elapsed_ms = (time.perf_counter() - t0) * 1e3
+        shares = [ep.metrics.wall_ms for ep in batch.episodes]
+        assert all(w > 0.0 for w in shares)
+        assert sum(shares) <= elapsed_ms
 
     @pytest.mark.parametrize("algo", ["mappo_lstm", "mappo_ff"])
     def test_joint_action_rollout_matches_per_agent_acts(self, algo):
@@ -135,17 +193,19 @@ class TestRolloutCollection:
         # at once; a loop of per-agent act calls must play the same episodes.
         scen = small_scenario(horizon=30, n_uavs=3)
         bundle = build_bundle(scen, replace(SMALL_TRAIN, algo=algo), seed=6)
-        _, logs = rollout_policy(scen, make_policy("learned", scen, bundle),
-                                 2, seed=0)
+        joint = make_policy("learned", scen, bundle)
         policy = make_policy("learned", scen, bundle)
         rng = np.random.default_rng(0)
-        for log in logs:
+        for idx in range(2):
+            joint.begin_episode()
+            _, log = trainer.run_episode(
+                scen, lambda state: joint.joint_action(state, rng, True), idx)
             policy.begin_episode()
             state, events, done = world.reset(scen, scen.rng_seed), [], False
             while not done:
-                joint = [policy.act(state, j, rng, True)
-                         for j in range(scen.n_uavs)]
-                state, _, done = world.step(state, joint, scen)
+                actions = [policy.act(state, j, rng, True)
+                           for j in range(scen.n_uavs)]
+                state, _, done = world.step(state, actions, scen)
                 events.extend(state.events)
             assert world.events_to_csv(events) == world.events_to_csv(log.events)
 
@@ -365,16 +425,22 @@ class TestBaselinesAndEvaluate:
                        horizon=10, speed=5.0, comm_radius=5.0,
                        regenerate_on_collect=False, layout_file=str(layout))
         policy = make_policy("greedy", scen)
-        rows, logs = rollout_policy(scen, policy, episodes=1, seed=0)
-        assert world.episode_counts(logs[0]).uncollected == 0
+        rows = rollout_policy(scen, policy, episodes=1, seed=0)
+        assert rows[0].counts.uncollected == 0
         assert rows[0].counts.collections == 2
 
     def test_eval_constraint_block_sums_episode_counts(self):
         # Low initial energy: some episodes end in a death, others run out.
         scen = replace(small_scenario(horizon=40, n_uavs=3), e_init_frac=0.05)
-        rows, logs = rollout_policy(scen, make_policy("random", scen),
-                                    episodes=3, seed=2)
-        counts = [world.episode_counts(log) for log in logs]
+        rows = rollout_policy(scen, make_policy("random", scen),
+                              episodes=3, seed=2)
+        policy = make_policy("random", scen)
+        counts = []
+        for idx in range(3):
+            rng = np.random.default_rng([2, idx])
+            _, log = trainer.run_episode(
+                scen, lambda state: policy.joint_action(state, rng, True), idx)
+            counts.append(world.episode_counts(log))
         assert [r.counts for r in rows] == counts
         report = evaluate(scen, make_policy("random", scen), episodes=3, seed=2)
         block = report.human_text().splitlines()[-5:]
@@ -386,6 +452,16 @@ class TestBaselinesAndEvaluate:
             assert line.split(":") == [f"  {label:<18} ", f" {n == 0} / {n}"]
         assert sum(c.deaths for c in counts) > 0
         assert sum(c.collisions for c in counts) > 0
+
+    def test_rollout_policy_episode_depends_on_its_index_alone(self):
+        scen = small_scenario(horizon=15)
+        rows = rollout_policy(scen, make_policy("random", scen), episodes=3,
+                              seed=4, greedy=False)
+        alone = [rollout_policy(scen, make_policy("random", scen), episodes=1,
+                                seed=4, greedy=False, first_episode_idx=i)[0]
+                 for i in range(3)]
+        assert [stable(r) for r in rows] == [stable(r) for r in alone]
+        assert len({stable(r).split(",", 1)[1] for r in rows}) == 3
 
     def test_learned_policy_requires_bundle(self):
         scen = small_scenario()

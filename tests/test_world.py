@@ -14,6 +14,8 @@ from aoi_uav.physics import LaserParams, hover_power, propulsion_power
 from aoi_uav.world import (
     EpisodeLog,
     EpisodeOver,
+    RewardBreakdown,
+    WorldBatch,
     episode_counts,
     events_to_csv,
     global_state_vector,
@@ -23,6 +25,7 @@ from aoi_uav.world import (
     reset,
     states_equal,
     step,
+    step_batch,
 )
 
 CANON = ScenarioConfig()
@@ -649,3 +652,127 @@ class TestGoldenMultiUavStep:
         assert state.iot_energy.tolist() == [999.9, 999.5999999999999,
                                              1000.0, 1000.0]
         assert state.peak_recorded_aoi == 1
+
+
+def lock_step_against_step(cfg, episodes, seed, layout=None):
+    """Play ``episodes`` random episodes with `step_batch` and each one alone
+    with `step`, asserting that every row equals its episode bit for bit;
+    a finished episode leaves the batch.  Returns each episode's events."""
+    start = reset(cfg, seed=1, layout=layout)
+    rng = np.random.default_rng(seed)
+    states = [start] * episodes
+    logs = [[] for _ in range(episodes)]
+    batch = WorldBatch.repeat(start, episodes, record_events=True)
+    live = list(range(episodes))
+    while live:
+        actions = rng.integers(0, cfg.n_actions, (len(live), cfg.n_uavs))
+        batch, rewards, done = step_batch(batch, actions, cfg)
+        for k, e in enumerate(live):
+            states[e], expected, ended = step(states[e], actions[k].tolist(), cfg)
+            logs[e].extend(states[e].events)
+            assert states_equal(batch.row(k), states[e])
+            got = [RewardBreakdown(float(rewards.r_a[k]), *row) for row in zip(
+                rewards.r_p[k].tolist(), rewards.r_s[k].tolist(),
+                rewards.total[k].tolist())]
+            assert [repr(r) for r in got] == [repr(r) for r in expected]
+            assert bool(done[k]) == ended
+            if ended:
+                assert batch.episode_counts(k, cfg) == episode_counts(
+                    EpisodeLog(cfg, logs[e], states[e]))
+        batch = batch.take(~done)
+        live = [e for e, ended in zip(live, done.tolist()) if not ended]
+    return logs
+
+
+def event_kinds(logs):
+    return {e.event for events in logs for e in events}
+
+
+class TestStepBatch:
+    @pytest.mark.parametrize("cfg, episodes", [
+        pytest.param(tiny_scenario(), 4, id="tiny"),
+        pytest.param(tiny_scenario(), 1, id="tiny-one-episode"),
+        pytest.param(CANON, 3, id="canonical"),
+        pytest.param(replace(CANON, n_lbds=10, lbd_layout="ring"), 3,
+                     id="canonical_ring"),
+    ])
+    def test_rows_equal_step(self, cfg, episodes):
+        logs = lock_step_against_step(cfg, episodes, seed=2)
+        assert {"move", "drain", "collect"} <= event_kinds(logs)
+
+    def test_square_and_disc_clipping(self):
+        logs = lock_step_against_step(tiny_scenario(), 4, seed=3)
+        clips = [e for events in logs for e in events if e.event == "clip"]
+        assert len(clips) > 10
+
+    def test_rate_gated_one_shot_collection(self):
+        # 1.04e7 bits clear in one slot only within about 33 m of the UAV.
+        cfg = replace(tiny_scenario(), rate_gated_collection=True,
+                      regenerate_on_collect=False, data_volume=1.04e7)
+        gated = lock_step_against_step(cfg, 4, seed=4)
+        free = lock_step_against_step(
+            replace(cfg, rate_gated_collection=False), 4, seed=4)
+        count = [sum(e.event == "collect" for e in events) for events in gated]
+        assert 0 < sum(count) and count != [
+            sum(e.event == "collect" for e in events) for events in free]
+
+    def test_crowded_two_lbds_with_collisions_and_deaths(self):
+        golden = TestGoldenMultiUavStep
+        logs = lock_step_against_step(golden.CFG, 6, seed=5, layout=golden.LAYOUT)
+        assert {"collide", "charge", "clip", "die"} <= event_kinds(logs)
+
+    def test_low_energy_deaths_end_episodes_at_different_slots(self):
+        cfg = replace(tiny_scenario(), n_uavs=3, e_init_frac=0.03)
+        logs = lock_step_against_step(cfg, 6, seed=6)
+        ends = {events[-1].slot for events in logs}
+        assert len(ends) > 2 and max(ends) < cfg.horizon
+        assert all(any(e.event == "die" for e in events) for events in logs)
+
+    def test_counts_do_not_depend_on_recording_events(self):
+        cfg = replace(tiny_scenario(), horizon=30)
+        start = reset(cfg, seed=1)
+        actions = np.random.default_rng(7).integers(0, cfg.n_actions,
+                                                    (30, 3, cfg.n_uavs))
+        counts = []
+        for record in (False, True):
+            batch = WorldBatch.repeat(start, 3, record_events=record)
+            for joint in actions:
+                batch, _, _ = step_batch(batch, joint, cfg)
+            assert (batch.events == []) != record
+            counts.append([batch.episode_counts(b, cfg) for b in range(3)])
+        assert counts[0] == counts[1]
+
+    def test_world_step_takes_a_batch(self):
+        cfg = tiny_scenario()
+        batch = WorldBatch.repeat(reset(cfg, seed=1), 2)
+        joint = np.array([[0, 1], [2, 3]])
+        by_step, by_batch = step(batch, joint, cfg), step_batch(batch, joint, cfg)
+        assert states_equal(by_step[0].row(1), by_batch[0].row(1))
+        np.testing.assert_array_equal(by_step[1].total, by_batch[1].total)
+
+    def test_invalid_calls_rejected(self):
+        cfg = replace(tiny_scenario(), horizon=1)
+        batch = WorldBatch.repeat(reset(cfg, seed=1), 2)
+        with pytest.raises(ValueError, match="shape"):
+            step_batch(batch, np.zeros((2, 3), dtype=int), cfg)
+        with pytest.raises(ValueError, match="action index"):
+            step_batch(batch, np.full((2, 2), cfg.n_actions), cfg)
+        batch, _, done = step_batch(batch, np.zeros((2, 2), dtype=int), cfg)
+        assert done.all()
+        with pytest.raises(EpisodeOver):
+            step_batch(batch, np.zeros((2, 2), dtype=int), cfg)
+
+    def test_observe_and_global_state_rows_equal_each_episode(self):
+        cfg = CANON
+        start = reset(cfg, seed=1)
+        rng = np.random.default_rng(8)
+        states = [start] * 3
+        batch = WorldBatch.repeat(start, 3)
+        for _ in range(20):
+            actions = rng.integers(0, cfg.n_actions, (3, cfg.n_uavs))
+            batch, _, _ = step_batch(batch, actions, cfg)
+            states = [step(st, a.tolist(), cfg)[0] for st, a in zip(states, actions)]
+            rows, gstates = observe(batch, None, cfg), global_state_vector(batch, cfg)
+            for b, st in enumerate(states):
+                np.testing.assert_array_equal(rows[b], observe(st, None, cfg))
+                np.testing.assert_array_equal(gstates[b], global_state_vector(st, cfg))
