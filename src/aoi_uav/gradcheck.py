@@ -56,21 +56,33 @@ def worst_relative_error(analytic: dict, numeric: dict) -> float:
 
 
 def _actor_logprob_loss(rng: np.random.Generator):
-    """Random LSTM actor replayed over a padded batch of two sequences of
-    unequal length; loss = sum of the replayed action log-probs."""
-    obs_dim, hidden, head, n_actions, lengths = 5, 6, 6, 4, (3, 2)
-    actor = nets.init_actor(rng, obs_dim, n_actions, hidden, head)
-    for t in actor.tensors("a").values():
+    """Two random LSTM actors replayed as `ppo_update` replays them: one
+    agent-axis `lstm_seq` over their stacked weights, over a padded batch of
+    two sequences of unequal length per agent; loss = sum of the replayed
+    action log-probs of both agents, each weighted by a random advantage as
+    in the surrogate.  With mixed signs the loss stays small, and so does
+    the rounding in its finite differences; small actors keep the two loss
+    evaluations per weight cheap."""
+    obs_dim, hidden, head, n_actions, lengths = 4, 4, 4, 4, (3, 2)
+    actors = [nets.init_actor(rng, obs_dim, n_actions, hidden, head)
+              for _ in range(2)]
+    params = {}
+    for j, actor in enumerate(actors):
+        params.update(actor.tensors(f"actor{j}"))
+    for t in params.values():
         t.data = rng.normal(scale=0.4, size=t.data.shape)
-    obs_seqs = [rng.normal(size=(n, obs_dim)) for n in lengths]
-    actions = rng.integers(n_actions, size=sum(lengths))
-    params = actor.tensors("actor")
+    batch = nets.replay_batch([[rng.normal(size=(n, obs_dim)) for n in lengths]
+                               for _ in actors])
+    actions = rng.integers(n_actions, size=(len(actors), sum(lengths)))
+    advantages = rng.normal(size=actions.shape)
+    rows = np.arange(sum(lengths))
 
     def build():
-        log_all = nets.actor_log_probs(actor, obs_seqs)
-        return tt.sum_(log_all[np.arange(actions.size), actions])
+        log_alls = nets.actors_log_probs(actors, batch)
+        return tt.sum_(tt.concat([tt.mul(log_all[rows, a], adv) for log_all, a, adv
+                                  in zip(log_alls, actions, advantages)]))
 
-    return "actor-lstm-logprob", build, params
+    return "actors-lstm-logprob", build, params
 
 
 def _critic_value_loss(rng: np.random.Generator):

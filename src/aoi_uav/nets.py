@@ -8,7 +8,10 @@ how the weights train.  Rollouts run every agent's actor in one call over
 weights stacked along a leading agent axis (`stack_actors`), and compute
 every agent's value in plain numpy (`critic_values`); training collection
 adds a leading episode axis to both and samples every row at once
-(`sample_actions`).
+(`sample_actions`).  The PPO update replays every agent's actor over a
+whole batch of episodes in one `lstm_seq` tape record
+(`actors_log_probs`), over per-agent weights joined along the agent axis
+by `tt.stack`.
 """
 
 from __future__ import annotations
@@ -192,28 +195,53 @@ def policy_head_batch(params: ActorParams, features: Tensor) -> Tensor:
     return tt.add(tt.matmul(hid, tt.transpose(params.w_out)), params.b_out)
 
 
-def actor_log_probs(params: ActorParams, obs_seqs: list[np.ndarray]) -> Tensor:
-    """Log-probabilities of every action at every slot of one or more
-    observation sequences, (sum of lengths, A), sequence by sequence.
+@dataclass
+class ReplayBatch:
+    """Every agent's observation sequences over B episodes, laid out once
+    for `actors_log_probs`.  All agents of an episode have the same number
+    of slots, so they share one mask."""
 
-    A recurrent actor replays every sequence from a zero hidden state in one
-    padded `lstm_seq` batch; the mask skips the padding after a shorter
-    sequence, and only the unpadded slots reach the policy head.
+    obs: np.ndarray                       # (U, N, obs): every slot, episode by episode
+    x: np.ndarray                         # (U, B, T, obs): padded to the longest episode
+    mask: np.ndarray                      # (B, T): True on the unpadded slots
+    steps: tuple[np.ndarray, np.ndarray]  # (episode, slot) of each row of ``obs``
+
+
+def replay_batch(obs_seqs: list[list[np.ndarray]]) -> ReplayBatch:
+    """Lay out ``obs_seqs[j][b]``, agent j's (T_b, obs) observations in
+    episode b, as a `ReplayBatch`."""
+    lengths = np.array([len(seq) for seq in obs_seqs[0]])
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    steps = np.nonzero(mask)
+    obs = np.stack([np.concatenate(seqs) for seqs in obs_seqs])
+    x = np.zeros((len(obs), *mask.shape, obs.shape[-1]))
+    x[:, steps[0], steps[1]] = obs
+    return ReplayBatch(obs=obs, x=x, mask=mask, steps=steps)
+
+
+def actors_log_probs(actors: list[ActorParams], batch: ReplayBatch) -> list[Tensor]:
+    """Log-probabilities of every action at every slot under each agent's
+    actor, one (N, A) tensor per agent, its rows those of ``batch.obs``.
+
+    Recurrent actors replay every sequence from a zero hidden state in one
+    padded `lstm_seq` record for all agents, over weights joined by
+    `tt.stack`, so each agent's gradients reach its own weights; the mask
+    skips the padding after a shorter sequence, and only the unpadded slots
+    reach the policy heads, which run agent by agent.
     """
-    if params.recurrent:
-        cell = params.lstm
-        B, T = len(obs_seqs), max(len(seq) for seq in obs_seqs)
-        x = np.zeros((B, T, cell.w_ih.data.shape[1]))
-        mask = np.zeros((B, T))
-        for b, seq in enumerate(obs_seqs):
-            x[b, :len(seq)] = seq
-            mask[b, :len(seq)] = 1.0
-        zero = np.zeros((B, cell.hidden_size))
-        hs = tt.lstm_seq(x, cell.w_ih, cell.w_hh, cell.bias, zero, zero, mask)
-        features = hs[np.nonzero(mask)]                     # (N, H)
+    if actors[0].recurrent:
+        cells = [a.lstm for a in actors]
+        U, B = batch.x.shape[:2]
+        zero = np.zeros((U, B, cells[0].hidden_size))
+        hs = tt.lstm_seq(batch.x, *(tt.stack([getattr(c, name) for c in cells])
+                                    for name in ("w_ih", "w_hh", "bias")),
+                         zero, zero, batch.mask)
+        features = hs[(slice(None), *batch.steps)]               # (U, N, H)
+        per_agent = [features[j] for j in range(U)]
     else:
-        features = Tensor(np.concatenate(obs_seqs))          # (N, obs)
-    return tt.log_softmax(policy_head_batch(params, features))
+        per_agent = [Tensor(obs) for obs in batch.obs]
+    return [tt.log_softmax(policy_head_batch(actor, features))
+            for actor, features in zip(actors, per_agent)]
 
 
 def _matvec(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -234,7 +262,7 @@ def actor_step(params: ActorParams, obs: np.ndarray,
     agent and every agent steps at once; each row equals that agent's own
     call bit for bit.  Gradient-free rollout inference in plain numpy,
     building no `Tensor`; training replays the same math under a tape via
-    `actor_log_probs`.
+    `actors_log_probs`.
     """
     if params.recurrent:
         cell = params.lstm

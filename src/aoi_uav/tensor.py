@@ -5,7 +5,9 @@ replays the records in reverse to accumulate gradients into every tensor
 created with ``requires_grad=True``.  With no tape active the same ops run as
 plain numpy computations.  Two ops are fused, each one tape record with a
 hand-written backward: ``lstm_seq`` runs an LSTM over a whole padded batch
-of sequences (backpropagation through time), and ``log_softmax`` replaces
+of sequences (backpropagation through time), optionally for several LSTMs
+at once along leading axes (training replays every agent's actor in one
+record, its weights joined by ``stack``), and ``log_softmax`` replaces
 ``log(softmax(x))`` and stays finite where a probability underflows to 0.
 Rollout and evaluation actors build no ``Tensor``: they step the LSTM
 through the plain-numpy kernels ``lstm_cell`` and ``softmax_array``, which
@@ -365,60 +367,86 @@ def minimum(a, b) -> Tensor:
     return _record(out, (a, b), backward)
 
 
+def stack(tensors: Sequence[Tensor]) -> Tensor:
+    """Stack equally shaped tensors along a new leading axis; the backward
+    hands row ``k`` of the gradient to ``tensors[k]``."""
+    tensors = [_as_tensor(t) for t in tensors]
+    out = Tensor(np.stack([t.data for t in tensors]))
+
+    def backward(g: Array) -> None:
+        for t, g_t in zip(tensors, g):
+            if t.requires_grad:
+                t.accumulate_grad(g_t)
+
+    return _record(out, tuple(tensors), backward)
+
+
 def lstm_seq(x, w_ih, w_hh, bias, h0, c0, mask) -> Tensor:
     """An LSTM over a padded batch of sequences, as one tape record.
 
-    Shapes: ``x`` (B, T, In), ``w_ih`` (4H, In), ``w_hh`` (4H, H), ``bias``
-    (4H,), ``h0`` and ``c0`` (B, H), ``mask`` (B, T).  The input projection
-    runs for all T at once; the recurrence then needs only ``w_hh``.  Where
-    ``mask`` is 0 the step is skipped and h and c carry over unchanged, so
-    one batch can hold sequences padded to the longest.  Returns the hidden
-    state after every step, (B, T, H); the backward is hand-written
+    Shapes: ``x`` (..., B, T, In), ``w_ih`` (..., 4H, In), ``w_hh``
+    (..., 4H, H), ``bias`` (..., 4H), ``h0`` and ``c0`` (..., B, H), ``mask``
+    (B, T).  Leading axes ``...``, if any, hold separate LSTMs, each with its
+    own weights, inputs and initial state (training stacks one per agent);
+    they all share the mask, and every numpy call serves them all.  A matmul
+    runs one gemm per leading index, so each LSTM's output and gradients
+    equal those of its own call bit for bit.  The input projection runs for
+    all T at once; the recurrence then needs only ``w_hh``.  Where ``mask``
+    is 0 the step is skipped and h and c carry over unchanged, so one batch
+    can hold sequences padded to the longest.  Returns the hidden state
+    after every step, (..., B, T, H); the backward is hand-written
     backpropagation through time.
     """
     x, w_ih, w_hh, bias, h0, c0 = (_as_tensor(t) for t in (x, w_ih, w_hh, bias, h0, c0))
     keep = np.asarray(mask, dtype=bool)[..., None]            # (B, T, 1)
-    B, T, _ = x.data.shape
+    B, T, _ = keep.shape
     H = h0.data.shape[-1]
-    zx = x.data @ w_ih.data.T + bias.data                      # (B, T, 4H)
-    w_hh_t = w_hh.data.T
-    hs, h_prev, c_prev, tanh_c = (np.empty((B, T, H)) for _ in range(4))
-    gates = np.empty((B, T, 4 * H))
+    lead = h0.data.shape[:-2]
+    zx = (x.data @ np.swapaxes(w_ih.data, -1, -2)[..., None, :, :]
+          + bias.data[..., None, None, :])                     # (..., B, T, 4H)
+    w_hh_t = np.swapaxes(w_hh.data, -1, -2)
+    hs, c_prev, tanh_c = (np.empty((*lead, B, T, H)) for _ in range(3))
+    gates = np.empty((*lead, B, T, 4 * H))
     h, c = h0.data, c0.data
     for t in range(T):
-        h_prev[:, t], c_prev[:, t] = h, c
-        h_new, c_new, gates[:, t], tanh_c[:, t] = lstm_cell(zx[:, t] + h @ w_hh_t, c)
+        c_prev[..., t, :] = c
+        h_new, c_new, gates[..., t, :], tanh_c[..., t, :] = lstm_cell(
+            zx[..., t, :] + h @ w_hh_t, c)
         h = np.where(keep[:, t], h_new, h)
         c = np.where(keep[:, t], c_new, c)
-        hs[:, t] = h
+        hs[..., t, :] = h
     out = Tensor(hs)
 
     def backward(g: Array) -> None:
         i, f, gg, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
-        # Gate slopes: s(1 - s) for the sigmoid gates, 1 - g^2 for the tanh one.
-        slope = gates * (1.0 - gates)
-        slope[..., 2 * H:3 * H] = 1.0 - gg * gg
         dtanh = o * (1.0 - tanh_c * tanh_c)
-        dz = np.empty((B, T, 4 * H))
-        dh, dc = np.zeros((B, H)), np.zeros((B, H))
+        # Gate slopes: s(1 - s) for the sigmoid gates, 1 - g^2 for the tanh
+        # one.  Step t's slope is read only at step t, so dz overwrites it.
+        dz = 1.0 - gates
+        dz *= gates
+        dz[..., 2 * H:3 * H] = 1.0 - gg * gg
+        dh, dc = np.zeros((*lead, B, H)), np.zeros((*lead, B, H))
         for t in range(T - 1, -1, -1):
             k = keep[:, t]
-            dh = dh + g[:, t]
-            dc_new = dc + dh * dtanh[:, t]
-            d_gates = np.concatenate((dc_new * gg[:, t], dc_new * c_prev[:, t],
-                                      dc_new * i[:, t], dh * tanh_c[:, t]), axis=-1)
-            dz[:, t] = np.where(k, d_gates * slope[:, t], 0.0)
-            dh = np.where(k, dz[:, t] @ w_hh.data, dh)
-            dc = np.where(k, dc_new * f[:, t], dc)
-        flat = dz.reshape(B * T, 4 * H)
+            dh = dh + g[..., t, :]
+            dc_new = dc + dh * dtanh[..., t, :]
+            d_gates = np.concatenate((dc_new * gg[..., t, :], dc_new * c_prev[..., t, :],
+                                      dc_new * i[..., t, :], dh * tanh_c[..., t, :]), axis=-1)
+            dz[..., t, :] = np.where(k, d_gates * dz[..., t, :], 0.0)
+            dh = np.where(k, dz[..., t, :] @ w_hh.data, dh)
+            dc = np.where(k, dc_new * f[..., t, :], dc)
+        flat = dz.reshape(*lead, B * T, 4 * H)
+        flat_t = np.swapaxes(flat, -1, -2)
         if x.requires_grad:
-            x.accumulate_grad(dz @ w_ih.data)
+            x.accumulate_grad((flat @ w_ih.data).reshape(x.data.shape))
         if w_ih.requires_grad:
-            w_ih.accumulate_grad(flat.T @ x.data.reshape(B * T, -1))
+            w_ih.accumulate_grad(flat_t @ x.data.reshape(*lead, B * T, -1))
         if w_hh.requires_grad:
-            w_hh.accumulate_grad(flat.T @ h_prev.reshape(B * T, H))
+            # The state entering step t: h0, then the output of step t - 1.
+            h_prev = np.concatenate((h0.data[..., None, :], hs[..., :-1, :]), axis=-2)
+            w_hh.accumulate_grad(flat_t @ h_prev.reshape(*lead, B * T, H))
         if bias.requires_grad:
-            bias.accumulate_grad(flat.sum(axis=0))
+            bias.accumulate_grad(flat.sum(axis=-2))
         if h0.requires_grad:
             h0.accumulate_grad(dh)
         if c0.requires_grad:

@@ -215,13 +215,15 @@ def collect_rollout(scenario: ScenarioConfig, bundle: PolicyBundle,
     """Run full episodes under the bundle's actors, sampling actions.
 
     The episodes run in lock step as one `world.WorldBatch`: each slot makes
-    one `global_state_vector`, `observe`, `actor_step`, `critic_values`,
-    `sample_actions` and `world.step` call over every episode still
-    running, and an episode leaves the batch when it ends.  Episode ``i``
-    (counted from ``first_episode_idx``) draws U uniforms per slot from
-    ``np.random.default_rng([seed, i])``, so its trajectory equals the one
-    it would have alone.  Hidden states start at zero.  Every quantity the
-    update needs is stored; ``with_events`` keeps each episode's events.
+    one `global_state_vector`, `observe`, `actor_step`, `sample_actions` and
+    `world.step` call over every episode still running, and an episode
+    leaves the batch when it ends.  One `critic_values` call after the last
+    slot values every stored slot, each row equal to a per-slot call's.
+    Episode ``i`` (counted from ``first_episode_idx``) draws U uniforms per
+    slot from ``np.random.default_rng([seed, i])``, so its trajectory equals
+    the one it would have alone.  Hidden states start at zero.  Every
+    quantity the update needs is stored; ``with_events`` keeps each
+    episode's events.
 
     An episode's ``wall_ms`` is its share of the rollout's wall time: the
     reset split evenly over the episodes, and each slot's time split
@@ -249,10 +251,9 @@ def collect_rollout(scenario: ScenarioConfig, bundle: PolicyBundle,
         gstate = global_state_vector(batch, scenario)
         obs = observe(batch, None, scenario)
         probs, hidden = actor_step(actors, obs, hidden)
-        values = critic_values(bundle.critic, obs, gstate)
         actions, logp = sample_actions(probs, draws[live, batch.slot])
         batch, rewards, done = world.step(batch, actions, scenario)
-        slots.append((live, obs, gstate, actions, logp, values, rewards.total,
+        slots.append((live, obs, gstate, actions, logp, rewards.total,
                       rewards.r_p, rewards.r_a))
         for e, slot_events in zip(live.tolist(), batch.events):
             events[e].extend(slot_events)
@@ -266,8 +267,9 @@ def collect_rollout(scenario: ScenarioConfig, bundle: PolicyBundle,
             hidden = HiddenState(hidden.h[keep], hidden.c[keep])
         wall[running] += (time.perf_counter() - t_slot) / running.size
 
-    owner, obs, gstate, actions, logp, values, totals, r_p, r_a = (
+    owner, obs, gstate, actions, logp, totals, r_p, r_a = (
         np.concatenate(column) for column in zip(*slots))
+    values = critic_values(bundle.critic, obs, gstate)    # (slots, U)
     trajectories = []
     for e in range(episodes):
         rows = np.flatnonzero(owner == e)           # the episode's slots, in order
@@ -346,8 +348,13 @@ def _replay_log_probs(actor: ActorParams, *trajs: AgentTrajectory):
     Returns the log-probs of the stored actions (N,), the distributions
     (N, A) and their logs (N, A), with rows episode by episode.
     """
-    log_all = nets.actor_log_probs(actor, [t.obs for t in trajs])
-    actions = np.concatenate([t.actions for t in trajs])
+    replay = nets.replay_batch([[t.obs for t in trajs]])
+    log_all = nets.actors_log_probs([actor], replay)[0]
+    return _log_prob_terms(log_all, np.concatenate([t.actions for t in trajs]))
+
+
+def _log_prob_terms(log_all: Tensor, actions: np.ndarray):
+    """The stored actions' log-probs, the distributions and their logs."""
     selected = log_all[np.arange(actions.size), actions]
     return selected, tt.exp(log_all), log_all
 
@@ -358,27 +365,34 @@ def ppo_update(batch: TrajectoryBatch, bundle: PolicyBundle, optimizer: Adam,
     over full-episode sequences; ratios are taken against the log-probs
     stored when ``batch`` was collected.
 
-    Each epoch replays all episodes of one agent as one batch and runs the
-    critic's global head once over the states of every episode.
+    The padded observations, the mask and the concatenated per-agent
+    columns are laid out once per update.  Each epoch replays every agent's
+    episodes in one `nets.actors_log_probs` call (one `lstm_seq` record for
+    all agents) and runs the critic's global head once over the states of
+    every episode; the policy heads, ratios, entropies and the critic's
+    local terms run agent by agent.
     """
     critic = bundle.critic
     states = Tensor(np.concatenate([ep.global_states for ep in batch.episodes]))
+    replay = nets.replay_batch([[ep.agents[j].obs for ep in batch.episodes]
+                                for j in range(len(bundle.actors))])
     agents = []
-    for j, actor in enumerate(bundle.actors):
+    for j, obs in enumerate(replay.obs):
         trajs = [ep.agents[j] for ep in batch.episodes]
-        agents.append((actor, trajs,
+        agents.append((np.concatenate([t.actions for t in trajs]),
                        np.concatenate([t.log_probs for t in trajs]),
                        np.concatenate([t.advantages for t in trajs]),
-                       Tensor(np.concatenate([t.obs for t in trajs])),
+                       Tensor(obs),
                        np.concatenate([t.returns for t in trajs])[:, None]))
     report = None
     for _ in range(tconf.epochs):
         with Tape() as tape:
             v_global = global_value(critic, states)
+            log_alls = nets.actors_log_probs(bundle.actors, replay)
             objectives, entropies, value_errs = [], [], []
             ratio_data, clipped_flags = [], []
-            for actor, trajs, old_logp, adv, obs, returns in agents:
-                new_logp, probs, log_all = _replay_log_probs(actor, *trajs)
+            for (actions, old_logp, adv, obs, returns), log_all in zip(agents, log_alls):
+                new_logp, probs, log_all = _log_prob_terms(log_all, actions)
                 ratio = tt.exp(tt.sub(new_logp, old_logp))
                 clipped = tt.clip_by_value(ratio, 1.0 - tconf.clip_epsilon,
                                            1.0 + tconf.clip_epsilon)

@@ -195,48 +195,75 @@ class TestFiniteDifferenceMaster:
 class TestFusedOps:
     H, IN = 3, 4
 
-    def lstm_inputs(self, rng, B, T):
+    def lstm_inputs(self, rng, B, T, lead=()):
         H, IN = self.H, self.IN
-        return {"x": Tensor(rng.normal(size=(B, T, IN)), requires_grad=True),
-                "w_ih": Tensor(rng.normal(scale=0.5, size=(4 * H, IN)), requires_grad=True),
-                "w_hh": Tensor(rng.normal(scale=0.5, size=(4 * H, H)), requires_grad=True),
-                "bias": Tensor(rng.normal(scale=0.3, size=4 * H), requires_grad=True),
-                "h0": Tensor(rng.normal(scale=0.5, size=(B, H)), requires_grad=True),
-                "c0": Tensor(rng.normal(scale=0.5, size=(B, H)), requires_grad=True)}
+        return {"x": Tensor(rng.normal(size=(*lead, B, T, IN)), requires_grad=True),
+                "w_ih": Tensor(rng.normal(scale=0.5, size=(*lead, 4 * H, IN)), requires_grad=True),
+                "w_hh": Tensor(rng.normal(scale=0.5, size=(*lead, 4 * H, H)), requires_grad=True),
+                "bias": Tensor(rng.normal(scale=0.3, size=(*lead, 4 * H)), requires_grad=True),
+                "h0": Tensor(rng.normal(scale=0.5, size=(*lead, B, H)), requires_grad=True),
+                "c0": Tensor(rng.normal(scale=0.5, size=(*lead, B, H)), requires_grad=True)}
 
     def step_by_step(self, p, mask):
-        """Reference: one `lstm_cell` call per sequence and step."""
+        """Reference: one `lstm_cell` call per LSTM, sequence and step."""
         x, w_ih, w_hh, bias = (p[k].data for k in ("x", "w_ih", "w_hh", "bias"))
-        out = np.empty(x.shape[:2] + (self.H,))
-        for b in range(x.shape[0]):
-            h, c = p["h0"].data[b], p["c0"].data[b]
-            for t in range(x.shape[1]):
-                if mask[b, t]:
-                    h, c, _, _ = tt.lstm_cell(w_ih @ x[b, t] + w_hh @ h + bias, c)
-                out[b, t] = h
+        out = np.empty(x.shape[:-1] + (self.H,))
+        for u in np.ndindex(x.shape[:-3]):
+            for b in range(x.shape[-3]):
+                h, c = p["h0"].data[u][b], p["c0"].data[u][b]
+                for t in range(x.shape[-2]):
+                    if mask[b, t]:
+                        h, c, _, _ = tt.lstm_cell(
+                            w_ih[u] @ x[u][b, t] + w_hh[u] @ h + bias[u], c)
+                    out[u][b, t] = h
         return out
 
     @pytest.mark.parametrize("B,T,lengths", [(1, 1, (1,)), (1, 5, (5,)),
                                              (3, 4, (4, 2, 1))])
     def test_lstm_seq_forward_and_finite_differences(self, B, T, lengths):
+        # Without and with a leading agent axis of two LSTMs sharing the mask.
         rng = np.random.default_rng(31 + B * T)
-        p = self.lstm_inputs(rng, B, T)
         mask = np.array([[t < n for t in range(T)] for n in lengths], dtype=float)
-        weight = rng.normal(size=(B, T, self.H))
+        names = ("x", "w_ih", "w_hh", "bias", "h0", "c0")
+        for lead in ((), (2,)):
+            p = self.lstm_inputs(rng, B, T, lead)
+            weight = rng.normal(size=(*lead, B, T, self.H))
+
+            def forward(p=p, weight=weight):
+                return tt.sum_(tt.mul(tt.lstm_seq(*(p[k] for k in names), mask), weight))
+
+            hs = tt.lstm_seq(*(p[k] for k in names), mask)
+            np.testing.assert_allclose(hs.data, self.step_by_step(p, mask), atol=1e-14)
+            analytic = tape_gradients(forward, p)
+            numeric = finite_difference(lambda: forward().item(), p)
+            assert_grads_close(analytic, numeric)
+            if min(lengths) < T:  # padding: a masked step carries h and c over
+                np.testing.assert_array_equal(hs.data[..., 2, 1:, :],
+                                              np.repeat(hs.data[..., 2, :1, :], 3, -2))
+                np.testing.assert_array_equal(analytic["x"][..., 2, 1:, :], 0.0)
+            for u in range(lead[0]) if lead else ():  # each LSTM equals its own call
+                own = {k: Tensor(p[k].data[u], requires_grad=True) for k in names}
+                own_hs = tt.lstm_seq(*(own[k] for k in names), mask)
+                np.testing.assert_array_equal(own_hs.data, hs.data[u])
+                own_grads = tape_gradients(
+                    lambda own=own, u=u: forward(own, weight[u]), own)
+                for k in names:
+                    np.testing.assert_array_equal(own_grads[k], analytic[k][u], err_msg=k)
+
+    def test_stack_finite_differences(self):
+        # ``a`` is stacked twice, so its gradient sums two rows.
+        rng = np.random.default_rng(41)
+        params = {k: Tensor(rng.normal(size=(2, 3)), requires_grad=True) for k in "ab"}
+        weight = rng.normal(size=(3, 2, 3))
 
         def forward():
-            hs = tt.lstm_seq(p["x"], p["w_ih"], p["w_hh"], p["bias"],
-                             p["h0"], p["c0"], mask)
-            return tt.sum_(tt.mul(hs, weight))
+            stacked = tt.stack([params["a"], params["b"], params["a"]])
+            return tt.sum_(tt.mul(stacked, weight))
 
-        hs = tt.lstm_seq(p["x"], p["w_ih"], p["w_hh"], p["bias"], p["h0"], p["c0"], mask)
-        np.testing.assert_allclose(hs.data, self.step_by_step(p, mask), atol=1e-14)
-        analytic = tape_gradients(forward, p)
-        numeric = finite_difference(lambda: forward().item(), p)
+        analytic = tape_gradients(forward, params)
+        numeric = finite_difference(lambda: forward().item(), params)
         assert_grads_close(analytic, numeric)
-        if min(lengths) < T:  # padding: a masked step carries h and c over
-            np.testing.assert_array_equal(hs.data[2, 1:], np.repeat(hs.data[2, :1], 3, 0))
-            np.testing.assert_array_equal(analytic["x"][2, 1:], 0.0)
+        np.testing.assert_array_equal(analytic["b"], weight[1])
 
     @pytest.mark.parametrize("shape", [(5,), (3, 6)])
     def test_log_softmax_finite_differences(self, shape):

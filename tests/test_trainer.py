@@ -1,5 +1,6 @@
 """Rollouts, GAE, clipped-surrogate mechanics, baselines, evaluation."""
 
+import copy
 import math
 import time
 from dataclasses import astuple, replace
@@ -7,9 +8,9 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from aoi_uav import tensor as tt, trainer, world
+from aoi_uav import nets, tensor as tt, trainer, world
 from aoi_uav.config import ScenarioConfig, TrainConfig, tiny_scenario
-from aoi_uav.nets import actor_step, zero_hidden
+from aoi_uav.nets import actor_step, critic_values, zero_hidden
 from aoi_uav.tensor import Tensor
 from aoi_uav.trainer import (
     AgentTrajectory,
@@ -17,6 +18,7 @@ from aoi_uav.trainer import (
     TrainingDiverged,
     TrajectoryBatch,
     build_bundle,
+    bundle_to_tensors,
     collect_rollout,
     compute_advantages,
     evaluate,
@@ -83,6 +85,77 @@ def brute_force_gae(rewards, values, gamma, lam):
             total += (gamma * lam) ** (k - t) * deltas[k]
         adv.append(total)
     return deltas, adv
+
+
+def death_shortened_batch(algo="mappo_lstm"):
+    """Three UAVs over three episodes, some cut short by a death, so that a
+    replay pads the shorter episodes."""
+    scen = replace(small_scenario(horizon=40, n_uavs=3), e_init_frac=0.03)
+    tconf = replace(SMALL_TRAIN, algo=algo)
+    bundle = build_bundle(scen, tconf, seed=2)
+    batch = collect_rollout(scen, bundle, episodes=3, seed=2)
+    assert len({len(ep.agents[0].obs) for ep in batch.episodes}) > 1
+    return bundle, batch, tconf
+
+
+def one_agent_log_probs(actor, obs_seqs):
+    """Reference replay of one agent alone: its padded episodes through an
+    `lstm_seq` call with no agent axis."""
+    if not actor.recurrent:
+        return tt.log_softmax(nets.policy_head_batch(actor, Tensor(np.concatenate(obs_seqs))))
+    cell = actor.lstm
+    B, T = len(obs_seqs), max(len(seq) for seq in obs_seqs)
+    x, mask = np.zeros((B, T, cell.w_ih.data.shape[1])), np.zeros((B, T))
+    for b, seq in enumerate(obs_seqs):
+        x[b, :len(seq)] = seq
+        mask[b, :len(seq)] = 1.0
+    zero = np.zeros((B, cell.hidden_size))
+    hs = tt.lstm_seq(x, cell.w_ih, cell.w_hh, cell.bias, zero, zero, mask)
+    return tt.log_softmax(nets.policy_head_batch(actor, hs[np.nonzero(mask)]))
+
+
+def agent_by_agent_ppo_update(batch, bundle, optimizer, tconf):
+    """Reference `ppo_update` that replays and scores one agent at a time
+    through `one_agent_log_probs`."""
+    critic = bundle.critic
+    states = Tensor(np.concatenate([ep.global_states for ep in batch.episodes]))
+    report = None
+    for _ in range(tconf.epochs):
+        with tt.Tape() as tape:
+            v_global = nets.global_value(critic, states)
+            objectives, entropies, value_errs, ratios, flags = [], [], [], [], []
+            for j, actor in enumerate(bundle.actors):
+                trajs = [ep.agents[j] for ep in batch.episodes]
+                actions = np.concatenate([t.actions for t in trajs])
+                log_all = one_agent_log_probs(actor, [t.obs for t in trajs])
+                new_logp = log_all[np.arange(actions.size), actions]
+                probs = tt.exp(log_all)
+                ratio = tt.exp(tt.sub(new_logp, np.concatenate([t.log_probs for t in trajs])))
+                clipped = tt.clip_by_value(ratio, 1.0 - tconf.clip_epsilon,
+                                           1.0 + tconf.clip_epsilon)
+                adv = np.concatenate([t.advantages for t in trajs])
+                objectives.append(tt.minimum(tt.mul(ratio, adv), tt.mul(clipped, adv)))
+                entropies.append(tt.mul(tt.sum_(tt.mul(probs, log_all), axis=-1), -1.0))
+                ratios.append(ratio.data.copy())
+                flags.append(ratio.data != clipped.data)
+                obs = Tensor(np.concatenate([t.obs for t in trajs]))
+                returns = np.concatenate([t.returns for t in trajs])[:, None]
+                err = tt.sub(nets.critic_value(critic, obs, v_global), returns)
+                value_errs.append(tt.mul(err, err)[:, 0])
+            surrogate = tt.mean(tt.concat(objectives))
+            entropy = tt.mean(tt.concat(entropies))
+            value_loss = tt.mean(tt.concat(value_errs))
+            loss = tt.add(
+                tt.sub(tt.mul(surrogate, -1.0), tt.mul(entropy, tconf.entropy_coef)),
+                tt.mul(value_loss, tconf.value_coef))
+            optimizer.zero_grad()
+            tape.backward(loss)
+            optimizer.step()
+            report = trainer.LossReport(
+                -surrogate.item(), value_loss.item(), entropy.item(),
+                float(np.concatenate(ratios).mean()),
+                float(np.concatenate(flags).mean()))
+    return report
 
 
 class TestRolloutCollection:
@@ -166,6 +239,17 @@ class TestRolloutCollection:
                 np.testing.assert_array_equal(a.obs, b.obs)
                 assert (a.actions, a.log_probs, a.rewards, a.values) == (
                     b.actions, b.log_probs, b.rewards, b.values)
+
+    @pytest.mark.parametrize("algo", ["mappo_lstm", "mappo_ff"])
+    def test_values_equal_per_slot_critic_calls(self, algo):
+        # Collection values every slot in one call after the last slot;
+        # each value equals that slot's own call, bit for bit.
+        bundle, batch, _ = death_shortened_batch(algo)
+        for ep in batch.episodes:
+            for t, gstate in enumerate(ep.global_states):
+                obs = np.stack([traj.obs[t] for traj in ep.agents])
+                assert (critic_values(bundle.critic, obs, gstate).tolist()
+                        == [traj.values[t] for traj in ep.agents])
 
     def test_events_kept_only_when_asked(self):
         scen = small_scenario(horizon=5)
@@ -332,6 +416,61 @@ class TestClippedObjective:
             clipped = np.clip(ratio, 0.8, 1.2)
             adv = traj.advantages
             assert np.all(np.minimum(ratio * adv, clipped * adv) <= ratio * adv + 1e-15)
+
+
+class TestAgentAxisReplay:
+    """The update replays every agent in one agent-axis `lstm_seq` record;
+    it must equal each agent replayed alone, bit for bit."""
+
+    def test_stacked_replay_equals_per_agent_replay(self):
+        bundle, batch, _ = death_shortened_batch()
+        trajs = [[ep.agents[j] for ep in batch.episodes] for j in range(3)]
+        actions = [np.concatenate([t.actions for t in ts]) for ts in trajs]
+        params = {}
+        for j, actor in enumerate(bundle.actors):
+            params.update(actor.tensors(f"actor{j}"))
+
+        def replay(log_prob_terms):
+            for p in params.values():
+                p.zero_grad()
+            with tt.Tape() as tape:
+                terms = log_prob_terms()
+                loss = 0.0
+                for sel, probs, log_all in terms:
+                    loss = tt.add(loss, tt.add(tt.sum_(sel),
+                                               tt.sum_(tt.mul(probs, log_all))))
+                tape.backward(loss)
+            return ([sel.data for sel, _, _ in terms],
+                    {k: p.grad.copy() for k, p in params.items()})
+
+        replay_batch = nets.replay_batch([[t.obs for t in ts] for ts in trajs])
+        stacked = replay(lambda: [
+            trainer._log_prob_terms(log_all, a) for log_all, a in
+            zip(nets.actors_log_probs(bundle.actors, replay_batch), actions)])
+        alone = replay(lambda: [trainer._replay_log_probs(actor, *ts)
+                                for actor, ts in zip(bundle.actors, trajs)])
+        no_axis = replay(lambda: [
+            trainer._log_prob_terms(one_agent_log_probs(actor, [t.obs for t in ts]), a)
+            for actor, ts, a in zip(bundle.actors, trajs, actions)])
+        for other in (alone, no_axis):
+            for got, want in zip(stacked[0], other[0]):
+                np.testing.assert_array_equal(got, want)
+            for k in params:
+                np.testing.assert_array_equal(stacked[1][k], other[1][k], err_msg=k)
+
+    @pytest.mark.parametrize("algo", ["mappo_lstm", "mappo_ff"])
+    def test_ppo_update_equals_agent_by_agent_update(self, algo):
+        bundle, batch, tconf = death_shortened_batch(algo)
+        compute_advantages(batch, tconf.gamma, tconf.gae_lambda)
+        reference = copy.deepcopy(bundle)
+        report = ppo_update(batch, bundle, tt.Adam(bundle.parameters()), tconf)
+        want_report = agent_by_agent_ppo_update(
+            batch, reference, tt.Adam(reference.parameters()), tconf)
+        assert astuple(report) == astuple(want_report)
+        got, want = bundle_to_tensors(bundle), bundle_to_tensors(reference)
+        assert got.keys() == want.keys()
+        for k in want:
+            assert got[k].tobytes() == want[k].tobytes(), k
 
 
 class TestPpoUpdate:
