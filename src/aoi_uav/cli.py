@@ -6,7 +6,8 @@ collects it in a lock-step batch or `eval` and `sweep` play it alone.
 
 Exit codes: 0 success, 1 check failed (oracle witness replay does not match
 the optimum, or a gradcheck trial failed), 2 config problem (including an
-out-of-range flag or key, a non-finite float, or a repeated key), 3 training
+out-of-range flag or key, a non-finite float, a repeated key, or an input or
+output path that cannot be read or written), 3 training
 diverged (non-finite loss), 4 checkpoint CRC/format failure, 5 oracle guard
 exceeded.
 """
@@ -289,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     except oracle.OracleGuardExceeded as err:
         print(f"oracle guard: {err}", file=sys.stderr)
         return EXIT_ORACLE_GUARD
-    except FileNotFoundError as err:
+    except OSError as err:  # an unreadable input or an unwritable output path
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

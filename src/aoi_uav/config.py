@@ -11,6 +11,17 @@ class ConfigError(ValueError):
     """Invalid or inconsistent configuration; message names the offending key."""
 
 
+def read_text(path: str, kind: str) -> str:
+    """The text of the ``kind`` file at ``path``, decoded as UTF-8.  A byte
+    that does not decode is a `ConfigError` naming the file; a path that
+    cannot be opened raises its `OSError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{kind} file {path} is not UTF-8 text ({err})") from None
+
+
 @dataclass(frozen=True)
 class RewardParams:
     """Weights and constants of the per-slot reward."""

@@ -17,6 +17,7 @@ from .config import (
     RewardParams,
     ScenarioConfig,
     TrainConfig,
+    read_text,
 )
 from .physics import ChannelParams, LaserParams, PropulsionParams
 
@@ -147,8 +148,7 @@ def dump_config(scenario: ScenarioConfig, tconf: TrainConfig,
 
 def load_config(path: str) -> tuple[ScenarioConfig, TrainConfig, RunSettings]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_text(path, "config")
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
     return parse_config(text)

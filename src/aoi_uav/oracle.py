@@ -4,8 +4,9 @@ Depth-first enumeration of joint action sequences through the real
 environment step, memoized on (slot, quantized positions, pending mask,
 quantized energies).  Data is one-shot here, so an episode's peak AoI is
 exactly the largest of each IoT's collection slot (or the horizon for IoTs
-never collected), which gives the search optimal substructure.  This is a
-correctness anchor, not a solver: no bounding tricks, hard branching guard.
+never collected), which gives the search optimal substructure; a step
+collected when the running collection tally grew.  This is a correctness
+anchor, not a solver: no bounding tricks, hard branching guard.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 from . import config_io, world
-from .config import ConfigError, ScenarioConfig
+from .config import ConfigError, ScenarioConfig, read_text
 from .world import ACTION_NAMES, WorldState
 
 MAX_JOINT_BRANCHING = 10 ** 8
@@ -107,8 +108,7 @@ def parse_instance(text: str) -> TinyInstance:
 
 
 def load_instance(path: str) -> TinyInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+    return parse_instance(read_text(path, "instance"))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,7 @@ def _search(state: WorldState, cfg: ScenarioConfig, joint_actions: list,
     best_val, best_joint = cfg.horizon + 1, None
     for joint in joint_actions:
         nxt, _, _ = world.step(state, list(joint), cfg)
-        collected = any(e.event == "collect" for e in nxt.events)
+        collected = nxt.collections > state.collections
         val = max(nxt.slot if collected else 0,
                   _search(nxt, cfg, joint_actions, memo))
         if val < best_val:
@@ -210,20 +210,18 @@ def exact_min_peak_aoi(instance: TinyInstance) -> OracleResult:
 
 def replay_verify(instance: TinyInstance,
                   actions: list[tuple[int, ...]]) -> int:
-    """Replay a joint action sequence and return the realized peak AoI."""
+    """Replay a joint action sequence and return the realized peak AoI.
+
+    Data is one-shot and generated at slot 0, so each recorded age is the
+    slot of its collection, and an IoT still pending scores the horizon.
+    """
     cfg = instance.config
     if len(actions) != cfg.horizon:
         raise ValueError(f"sequence length {len(actions)} != horizon {cfg.horizon}")
     state = instance.initial_state()
-    collected_slot: dict[int, int] = {}
     for joint in actions:
         if world.is_done(state, cfg):
             break
         state, _, _ = world.step(state, list(joint), cfg)
-        for e in state.events:
-            if e.event == "collect":
-                collected_slot[e.entity_id] = state.slot
-    peak = 0
-    for i in range(cfg.n_iots):
-        peak = max(peak, collected_slot.get(i, cfg.horizon))
-    return peak
+    pending = cfg.horizon if state.has_data.any() else 0
+    return max(state.peak_recorded_aoi, pending)

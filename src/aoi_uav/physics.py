@@ -158,11 +158,6 @@ def propulsion_power(params: PropulsionParams, speed: float) -> float:
     return blade + induced + parasite
 
 
-def hover_power(params: PropulsionParams) -> float:
-    """Propulsion power at zero speed."""
-    return params.blade_power_w + params.induced_power_w
-
-
 def optimal_speed(params: PropulsionParams, v_max: float, tol: float) -> float:
     """Speed in [0, v_max] minimizing propulsion power, to within ``tol``.
 

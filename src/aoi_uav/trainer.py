@@ -3,10 +3,11 @@ policy updates, plus heuristic baselines and the evaluation harness.
 
 Training collection steps every episode of an update in lock step
 (`world.step_batch`); evaluation plays one episode at a time through
-`run_episode` and `world.step`.  Both follow one RNG rule: episode ``e`` of
-a rollout seeded ``s`` draws from its own stream,
-``np.random.default_rng([s, e])``, so an episode's output depends on the
-seed and its index alone, not on how many episodes run beside it.
+`rollout_policy` and `world.step`.  Either way an episode's counts come
+from the tallies on its final state (`world.episode_counts`).  Both follow
+one RNG rule: episode ``e`` of a rollout seeded ``s`` draws from its own
+stream, ``np.random.default_rng([s, e])``, so an episode's output depends
+on the seed and its index alone, not on how many episodes run beside it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .nets import (
 )
 from .tensor import Adam, Tape, Tensor
 from .world import (
-    EpisodeLog,
     Event,
     WorldState,
     global_state_vector,
@@ -160,8 +160,8 @@ class TrajectoryBatch:
 
 def _episode_metrics(episode: int, rewards: list[list[float]],
                      r_a: list[float], r_p: list[list[float]],
-                     final: WorldState, counts: world.EpisodeCounts,
-                     config: ScenarioConfig, wall_ms: float) -> EpisodeMetrics:
+                     final: WorldState, config: ScenarioConfig,
+                     wall_ms: float) -> EpisodeMetrics:
     """One episode's metrics from each agent's per-slot total and energy
     rewards, the per-slot AoI reward and the final state."""
     n = config.n_uavs
@@ -173,41 +173,14 @@ def _episode_metrics(episode: int, rewards: list[list[float]],
         energy_reward=sum(sum(rw.beta_p * r for r in rs) for rs in r_p) / n,
         peak_aoi=peak_aoi(final),
         peak_aoi_recorded=final.peak_recorded_aoi,
-        counts=counts,
+        counts=world.episode_counts(final, config),
         wall_ms=wall_ms,
     )
 
 
 # ---------------------------------------------------------------------------
-# Episode loop and rollout collection
+# Rollout collection
 # ---------------------------------------------------------------------------
-
-def run_episode(scenario: ScenarioConfig, act, episode_idx: int
-                ) -> tuple[EpisodeMetrics, EpisodeLog]:
-    """Play one episode from reset; ``act(state)`` returns the joint action.
-
-    Returns the episode metrics and its event log.  ``wall_ms`` covers the
-    reset and every slot.
-    """
-    t0 = time.perf_counter()
-    state = world.reset(scenario, scenario.rng_seed)
-    log = EpisodeLog(config=scenario)
-    rewards: list[list[float]] = [[] for _ in range(scenario.n_uavs)]
-    r_p: list[list[float]] = [[] for _ in range(scenario.n_uavs)]
-    r_a: list[float] = []
-    done = False
-    while not done:
-        state, step_rewards, done = world.step(state, act(state), scenario)
-        log.absorb(state)
-        r_a.append(step_rewards[0].r_a)
-        for j, breakdown in enumerate(step_rewards):
-            rewards[j].append(breakdown.total)
-            r_p[j].append(breakdown.r_p)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    metrics = _episode_metrics(episode_idx, rewards, r_a, r_p, state,
-                               world.episode_counts(log), scenario, wall_ms)
-    return metrics, log
-
 
 def collect_rollout(scenario: ScenarioConfig, bundle: PolicyBundle,
                     episodes: int, seed: int, *, first_episode_idx: int = 0,
@@ -223,7 +196,8 @@ def collect_rollout(scenario: ScenarioConfig, bundle: PolicyBundle,
     slot from ``np.random.default_rng([seed, i])``, so its trajectory equals
     the one it would have alone.  Hidden states start at zero.  Every
     quantity the update needs is stored; ``with_events`` keeps each
-    episode's events.
+    episode's events, which `world.step_batch` then builds by stepping the
+    episodes one at a time through `world.step`.
 
     An episode's ``wall_ms`` is its share of the rollout's wall time: the
     reset split evenly over the episodes, and each slot's time split
@@ -238,12 +212,12 @@ def collect_rollout(scenario: ScenarioConfig, bundle: PolicyBundle,
         np.random.default_rng([seed, first_episode_idx + e]).random(
             (scenario.horizon, n)) for e in range(episodes)])
     actors = stack_actors(bundle.actors)
-    batch = world.WorldBatch.repeat(world.reset(scenario, scenario.rng_seed),
-                                    episodes, record_events=with_events)
+    start = world.reset(scenario, scenario.rng_seed)
+    batch = world.WorldBatch.of([start] * episodes, record_events=with_events)
     hidden = zero_hidden(bundle.hidden_size, episodes, n)
     slots = []    # per slot: the running episodes, then one row per episode
     events = [[] for _ in range(episodes)]
-    ends = {}     # episode -> (final state, counts)
+    ends = {}     # episode -> final state
     wall = np.full(episodes, (time.perf_counter() - t0) / episodes)
     live = np.arange(episodes)
     while live.size:
@@ -260,8 +234,7 @@ def collect_rollout(scenario: ScenarioConfig, bundle: PolicyBundle,
         running = live
         if done.any():
             for k in np.flatnonzero(done).tolist():
-                ends[int(live[k])] = (batch.row(k),
-                                      batch.episode_counts(k, scenario))
+                ends[int(live[k])] = batch.row(k)
             keep = ~done
             batch, live = batch.take(keep), live[keep]
             hidden = HiddenState(hidden.h[keep], hidden.c[keep])
@@ -280,10 +253,9 @@ def collect_rollout(scenario: ScenarioConfig, bundle: PolicyBundle,
                                   rewards=rewards[j],
                                   values=values[rows, j].tolist())
                   for j in range(n)]
-        final, counts = ends[e]
         metrics = _episode_metrics(
             first_episode_idx + e, rewards, r_a[rows].tolist(),
-            r_p[rows].T.tolist(), final, counts, scenario, wall[e] * 1e3)
+            r_p[rows].T.tolist(), ends[e], scenario, wall[e] * 1e3)
         trajectories.append(EpisodeTrajectory(
             agents=agents, global_states=gstate[rows], metrics=metrics,
             events=events[e] if with_events else None))
@@ -562,17 +534,32 @@ def make_policy(kind: str, scenario: ScenarioConfig,
 def rollout_policy(scenario: ScenarioConfig, policy, episodes: int, seed: int,
                    *, greedy: bool = True,
                    first_episode_idx: int = 0) -> list[EpisodeMetrics]:
-    """Run a policy for whole episodes, one at a time, returning each
-    episode's metrics.  Episode ``i`` (counted from ``first_episode_idx``)
-    draws from ``np.random.default_rng([seed, i])``, the stream that
-    `collect_rollout` gives it."""
+    """Run a policy for whole episodes from reset, one at a time through
+    `world.step`, returning each episode's metrics.  Episode ``i`` (counted
+    from ``first_episode_idx``) draws from ``np.random.default_rng([seed,
+    i])``, the stream that `collect_rollout` gives it.  An episode's
+    ``wall_ms`` covers its reset and every slot."""
+    n = scenario.n_uavs
     rows = []
     for idx in range(first_episode_idx, first_episode_idx + episodes):
         rng = np.random.default_rng([seed, idx])
         policy.begin_episode()
-        metrics, _ = run_episode(
-            scenario, lambda state: policy.joint_action(state, rng, greedy), idx)
-        rows.append(metrics)
+        t0 = time.perf_counter()
+        state = world.reset(scenario, scenario.rng_seed)
+        rewards: list[list[float]] = [[] for _ in range(n)]
+        r_p: list[list[float]] = [[] for _ in range(n)]
+        r_a: list[float] = []
+        done = False
+        while not done:
+            state, step_rewards, done = world.step(
+                state, policy.joint_action(state, rng, greedy), scenario)
+            r_a.append(step_rewards[0].r_a)
+            for j, breakdown in enumerate(step_rewards):
+                rewards[j].append(breakdown.total)
+                r_p[j].append(breakdown.r_p)
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        rows.append(_episode_metrics(idx, rewards, r_a, r_p, state, scenario,
+                                     wall_ms))
     return rows
 
 
@@ -584,7 +571,6 @@ def rollout_policy(scenario: ScenarioConfig, policy, episodes: int, seed: int,
 class TrainResult:
     bundle: PolicyBundle
     metrics: list[EpisodeMetrics]
-    loss_reports: list[LossReport]
 
 
 def train(scenario: ScenarioConfig, tconf: TrainConfig, seed: int,
@@ -601,7 +587,6 @@ def train(scenario: ScenarioConfig, tconf: TrainConfig, seed: int,
                      beta1=tconf.adam_beta1, beta2=tconf.adam_beta2,
                      eps=tconf.adam_eps, clip_norm=tconf.clip_norm)
     metrics: list[EpisodeMetrics] = []
-    reports: list[LossReport] = []
     episodes_done = 0
     next_checkpoint = tconf.eval_interval
     last_checkpoint = -1
@@ -612,7 +597,7 @@ def train(scenario: ScenarioConfig, tconf: TrainConfig, seed: int,
                                 first_episode_idx=episodes_done,
                                 with_events=event_sink is not None)
         compute_advantages(batch, tconf.gamma, tconf.gae_lambda)
-        reports.append(ppo_update(batch, bundle, optimizer, tconf))
+        ppo_update(batch, bundle, optimizer, tconf)
         for ep in batch.episodes:
             metrics.append(ep.metrics)
             if metrics_sink is not None:
@@ -626,7 +611,7 @@ def train(scenario: ScenarioConfig, tconf: TrainConfig, seed: int,
             next_checkpoint += tconf.eval_interval
     if checkpoint_sink is not None and last_checkpoint != episodes_done:
         checkpoint_sink(episodes_done, bundle)
-    return TrainResult(bundle=bundle, metrics=metrics, loss_reports=reports)
+    return TrainResult(bundle=bundle, metrics=metrics)
 
 
 # ---------------------------------------------------------------------------

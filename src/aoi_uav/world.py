@@ -8,7 +8,9 @@ reward computation.  `observe` builds every agent's observation in one call.
 `step_batch` advances B episodes of one scenario in lock step, with
 `WorldState`'s columns given a leading episode axis (`WorldBatch`); each of
 its rows equals `step` on that episode bit for bit.  Training collection
-uses it; evaluation, the oracle and direct callers use `step`.
+uses it; evaluation, the oracle and direct callers use `step`, the only
+builder of events.  Both keep running tallies, from which `episode_counts`
+reads an episode's constraint counts, so no caller scans events.
 Everything is deterministic given (config, seed, actions); randomness enters
 only through IoT placement at reset.
 """
@@ -21,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig
+from .config import ConfigError, ScenarioConfig, read_text
 from .physics import laser_power_received, propulsion_power, transmission_rate
 
 # Compass actions in index order; diagonals are unit-normalized so every move
@@ -74,6 +76,9 @@ class WorldState:
     recorded_aoi: np.ndarray      # (I,) int64 age at the most recent collection
     iot_energy: np.ndarray        # (I,) J
     peak_recorded_aoi: int = 0    # max age over all collections so far
+    collections: int = 0          # collections so far
+    collisions: int = 0           # UAV pairs too close, summed over slots
+    clips: int = 0                # boundary clips so far
     events: list[Event] = field(default_factory=list)  # current slot only
 
     @property
@@ -100,25 +105,12 @@ class RewardBreakdown:
     total: float
 
 
-@dataclass
-class EpisodeLog:
-    """Accumulated events plus the final state of one episode."""
-
-    config: ScenarioConfig
-    events: list[Event] = field(default_factory=list)
-    final_state: WorldState | None = None
-
-    def absorb(self, state: WorldState) -> None:
-        self.events.extend(state.events)
-        self.final_state = state
-
-
 @dataclass(frozen=True)
 class EpisodeCounts:
     """Tallies of one completed episode.  Every field but ``collections``
     counts violations of one feasibility constraint; 0 means it held."""
 
-    collections: int      # collect events
+    collections: int      # data collections
     uncollected: int      # IoTs never collected
     low_energy_iots: int  # final IoT energies below the floor
     deaths: int           # UAV batteries that hit zero
@@ -187,8 +179,8 @@ def reset(config: ScenarioConfig, seed: int,
     if layout is not None:
         layout_iots, layout_lbds, layout_uavs = layout
     elif config.layout_file:
-        with open(config.layout_file, "r", encoding="utf-8") as fh:
-            layout_iots, layout_lbds, layout_uavs = parse_layout(fh.read())
+        layout_iots, layout_lbds, layout_uavs = parse_layout(
+            read_text(config.layout_file, "layout"))
 
     if layout_uavs:
         if len(layout_uavs) != config.n_uavs:
@@ -343,7 +335,9 @@ def step(state: WorldState, joint_action: list[int],
     nxt = WorldState(t, lbds, pos, np.array(energy), np.logical_not(died),
                      np.array(charging), state.iot_pos, state.gen_time.copy(),
                      state.has_data.copy(), state.recorded_aoi.copy(),
-                     state.iot_energy.copy(), state.peak_recorded_aoi, events)
+                     state.iot_energy.copy(), state.peak_recorded_aoi,
+                     state.collections, state.collisions + sum(collide_counts) // 2,
+                     state.clips + sum(clip_counts), events)
 
     # 5. Data collection: one collector per IoT (nearest alive UAV in range,
     #    lower UAV index on ties), a UAV may collect several IoTs in the same
@@ -371,6 +365,7 @@ def step(state: WorldState, joint_action: list[int],
         else:
             nxt.has_data[i] = False
         collect_counts[j] += 1
+        nxt.collections += 1
         events.append(Event(t, "iot", i, "collect", float(j)))
         nxt.peak_recorded_aoi = max(nxt.peak_recorded_aoi, age)
 
@@ -418,12 +413,10 @@ def peak_aoi(state: WorldState) -> int:
 @dataclass
 class WorldBatch:
     """B running episodes of one scenario at the same slot: `WorldState`'s
-    columns with a leading episode axis, plus each episode's running counts
-    of the events that `EpisodeCounts` tallies (a collision counts once for
-    each UAV of the pair).  ``lbds`` and ``iot_pos`` are shared by every
-    episode.  Events are built only for a batch made with
-    ``record_events``; ``events`` then holds each episode's events of the
-    current slot, and is empty otherwise."""
+    columns and tallies with a leading episode axis.  ``lbds`` and
+    ``iot_pos`` are shared by every episode.  Events are kept only for a
+    batch made with ``record_events``; ``events`` then holds each episode's
+    events of the current slot, and is empty otherwise."""
 
     slot: int
     lbds: np.ndarray              # (L, 3)
@@ -437,34 +430,36 @@ class WorldBatch:
     recorded_aoi: np.ndarray      # (B, I) int64
     iot_energy: np.ndarray        # (B, I)
     peak_recorded_aoi: np.ndarray  # (B,) int64
-    collects: np.ndarray          # (B, I) int64 collections of each IoT so far
-    clips: np.ndarray             # (B, U) int64 boundary clips of each UAV
-    collisions: np.ndarray        # (B, U) int64 collisions of each UAV
+    collections: np.ndarray       # (B,) int64
+    collisions: np.ndarray        # (B,) int64 pairs
+    clips: np.ndarray             # (B,) int64
     record_events: bool = False
     events: list[list[Event]] = field(default_factory=list)
 
     iot_ages = WorldState.iot_ages
 
     @classmethod
-    def repeat(cls, state: WorldState, episodes: int,
-               record_events: bool = False) -> "WorldBatch":
-        """``episodes`` copies of one episode's state, its tallies zero; a
-        batch of one shares the state's columns."""
-        def rows(column):
-            if episodes == 1:
-                return column[None]
-            return np.repeat(column[None], episodes, axis=0)
-        return cls(state.slot, state.lbds, rows(state.uav_pos),
-                   rows(state.uav_energy), rows(state.uav_alive),
-                   rows(state.charging_lbd), state.iot_pos,
-                   rows(state.gen_time), rows(state.has_data),
-                   rows(state.recorded_aoi), rows(state.iot_energy),
-                   np.full(episodes, state.peak_recorded_aoi, dtype=np.int64),
-                   np.zeros((episodes, len(state.gen_time)), dtype=np.int64),
-                   np.zeros((episodes, len(state.uav_energy)), dtype=np.int64),
-                   np.zeros((episodes, len(state.uav_energy)), dtype=np.int64),
+    def of(cls, states: list[WorldState], record_events: bool = False
+           ) -> "WorldBatch":
+        """The episodes ``states``, all at one slot, as a batch; a batch of
+        one shares the state's columns.  It keeps their events if it
+        records them."""
+        def rows(name):
+            if len(states) == 1:
+                return getattr(states[0], name)[None]
+            return np.stack([getattr(st, name) for st in states])
+
+        def tally(name):
+            return np.array([getattr(st, name) for st in states], dtype=np.int64)
+
+        first = states[0]
+        return cls(first.slot, first.lbds, rows("uav_pos"), rows("uav_energy"),
+                   rows("uav_alive"), rows("charging_lbd"), first.iot_pos,
+                   rows("gen_time"), rows("has_data"), rows("recorded_aoi"),
+                   rows("iot_energy"), tally("peak_recorded_aoi"),
+                   tally("collections"), tally("collisions"), tally("clips"),
                    record_events,
-                   [[] for _ in range(episodes)] if record_events else [])
+                   [st.events for st in states] if record_events else [])
 
     def take(self, keep: np.ndarray) -> "WorldBatch":
         """The episodes where the mask ``keep`` is true."""
@@ -473,8 +468,8 @@ class WorldBatch:
                           self.charging_lbd[keep], self.iot_pos,
                           self.gen_time[keep], self.has_data[keep],
                           self.recorded_aoi[keep], self.iot_energy[keep],
-                          self.peak_recorded_aoi[keep], self.collects[keep],
-                          self.clips[keep], self.collisions[keep],
+                          self.peak_recorded_aoi[keep], self.collections[keep],
+                          self.collisions[keep], self.clips[keep],
                           self.record_events,
                           [e for e, k in zip(self.events, keep.tolist()) if k])
 
@@ -486,20 +481,9 @@ class WorldBatch:
                           self.charging_lbd[b], self.iot_pos, self.gen_time[b],
                           self.has_data[b], self.recorded_aoi[b],
                           self.iot_energy[b], int(self.peak_recorded_aoi[b]),
+                          int(self.collections[b]), int(self.collisions[b]),
+                          int(self.clips[b]),
                           self.events[b] if self.record_events else [])
-
-    def episode_counts(self, b: int, config: ScenarioConfig) -> EpisodeCounts:
-        """Episode ``b``'s `EpisodeCounts` from its running counts; equal to
-        `episode_counts` of its event log once it has finished.  A death
-        ends the episode, so its dead UAVs are its deaths."""
-        return EpisodeCounts(
-            collections=int(self.collects[b].sum()),
-            uncollected=config.n_iots - int(np.count_nonzero(self.collects[b])),
-            low_energy_iots=int(np.count_nonzero(
-                self.iot_energy[b] < config.e_iot_floor)),
-            deaths=int(np.count_nonzero(~self.uav_alive[b])),
-            collisions=int(self.collisions[b].sum()) // 2,
-            clips=int(self.clips[b].sum()))
 
 
 @dataclass
@@ -518,19 +502,20 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
     Returns the next batch, the rewards and which episodes ended, (B,).
 
     Row b of the result equals `step` on episode b bit for bit: state,
-    rewards, done and, in a batch that records events, the event list; the
-    running counts count the events either way.  Every phase acts on all B·U UAVs
-    at once, and only charging assignment loops, once per round of
-    min(U, L).  A batch of one episode goes through `step`, which is
-    faster on a single row even with the conversion to and from a batch.
+    tallies, rewards, done and, in a batch that records events, the event
+    list.  Every phase acts on all B·U UAVs at once, and only charging
+    assignment loops, once per round of min(U, L).  A batch of one episode,
+    and a batch that records events, steps row by row through `step`
+    (`_step_rows`): `step` is faster on a single row even with the
+    conversion to and from a batch, and it is the only builder of events.
     """
     n = config.n_uavs
     actions = np.asarray(actions)
     if actions.shape != batch.uav_energy.shape:
         raise ValueError(f"expected actions of shape {batch.uav_energy.shape}, "
                          f"got {actions.shape}")
-    if len(actions) == 1:
-        return _step_one(batch, actions[0].tolist(), config)
+    if len(actions) == 1 or batch.record_events:
+        return _step_rows(batch, actions, config)
     if batch.slot >= config.horizon or not batch.uav_alive.all():
         raise EpisodeOver(f"batch holds a finished episode at slot {batch.slot}")
     if not 0 <= actions.min() <= actions.max() < config.n_actions:
@@ -549,7 +534,6 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
     outside = radius > config.flight_limit
     if outside.any():
         pos[outside] *= (config.flight_limit / radius[outside])[:, None]
-    moved = np.hypot(delta[..., 0], delta[..., 1])
     fix = pos - target
     corrections = np.hypot(fix[..., 0], fix[..., 1])
     clipped = corrections > 1e-12
@@ -569,7 +553,6 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
     open_dist = np.where(lbd_dist <= config.charge_radius, lbd_dist, np.inf)
     charging = np.full((B, n), -1, dtype=np.int64)
     charge_gain = np.zeros((B, n))
-    charges = []                                  # (episode, uav, gain) in order
     for _ in range(min(n, n_lbds)):
         flat = open_dist.reshape(B, -1)
         best = flat.argmin(axis=1)
@@ -584,9 +567,7 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
             beam_height = config.altitude - float(lbds[k][2])
             power = laser_power_received(config.laser, float(lbd_dist[b, j, k]),
                                          beam_height)
-            gain = power * config.slot_dt
-            charge_gain[b, j] = gain
-            charges.append((b, j, gain))
+            charge_gain[b, j] = power * config.slot_dt
 
     # 4. Propulsion drain and the energy update.
     drain = np.where(actions == 8,
@@ -627,8 +608,9 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
 
     nxt = WorldBatch(t, lbds, pos, energy, ~died, charging, batch.iot_pos,
                      gen_time, has_data, recorded_aoi, iot_energy, peak_recorded,
-                     batch.collects + hit, batch.clips + clipped,
-                     batch.collisions + collide_counts, batch.record_events)
+                     batch.collections + hit.sum(axis=1),
+                     batch.collisions + close.sum(axis=(1, 2)),
+                     batch.clips + clipped.sum(axis=1))
 
     # 6/7. Rewards, as `_reward` computes them.
     oldest = np.where(has_data, gen_time, t).min(axis=1)
@@ -642,63 +624,22 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
     r_p = np.where(died, r_p - rw.death_penalty, r_p)
     r_s = collect_counts.astype(float)
     total = rw.alpha_a * r_a[:, None] + rw.beta_p * r_p + rw.gamma_s * r_s
-    if batch.record_events:
-        nxt.events = _batch_events(t, moved, corrections, close, gap, charges,
-                                   drain, died, hit, collector)
     return (nxt, BatchRewards(r_a, r_p, r_s, total),
             died.any(axis=1) | (t >= config.horizon))
 
 
-def _step_one(batch: WorldBatch, joint_action: list[int], config: ScenarioConfig
-              ) -> tuple[WorldBatch, BatchRewards, np.ndarray]:
-    """`step_batch` on a batch of one episode, through `step`."""
-    state, rewards, done = step(batch.row(0), joint_action, config)
-    nxt = WorldBatch.repeat(state, 1, batch.record_events)
-    nxt.collects, nxt.clips, nxt.collisions = (
-        batch.collects.copy(), batch.clips.copy(), batch.collisions.copy())
-    count_of = {"collect": nxt.collects, "clip": nxt.clips,
-                "collide": nxt.collisions}
-    for e in state.events:
-        if e.event in count_of:
-            count_of[e.event][0, e.entity_id] += 1
-    if batch.record_events:
-        nxt.events = [state.events]
-    return (nxt, BatchRewards(np.array([rewards[0].r_a]),
-                              np.array([[r.r_p for r in rewards]]),
-                              np.array([[r.r_s for r in rewards]]),
-                              np.array([[r.total for r in rewards]])),
-            np.array([done]))
-
-
-def _batch_events(t, moved, corrections, close, gap, charges, drain, died, hit,
-                  collector) -> list[list[Event]]:
-    """Each episode's events of one `step_batch` slot, in `step`'s order."""
-    B, n = moved.shape
-    per_charge: list[list] = [[] for _ in range(B)]
-    for b, j, gain in charges:
-        per_charge[b].append(Event(t, "uav", j, "charge", gain))
-    out = []
-    for b, (mv, fix, gaps, drains, dead) in enumerate(zip(
-            moved.tolist(), corrections.tolist(), gap.tolist(), drain.tolist(),
-            died.tolist())):
-        events = []
-        for j in range(n):
-            if mv[j] > 0.0:
-                events.append(Event(t, "uav", j, "move", mv[j]))
-            if fix[j] > 1e-12:
-                events.append(Event(t, "uav", j, "clip", fix[j]))
-        for j, k in np.argwhere(close[b]).tolist():
-            events.append(Event(t, "uav", j, "collide", gaps[j][k]))
-            events.append(Event(t, "uav", k, "collide", gaps[j][k]))
-        events.extend(per_charge[b])
-        for j in range(n):
-            events.append(Event(t, "uav", j, "drain", drains[j]))
-            if dead[j]:
-                events.append(Event(t, "uav", j, "die", float(t)))
-        for i in np.flatnonzero(hit[b]).tolist():
-            events.append(Event(t, "iot", i, "collect", float(collector[b, i])))
-        out.append(events)
-    return out
+def _step_rows(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
+               ) -> tuple[WorldBatch, BatchRewards, np.ndarray]:
+    """`step_batch` through `step`, one episode at a time."""
+    states, rewards, done = zip(*(
+        step(batch.row(b), joint, config)
+        for b, joint in enumerate(actions.tolist())))
+    return (WorldBatch.of(states, batch.record_events),
+            BatchRewards(np.array([r[0].r_a for r in rewards]),
+                         np.array([[x.r_p for x in r] for r in rewards]),
+                         np.array([[x.r_s for x in r] for r in rewards]),
+                         np.array([[x.total for x in r] for r in rewards])),
+            np.array(done))
 
 
 # ---------------------------------------------------------------------------
@@ -771,30 +712,18 @@ def global_state_vector(state: WorldState | WorldBatch,
 # Episode counts and event serialization
 # ---------------------------------------------------------------------------
 
-def episode_counts(log: EpisodeLog) -> EpisodeCounts:
-    """Count a completed episode in one pass over its events.
-
-    A collision is logged once for each UAV of the pair, so the pair count
-    is half the ``collide`` events; a ``collect`` event names the IoT.
-    """
-    if log.final_state is None:
-        raise ValueError("episode log has no final state")
-    config = log.config
-    tally = dict.fromkeys(EVENT_KINDS, 0)
-    collected = set()
-    for e in log.events:
-        tally[e.event] += 1
-        if e.event == "collect":
-            collected.add(e.entity_id)
+def episode_counts(state: WorldState, config: ScenarioConfig) -> EpisodeCounts:
+    """The counts of the episode that ended in ``state``, from its tallies
+    and final columns.  Every collection records an age of at least 1, so an
+    IoT with recorded age 0 was never collected; a death ends the episode,
+    so its dead UAVs are its deaths."""
     return EpisodeCounts(
-        collections=tally["collect"],
-        uncollected=config.n_iots - len(collected),
-        low_energy_iots=int(np.count_nonzero(
-            log.final_state.iot_energy < config.e_iot_floor)),
-        deaths=tally["die"],
-        collisions=tally["collide"] // 2,
-        clips=tally["clip"],
-    )
+        collections=state.collections,
+        uncollected=int(np.count_nonzero(state.recorded_aoi == 0)),
+        low_energy_iots=int(np.count_nonzero(state.iot_energy < config.e_iot_floor)),
+        deaths=int(np.count_nonzero(~state.uav_alive)),
+        collisions=state.collisions,
+        clips=state.clips)
 
 
 EVENT_CSV_HEADER = "slot,entity_kind,entity_id,event,value"
@@ -809,7 +738,8 @@ def events_to_csv(events: list[Event]) -> str:
 
 def states_equal(a: WorldState, b: WorldState) -> bool:
     """Bitwise equality of two world states (for determinism checks)."""
-    if a.slot != b.slot or a.peak_recorded_aoi != b.peak_recorded_aoi:
+    if (a.slot, a.peak_recorded_aoi, a.collections, a.collisions, a.clips) != (
+            b.slot, b.peak_recorded_aoi, b.collections, b.collisions, b.clips):
         return False
     return (np.array_equal(a.lbds, b.lbds)
             and np.array_equal(a.uav_pos, b.uav_pos)

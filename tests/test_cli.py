@@ -131,6 +131,43 @@ def test_out_of_range_number_exit_2_names_it(argv, run_section, flag, mini_cfg,
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["eval", "--policy", "greedy", "--config", "{dir}"], "dir",
+                 id="config-dir"),
+    pytest.param(["oracle", "--instance", "{dir}"], "dir", id="instance-dir"),
+    pytest.param(["eval", "--config", "{cfg}", "--checkpoint", "{dir}"], "dir",
+                 id="checkpoint-dir"),
+    pytest.param(["eval", "--policy", "greedy", "--config", "{layout_dir}"],
+                 "dir", id="layout-dir"),
+    pytest.param(["eval", "--policy", "greedy", "--config", "{bytes}"], "bytes",
+                 id="config-bytes"),
+    pytest.param(["oracle", "--instance", "{bytes}"], "bytes",
+                 id="instance-bytes"),
+    pytest.param(["eval", "--policy", "greedy", "--config", "{layout_bytes}"],
+                 "bytes", id="layout-bytes"),
+    pytest.param(["eval", "--policy", "greedy", "--episodes", "1", "--config",
+                  "{cfg}", "--out", "{file}"], "file", id="eval-out-file"),
+    pytest.param(["sweep", "--param", "n_iots", "--values", "4", "--episodes",
+                  "1", "--config", "{cfg}", "--out", "{file}"], "file",
+                 id="sweep-out-file"),
+])
+def test_unusable_path_exit_2_names_it(argv, named, mini_cfg, tmp_path, capsys):
+    # A directory where a file is read, a byte that is not UTF-8 in a text
+    # input, and an output directory that is an existing file.
+    paths = {"cfg": mini_cfg, "dir": tmp_path / "a_dir",
+             "bytes": tmp_path / "latin1.txt", "file": tmp_path / "a_file"}
+    paths["dir"].mkdir()
+    paths["bytes"].write_bytes(b"# caf\xe9\nIOT 0 10\n")
+    paths["file"].write_text("")
+    for key, target in (("layout_dir", "dir"), ("layout_bytes", "bytes")):
+        paths[key] = tmp_path / f"{key}.cfg"
+        paths[key].write_text(mini_cfg.read_text().replace(
+            "layout_file = \n", f"layout_file = {paths[target]}\n"))
+    argv = [arg.format(**paths) for arg in argv]
+    assert cli.main(argv) == 2
+    assert str(paths[named]) in capsys.readouterr().err
+
+
 class TestEval:
     def test_random_policy_deterministic_output(self, mini_cfg, capsys):
         args = ["eval", "--config", str(mini_cfg), "--policy", "random",

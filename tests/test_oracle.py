@@ -46,6 +46,15 @@ class TestHandTracedOptima:
         assert result.optimum == 3
         assert replay_verify(inst, result.witness) == 3
 
+    @pytest.mark.parametrize("name, optimum, witness, expanded", [
+        ("adjacent_iot.txt", 1, "N,N,N", 1),
+        ("two_iot_symmetric.txt", 3, "N,S,S,N", 238),
+    ])
+    def test_bundled_solves_pinned(self, name, optimum, witness, expanded):
+        result = exact_min_peak_aoi(bundled(name))
+        assert (result.optimum, result.witness_text(),
+                result.states_expanded) == (optimum, witness, expanded)
+
     def test_solve_leaves_no_reference_cycles(self):
         # The memo must be freed when the solve returns, not whenever the
         # cycle collector next runs.

@@ -9,7 +9,6 @@ from aoi_uav.physics import (
     LaserParams,
     PhysicsDomainError,
     PropulsionParams,
-    hover_power,
     laser_power_received,
     los_probability,
     optimal_speed,
@@ -88,7 +87,6 @@ class TestPropulsionPower:
     def test_hover_is_exact_sum(self):
         p0 = propulsion_power(PR, 0.0)
         assert p0 == PR.blade_power_w + PR.induced_power_w
-        assert p0 == hover_power(PR)
 
     def test_at_five_matches_hand_derivation(self):
         p5 = propulsion_power(PR, 5.0)

@@ -60,14 +60,22 @@ def stable(row):
     return row.csv_row().rsplit(",", 1)[0]  # drop wall_ms
 
 
-def sampled_episode_log(scen, bundle, seed, idx):
-    """Episode ``idx`` of a sampling LearnedPolicy, as `rollout_policy`
-    plays it, with its event log."""
+def play_episode(scen, choose):
+    """One episode from reset through `world.step`, ``choose(state)`` giving
+    each joint action; returns the final state and every event."""
+    state, events, done = world.reset(scen, scen.rng_seed), [], False
+    while not done:
+        state, _, done = world.step(state, choose(state), scen)
+        events.extend(state.events)
+    return state, events
+
+
+def sampled_episode_events(scen, bundle, seed, idx):
+    """The events of episode ``idx`` of a sampling LearnedPolicy, played as
+    `rollout_policy` plays it."""
     policy = make_policy("learned", scen, bundle)
     rng = np.random.default_rng([seed, idx])
-    _, log = trainer.run_episode(
-        scen, lambda state: policy.joint_action(state, rng, False), idx)
-    return log
+    return play_episode(scen, lambda state: policy.joint_action(state, rng, False))[1]
 
 
 def brute_force_gae(rewards, values, gamma, lam):
@@ -211,12 +219,12 @@ class TestRolloutCollection:
                                 first_episode_idx=5, with_events=True)
         rows = rollout_policy(scen, make_policy("learned", scen, bundle),
                               3, seed=13, greedy=False, first_episode_idx=5)
-        logs = [sampled_episode_log(scen, bundle, 13, i) for i in (5, 6, 7)]
+        logs = [sampled_episode_events(scen, bundle, 13, i) for i in (5, 6, 7)]
 
         assert ([stable(ep.metrics) for ep in batch.episodes]
                 == [stable(row) for row in rows])
         assert ([world.events_to_csv(ep.events) for ep in batch.episodes]
-                == [world.events_to_csv(log.events) for log in logs])
+                == [world.events_to_csv(events) for events in logs])
 
     @pytest.mark.parametrize("algo", ["mappo_lstm", "mappo_ff"])
     def test_lock_step_collection_matches_each_episode_alone(self, algo):
@@ -282,16 +290,13 @@ class TestRolloutCollection:
         rng = np.random.default_rng(0)
         for idx in range(2):
             joint.begin_episode()
-            _, log = trainer.run_episode(
-                scen, lambda state: joint.joint_action(state, rng, True), idx)
+            _, by_joint = play_episode(
+                scen, lambda state: joint.joint_action(state, rng, True))
             policy.begin_episode()
-            state, events, done = world.reset(scen, scen.rng_seed), [], False
-            while not done:
-                actions = [policy.act(state, j, rng, True)
-                           for j in range(scen.n_uavs)]
-                state, _, done = world.step(state, actions, scen)
-                events.extend(state.events)
-            assert world.events_to_csv(events) == world.events_to_csv(log.events)
+            _, by_agent = play_episode(
+                scen, lambda state: [policy.act(state, j, rng, True)
+                                     for j in range(scen.n_uavs)])
+            assert world.events_to_csv(by_agent) == world.events_to_csv(by_joint)
 
     def test_padded_batch_replay_matches_per_episode_replay(self):
         # A UAV death ends an episode early, so the batch replay pads the
@@ -577,9 +582,9 @@ class TestBaselinesAndEvaluate:
         counts = []
         for idx in range(3):
             rng = np.random.default_rng([2, idx])
-            _, log = trainer.run_episode(
-                scen, lambda state: policy.joint_action(state, rng, True), idx)
-            counts.append(world.episode_counts(log))
+            final, _ = play_episode(
+                scen, lambda state: policy.joint_action(state, rng, True))
+            counts.append(world.episode_counts(final, scen))
         assert [r.counts for r in rows] == counts
         report = evaluate(scen, make_policy("random", scen), episodes=3, seed=2)
         block = report.human_text().splitlines()[-5:]

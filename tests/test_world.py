@@ -3,6 +3,7 @@
 import copy
 import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -10,9 +11,9 @@ import pytest
 
 from aoi_uav import world
 from aoi_uav.config import ConfigError, RewardParams, ScenarioConfig, tiny_scenario
-from aoi_uav.physics import LaserParams, hover_power, propulsion_power
+from aoi_uav.physics import LaserParams, propulsion_power
 from aoi_uav.world import (
-    EpisodeLog,
+    EpisodeCounts,
     EpisodeOver,
     RewardBreakdown,
     WorldBatch,
@@ -428,33 +429,49 @@ class TestIotColumns:
         assert states_equal(state, snapshot)
 
 
+def play(state, joint, cfg):
+    """Step ``state`` to the end of its episode, ``joint`` every slot;
+    returns the final state and every event."""
+    events, done = [], False
+    while not done:
+        state, _, done = step(state, joint(), cfg)
+        events.extend(state.events)
+    return state, events
+
+
+def tally_events(events, final, cfg):
+    """An episode's counts from a scan of its `step` events: the reference
+    that `episode_counts` must equal.  A collision is logged once for each
+    UAV of the pair; a ``collect`` event names the IoT."""
+    kinds = Counter(e.event for e in events)
+    collected = {e.entity_id for e in events if e.event == "collect"}
+    return EpisodeCounts(
+        collections=kinds["collect"],
+        uncollected=cfg.n_iots - len(collected),
+        low_energy_iots=int(np.count_nonzero(final.iot_energy < cfg.e_iot_floor)),
+        deaths=kinds["die"],
+        collisions=kinds["collide"] // 2,
+        clips=kinds["clip"])
+
+
 class TestDeterminismAndLog:
     def run_episode(self, cfg, seed):
-        state = reset(cfg, seed=seed)
         rng = np.random.default_rng(seed)
-        log = EpisodeLog(config=cfg)
-        done = False
-        while not done:
-            state, _, done = step(
-                state, list(rng.integers(0, cfg.n_actions, cfg.n_uavs)), cfg)
-            log.absorb(state)
-        return log
+        return play(reset(cfg, seed=seed),
+                    lambda: list(rng.integers(0, cfg.n_actions, cfg.n_uavs)), cfg)
 
     def test_identical_runs_bit_identical(self):
         cfg = replace(tiny_scenario(), horizon=30)
-        log_a = self.run_episode(cfg, 11)
-        log_b = self.run_episode(cfg, 11)
-        assert states_equal(log_a.final_state, log_b.final_state)
-        assert events_to_csv(log_a.events) == events_to_csv(log_b.events)
+        final_a, events_a = self.run_episode(cfg, 11)
+        final_b, events_b = self.run_episode(cfg, 11)
+        assert states_equal(final_a, final_b)
+        assert events_to_csv(events_a) == events_to_csv(events_b)
 
     def test_constraint_report_clean_episode(self):
         cfg, state = open_field(iot_at=((1.0, 10.0),), horizon=3)
-        log = EpisodeLog(config=cfg)
-        done = False
-        while not done:
-            state, _, done = step(state, [0], cfg)
-            log.absorb(state)
-        counts = episode_counts(log)
+        final, events = play(state, lambda: [0], cfg)
+        counts = episode_counts(final, cfg)
+        assert counts == tally_events(events, final, cfg)
         assert counts.uncollected == 0
         assert counts.collisions == 0
         assert counts.clips == 0
@@ -464,23 +481,17 @@ class TestDeterminismAndLog:
         cfg, state = open_field(n_uavs=2, include_hover_action=True, horizon=2)
         state.uav_pos[0] = np.array([100.0, 0.0])
         state.uav_pos[1] = np.array([105.0, 0.0])
-        log = EpisodeLog(config=cfg)
-        done = False
-        while not done:
-            state, _, done = step(state, [8, 8], cfg)
-            log.absorb(state)
-        counts = episode_counts(log)
+        final, events = play(state, lambda: [8, 8], cfg)
+        counts = episode_counts(final, cfg)
+        assert counts == tally_events(events, final, cfg)
         assert counts.collisions >= 1
 
     def test_constraint_report_boundary(self):
         cfg, state = open_field(horizon=40)
         state.uav_pos[0] = np.array([480.0, 0.0])
-        log = EpisodeLog(config=cfg)
-        done = False
-        while not done:
-            state, _, done = step(state, [2], cfg)  # push east into the wall
-            log.absorb(state)
-        counts = episode_counts(log)
+        final, events = play(state, lambda: [2], cfg)  # push east into the wall
+        counts = episode_counts(final, cfg)
+        assert counts == tally_events(events, final, cfg)
         assert counts.clips > 0
 
     def test_event_csv_format(self):
@@ -654,31 +665,36 @@ class TestGoldenMultiUavStep:
         assert state.peak_recorded_aoi == 1
 
 
-def lock_step_against_step(cfg, episodes, seed, layout=None):
+def lock_step_against_step(cfg, episodes, seed, layout=None,
+                           record_events=False):
     """Play ``episodes`` random episodes with `step_batch` and each one alone
-    with `step`, asserting that every row equals its episode bit for bit;
-    a finished episode leaves the batch.  Returns each episode's events."""
+    with `step`, asserting that every row equals its episode bit for bit:
+    state, tallies, rewards, done and, in a batch that records them, events.
+    A finished episode leaves the batch, and its `episode_counts` must equal
+    the tally of its `step` events.  Returns each episode's `step` events."""
     start = reset(cfg, seed=1, layout=layout)
     rng = np.random.default_rng(seed)
     states = [start] * episodes
     logs = [[] for _ in range(episodes)]
-    batch = WorldBatch.repeat(start, episodes, record_events=True)
+    batch = WorldBatch.of([start] * episodes, record_events)
     live = list(range(episodes))
     while live:
         actions = rng.integers(0, cfg.n_actions, (len(live), cfg.n_uavs))
         batch, rewards, done = step_batch(batch, actions, cfg)
+        assert (batch.events == []) != record_events
         for k, e in enumerate(live):
             states[e], expected, ended = step(states[e], actions[k].tolist(), cfg)
             logs[e].extend(states[e].events)
-            assert states_equal(batch.row(k), states[e])
+            alone = states[e] if record_events else replace(states[e], events=[])
+            assert states_equal(batch.row(k), alone)
             got = [RewardBreakdown(float(rewards.r_a[k]), *row) for row in zip(
                 rewards.r_p[k].tolist(), rewards.r_s[k].tolist(),
                 rewards.total[k].tolist())]
             assert [repr(r) for r in got] == [repr(r) for r in expected]
             assert bool(done[k]) == ended
             if ended:
-                assert batch.episode_counts(k, cfg) == episode_counts(
-                    EpisodeLog(cfg, logs[e], states[e]))
+                assert episode_counts(batch.row(k), cfg) == tally_events(
+                    logs[e], states[e], cfg)
         batch = batch.take(~done)
         live = [e for e, ended in zip(live, done.tolist()) if not ended]
     return logs
@@ -728,6 +744,24 @@ class TestStepBatch:
         assert len(ends) > 2 and max(ends) < cfg.horizon
         assert all(any(e.event == "die" for e in events) for events in logs)
 
+    @pytest.mark.parametrize("cfg, episodes, layout, kinds, ends", [
+        pytest.param(tiny_scenario(), 4, None, {"clip", "collect"}, 1, id="tiny"),
+        pytest.param(tiny_scenario(), 1, None, {"collect"}, 1,
+                     id="tiny-one-episode"),
+        pytest.param(TestGoldenMultiUavStep.CFG, 6, TestGoldenMultiUavStep.LAYOUT,
+                     {"collide", "charge", "clip", "die"}, 1, id="crowded"),
+        pytest.param(replace(tiny_scenario(), n_uavs=3, e_init_frac=0.03), 6,
+                     None, {"die"}, 3, id="ragged-deaths"),
+    ])
+    def test_recording_batch_events_equal_step_events(self, cfg, episodes,
+                                                      layout, kinds, ends):
+        # Row by row, the recorded events are each episode's `step` events,
+        # also as episodes die and leave the batch at different slots.
+        logs = lock_step_against_step(cfg, episodes, seed=6, layout=layout,
+                                      record_events=True)
+        assert kinds | {"move", "drain"} <= event_kinds(logs)
+        assert len({events[-1].slot for events in logs}) >= ends
+
     def test_counts_do_not_depend_on_recording_events(self):
         cfg = replace(tiny_scenario(), horizon=30)
         start = reset(cfg, seed=1)
@@ -735,16 +769,16 @@ class TestStepBatch:
                                                     (30, 3, cfg.n_uavs))
         counts = []
         for record in (False, True):
-            batch = WorldBatch.repeat(start, 3, record_events=record)
+            batch = WorldBatch.of([start] * 3, record)
             for joint in actions:
                 batch, _, _ = step_batch(batch, joint, cfg)
             assert (batch.events == []) != record
-            counts.append([batch.episode_counts(b, cfg) for b in range(3)])
+            counts.append([episode_counts(batch.row(b), cfg) for b in range(3)])
         assert counts[0] == counts[1]
 
     def test_world_step_takes_a_batch(self):
         cfg = tiny_scenario()
-        batch = WorldBatch.repeat(reset(cfg, seed=1), 2)
+        batch = WorldBatch.of([reset(cfg, seed=1)] * 2)
         joint = np.array([[0, 1], [2, 3]])
         by_step, by_batch = step(batch, joint, cfg), step_batch(batch, joint, cfg)
         assert states_equal(by_step[0].row(1), by_batch[0].row(1))
@@ -752,7 +786,7 @@ class TestStepBatch:
 
     def test_invalid_calls_rejected(self):
         cfg = replace(tiny_scenario(), horizon=1)
-        batch = WorldBatch.repeat(reset(cfg, seed=1), 2)
+        batch = WorldBatch.of([reset(cfg, seed=1)] * 2)
         with pytest.raises(ValueError, match="shape"):
             step_batch(batch, np.zeros((2, 3), dtype=int), cfg)
         with pytest.raises(ValueError, match="action index"):
@@ -767,7 +801,7 @@ class TestStepBatch:
         start = reset(cfg, seed=1)
         rng = np.random.default_rng(8)
         states = [start] * 3
-        batch = WorldBatch.repeat(start, 3)
+        batch = WorldBatch.of([start] * 3)
         for _ in range(20):
             actions = rng.integers(0, cfg.n_actions, (3, cfg.n_uavs))
             batch, _, _ = step_batch(batch, actions, cfg)
