@@ -37,16 +37,18 @@ EXIT_ORACLE_GUARD = 5
 
 
 def _resolve_input(path: str, kind: str) -> str:
-    """Return a readable path, falling back to the bundled presets/instances."""
+    """Return ``path`` if it exists.  A bare name that does not (``tiny``,
+    ``tiny.cfg``) names a bundled preset or instance; any other missing path
+    is a `ConfigError` naming it."""
     if os.path.exists(path):
         return path
-    base = Path(path).name
-    candidates = [base] if base.endswith((".cfg", ".txt")) else [
-        base + ".cfg", base + ".txt"]
-    for name in candidates:
-        ref = resources.files("aoi_uav").joinpath(kind, name)
-        if ref.is_file():
-            return str(ref)
+    if Path(path).name == path:
+        candidates = [path] if path.endswith((".cfg", ".txt")) else [
+            path + ".cfg", path + ".txt"]
+        for name in candidates:
+            ref = resources.files("aoi_uav").joinpath(kind, name)
+            if ref.is_file():
+                return str(ref)
     raise ConfigError(f"cannot read {kind[:-1]} file {path}")
 
 

@@ -1,12 +1,16 @@
 """Exhaustive minimum-peak-AoI search on tiny instances.
 
-Depth-first enumeration of joint action sequences through the real
-environment step, memoized on (slot, quantized positions, pending mask,
-quantized energies).  Data is one-shot here, so an episode's peak AoI is
-exactly the largest of each IoT's collection slot (or the horizon for IoTs
-never collected), which gives the search optimal substructure; a step
-collected when the running collection tally grew.  This is a correctness
-anchor, not a solver: no bounding tricks, hard branching guard.
+A level-synchronous search through the real environment step: slot t's
+frontier of distinct states is stepped under every joint action as the rows
+of `WorldBatch` chunks, one `world.step` call per chunk, which builds no
+events.  States are merged on (slot, quantized positions, pending mask,
+quantized energies), keeping the first seen.  Data is one-shot here, so an
+episode's peak AoI is exactly the largest of each IoT's collection slot (or
+the horizon for IoTs never collected), which gives the search optimal
+substructure: a backward pass over the levels scores each state by its
+best joint action, the first in `product` order on ties.  A step collected
+when the running collection tally grew.  This is a correctness anchor, not
+a solver: no bounding tricks, hard branching guard.
 """
 
 from __future__ import annotations
@@ -14,18 +18,25 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import product
 
+import numpy as np
+
 from . import config_io, world
 from .config import ConfigError, ScenarioConfig, read_text
-from .world import ACTION_NAMES, WorldState
+from .world import ACTION_NAMES, WorldBatch, WorldState
 
 MAX_JOINT_BRANCHING = 10 ** 8
 MAX_UAVS = 2
 MAX_IOTS = 4
 MAX_HORIZON = 8
 
-# Energy memo resolution (J).  Per-slot drain is tens of joules, so at <= 8
+# Energy merge resolution (J).  Per-slot drain is tens of joules, so at <= 8
 # slots two states whose energies agree to 0.1 J cannot diverge in liveness.
 ENERGY_QUANTUM = 0.1
+
+# Rows per `world.step` call in the search.  A chunk holds whole nodes, every
+# joint action of each, so it is never a batch of one, which `step_batch`
+# would step through `step` and its events.
+MAX_CHUNK_ROWS = 1024
 
 
 class OracleGuardExceeded(ValueError):
@@ -138,44 +149,67 @@ def witness_from_text(text: str, n_uavs: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _memo_key(state: WorldState) -> tuple:
-    pos = tuple(round(x, 6) for x in state.uav_pos.ravel().tolist())
-    mask = state.has_data.tobytes()
-    energy = tuple(round(e / ENERGY_QUANTUM) for e in state.uav_energy.tolist())
-    return (state.slot, pos, mask, energy)
+def _keys(batch: WorldBatch) -> list[bytes]:
+    """The key on which the search merges states, one per episode:
+    positions to 1e-6 m (``+ 0.0`` merges -0.0 with 0.0), energies in quanta
+    and the pending mask.  Every episode of a level is at the level's slot,
+    so the slot is left out."""
+    n = len(batch.uav_energy)
+    cols = np.concatenate([np.round(batch.uav_pos, 6).reshape(n, -1) + 0.0,
+                           np.rint(batch.uav_energy / ENERGY_QUANTUM),
+                           batch.has_data], axis=1)
+    return cols.view(np.dtype((np.void, cols.shape[1] * cols.itemsize))).ravel().tolist()
 
 
-def _search(state: WorldState, cfg: ScenarioConfig, joint_actions: list,
-            memo: dict[tuple, tuple[int, tuple[int, ...] | None]]) -> int:
-    """Best achievable peak AoI from ``state``; records each expanded
-    state's (value, best joint action) in ``memo``.
+def _expand(frontier: WorldBatch, joints: np.ndarray, cfg: ScenarioConfig
+            ) -> tuple[np.ndarray, np.ndarray, WorldBatch | None]:
+    """Step every node of ``frontier`` under every joint action, at most
+    `MAX_CHUNK_ROWS` rows per `world.step` call.
 
-    A module-level function rather than a closure: a nested function that
-    calls itself is a reference cycle, which would keep every solve's memo
-    alive until the cycle collector happened to run.
+    Returns (floor, child, next level), floor and child (nodes, joints).
+    The value of joint j at node b is the larger of ``floor[b, j]`` and the
+    value of next-level node ``child[b, j]``; a child of -1 adds nothing.
+    The next level holds the distinct live children in first-occurrence
+    order, or is None if there are none.
     """
-    if not state.has_data.any():
-        return 0
-    if world.is_done(state, cfg):
-        return cfg.horizon
-    key = _memo_key(state)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit[0]
-    best_val, best_joint = cfg.horizon + 1, None
-    for joint in joint_actions:
-        nxt, _, _ = world.step(state, list(joint), cfg)
-        collected = nxt.collections > state.collections
-        val = max(nxt.slot if collected else 0,
-                  _search(nxt, cfg, joint_actions, memo))
-        if val < best_val:
-            best_val, best_joint = val, joint
-            # A node with pending data can never score below slot+1, so
-            # hitting that is already optimal here.
-            if best_val == state.slot + 1:
-                break
-    memo[key] = (best_val, best_joint)
-    return best_val
+    horizon = cfg.horizon
+    t = frontier.slot + 1
+    n_nodes, n_joints = len(frontier.uav_energy), len(joints)
+    per_chunk = max(1, MAX_CHUNK_ROWS // n_joints)
+    floor = np.empty((n_nodes, n_joints), np.int32)
+    child = np.empty((n_nodes, n_joints), np.int32)
+    seen: dict[bytes, int] = {}
+    parts = []
+    for lo in range(0, n_nodes, per_chunk):
+        nodes = np.arange(lo, min(lo + per_chunk, n_nodes))
+        rows = frontier.take(np.repeat(nodes, n_joints))
+        nxt, _, _ = world.step(rows, np.tile(joints, (len(nodes), 1)), cfg)
+        shape = (len(nodes), n_joints)
+        collected = (nxt.collections > rows.collections).reshape(shape)
+        pending = nxt.has_data.any(axis=1).reshape(shape)
+        live = pending & nxt.uav_alive.all(axis=1).reshape(shape)
+        # A child with nothing pending scores its collection slot t; a
+        # pending child that lost a UAV scores the horizon.  (A stepped
+        # level is before slot horizon - 1, so no child reaches the horizon.)
+        block = np.where(collected, t, 0)
+        block[pending & ~live] = horizon
+        # A child that collects the last pending IoT scores t, the least any
+        # joint can, so its node needs no other child.
+        solved = ~pending.all(axis=1)
+        block[solved] = np.where(pending[solved], horizon + 1, t)
+        floor[nodes] = block
+        keys = _keys(nxt)
+        links = np.full(len(keys), -1, np.int32)
+        fresh = []
+        for r in np.flatnonzero(live & ~solved[:, None]).tolist():
+            n_seen = len(seen)
+            links[r] = seen.setdefault(keys[r], n_seen)
+            if len(seen) > n_seen:
+                fresh.append(r)
+        child[nodes] = links.reshape(shape)
+        if fresh:
+            parts.append(nxt.take(fresh))
+    return floor, child, (WorldBatch.join(parts) if parts else None)
 
 
 def exact_min_peak_aoi(instance: TinyInstance) -> OracleResult:
@@ -183,29 +217,46 @@ def exact_min_peak_aoi(instance: TinyInstance) -> OracleResult:
     instance.validate()
     cfg = instance.config
     horizon = cfg.horizon
-    joint_actions = list(product(range(cfg.n_actions), repeat=cfg.n_uavs))
-    memo: dict[tuple, tuple[int, tuple[int, ...] | None]] = {}
+    joints = np.array(list(product(range(cfg.n_actions), repeat=cfg.n_uavs)))
 
-    start = instance.initial_state()
-    optimum = _search(start, cfg, joint_actions, memo)
+    # Forward: one level per slot, until no live state is left.  A node at
+    # slot horizon - 1 scores the horizon whatever it does, so that level is
+    # not stepped and its nodes take joint 0.
+    levels = []
+    frontier = WorldBatch.of([instance.initial_state()])
+    expanded = 0
+    while frontier is not None:
+        expanded += len(frontier.uav_energy)
+        if frontier.slot == horizon - 1:
+            break
+        floor, child, frontier = _expand(frontier, joints, cfg)
+        levels.append((floor, child))
+    value = np.full(0 if frontier is None else len(frontier.uav_energy), horizon,
+                    np.int32)
 
-    witness: list[tuple[int, ...]] = []
-    state = start
+    # Backward: each node takes its first joint of least value.
+    choices = [(np.zeros(len(value), np.intp), np.full(len(value), -1, np.int32))]
+    for floor, child in reversed(levels):
+        score = np.maximum(floor, np.append(value, np.int32(0))[child])
+        best = score.argmin(axis=1)
+        rows = np.arange(len(best))
+        value = score[rows, best]
+        choices.append((best, child[rows, best]))
+    choices.reverse()
+
+    # The witness follows the chosen children from the root and idles once
+    # the episode has ended or nothing is pending.
     idle = tuple(0 for _ in range(cfg.n_uavs))
-    while len(witness) < horizon:
-        if not state.has_data.any() or world.is_done(state, cfg):
-            witness.append(idle)
-            if not world.is_done(state, cfg):
-                state, _, _ = world.step(state, list(idle), cfg)
-            continue
-        entry = memo.get(_memo_key(state))
-        joint = entry[1] if entry and entry[1] is not None else idle
-        witness.append(joint)
-        state, _, _ = world.step(state, list(joint), cfg)
-    # Every expanded state is memoized exactly once: its descendants lie at
-    # later slots, so none can reach it before its entry is written.
-    return OracleResult(optimum=optimum, witness=witness,
-                        states_expanded=len(memo))
+    witness: list[tuple[int, ...]] = []
+    node = 0
+    for best, nxt in choices:
+        witness.append(tuple(joints[best[node]].tolist()))
+        node = int(nxt[node])
+        if node < 0:
+            break
+    witness += [idle] * (horizon - len(witness))
+    return OracleResult(optimum=int(value[0]), witness=witness,
+                        states_expanded=expanded)
 
 
 def replay_verify(instance: TinyInstance,

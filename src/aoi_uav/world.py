@@ -8,9 +8,10 @@ reward computation.  `observe` builds every agent's observation in one call.
 `step_batch` advances B episodes of one scenario in lock step, with
 `WorldState`'s columns given a leading episode axis (`WorldBatch`); each of
 its rows equals `step` on that episode bit for bit.  Training collection
-uses it; evaluation, the oracle and direct callers use `step`, the only
-builder of events.  Both keep running tallies, from which `episode_counts`
-reads an episode's constraint counts, so no caller scans events.
+and the oracle's frontier search use it; evaluation, witness replays and
+direct callers use `step`, the only builder of events.  Both keep running
+tallies, from which `episode_counts` reads an episode's constraint counts,
+so no caller scans events.
 Everything is deterministic given (config, seed, actions); randomness enters
 only through IoT placement at reset.
 """
@@ -461,8 +462,23 @@ class WorldBatch:
                    record_events,
                    [st.events for st in states] if record_events else [])
 
-    def take(self, keep: np.ndarray) -> "WorldBatch":
-        """The episodes where the mask ``keep`` is true."""
+    @classmethod
+    def join(cls, parts: list["WorldBatch"]) -> "WorldBatch":
+        """The episodes of ``parts``, all at one slot, as one batch in
+        order."""
+        def rows(name):
+            return np.concatenate([getattr(p, name) for p in parts])
+
+        first = parts[0]
+        return cls(first.slot, first.lbds, rows("uav_pos"), rows("uav_energy"),
+                   rows("uav_alive"), rows("charging_lbd"), first.iot_pos,
+                   rows("gen_time"), rows("has_data"), rows("recorded_aoi"),
+                   rows("iot_energy"), rows("peak_recorded_aoi"),
+                   rows("collections"), rows("collisions"), rows("clips"),
+                   first.record_events, [e for p in parts for e in p.events])
+
+    def take(self, keep: np.ndarray | list[int]) -> "WorldBatch":
+        """The episodes that ``keep`` selects: a mask, or indices in order."""
         return WorldBatch(self.slot, self.lbds, self.uav_pos[keep],
                           self.uav_energy[keep], self.uav_alive[keep],
                           self.charging_lbd[keep], self.iot_pos,
@@ -471,7 +487,8 @@ class WorldBatch:
                           self.peak_recorded_aoi[keep], self.collections[keep],
                           self.collisions[keep], self.clips[keep],
                           self.record_events,
-                          [e for e, k in zip(self.events, keep.tolist()) if k])
+                          [self.events[b] for b in np.arange(len(self.clips))[keep]]
+                          if self.record_events else [])
 
     def row(self, b: int) -> WorldState:
         """Episode ``b`` as a `WorldState` that shares the batch's columns;
@@ -508,6 +525,8 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
     and a batch that records events, steps row by row through `step`
     (`_step_rows`): `step` is faster on a single row even with the
     conversion to and from a batch, and it is the only builder of events.
+    Training collection steps its lock-step episodes here, and the oracle
+    steps each slot's frontier times every joint action, in chunks.
     """
     n = config.n_uavs
     actions = np.asarray(actions)

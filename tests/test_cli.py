@@ -252,6 +252,26 @@ class TestSweepTrainMode:
         assert len(lines) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["eval", "--policy", "greedy", "--episodes", "1",
+                  "--config", "{missing}/tiny.cfg"], id="config"),
+    pytest.param(["oracle", "--instance", "{missing}/two_iot_symmetric.txt"],
+                 id="instance"),
+])
+def test_missing_path_to_bundled_name_exit_2(argv, tmp_path, capsys):
+    # Only a bare name falls back to a bundled file; a path that does not
+    # exist is an error even when its file name is a bundled one.
+    argv = [arg.format(missing=tmp_path / "no_such_dir") for arg in argv]
+    assert cli.main(argv) == 2
+    assert argv[-1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["tiny", "tiny.cfg"])
+def test_bare_preset_name_resolves_to_bundled_file(name):
+    path = cli._resolve_input(name, "presets")
+    assert path.endswith("tiny.cfg") and path != name
+
+
 class TestOracleAndGradcheck:
     def test_bundled_instance_by_name(self, capsys):
         assert cli.main(["oracle", "--instance", "two_iot_symmetric"]) == 0

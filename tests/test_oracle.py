@@ -10,6 +10,7 @@ import pytest
 from aoi_uav import world
 from aoi_uav.config import ConfigError, ScenarioConfig
 from aoi_uav.oracle import (
+    MAX_CHUNK_ROWS,
     OracleGuardExceeded,
     exact_min_peak_aoi,
     load_instance,
@@ -30,6 +31,37 @@ def toy_config(**kw):
     base = dict(horizon=3, speed=10.0, comm_radius=5.0)
     base.update(kw)
     return replace(ScenarioConfig(), **base)
+
+
+def lattice_instance(horizon, iots):
+    """A layout of `bench/instances.py`: one UAV and one charging station at
+    the origin, IoTs on the 10 m lattice, no hover."""
+    cfg = replace(ScenarioConfig(), horizon=horizon, speed=10.0, slot_dt=1.0,
+                  comm_radius=5.0, include_hover_action=False)
+    return make_instance(cfg, iots, [(0.0, 0.0)], [(0.0, 0.0, 0.0)])
+
+
+# The four layouts of `bench/instances.FAMILY`, each under the identity, a
+# quarter turn, the reflection y -> -y and the reflection about y = x, with
+# the optimum and witness the earlier depth-first search found for them.
+LATTICE_PINS = [
+    (7, [(20, 10)], 2, "NE,E,N,N,N,N,N"),
+    (7, [(-10, 20)], 2, "N,NW,N,N,N,N,N"),
+    (7, [(20, -10)], 2, "E,SE,N,N,N,N,N"),
+    (7, [(10, 20)], 2, "N,NE,N,N,N,N,N"),
+    (7, [(10, 20), (-20, 0)], 5, "N,NE,SW,SW,W,N,N"),
+    (7, [(-20, 10), (0, -20)], 5, "W,NW,SE,SE,S,N,N"),
+    (7, [(10, -20), (-20, 0)], 5, "SE,S,W,NW,NW,N,N"),
+    (7, [(20, 10), (0, -20)], 5, "NE,E,S,SW,SW,N,N"),
+    (7, [(20, 10), (-10, -10), (0, 20)], 6, "SW,N,N,NE,E,SE,N"),
+    (7, [(-10, 20), (10, -10), (-20, 0)], 6, "SE,N,NW,NW,SW,SW,N"),
+    (7, [(20, -10), (-10, 10), (0, -20)], 6, "NW,E,SE,SE,SW,SW,N"),
+    (7, [(10, 20), (-10, -10), (20, 0)], 6, "SW,N,NE,NE,SE,SE,N"),
+    (8, [(20, 10), (-10, 20), (-20, -10), (10, -30)], 8, "N,N,N,N,N,N,N,N"),
+    (8, [(-10, 20), (-20, -10), (10, -20), (30, 10)], 8, "N,N,N,N,N,N,N,N"),
+    (8, [(20, -10), (-10, -20), (-20, 10), (10, 30)], 8, "N,N,N,N,N,N,N,N"),
+    (8, [(10, 20), (20, -10), (-10, -20), (-30, 10)], 8, "N,N,N,N,N,N,N,N"),
+]
 
 
 class TestHandTracedOptima:
@@ -55,8 +87,61 @@ class TestHandTracedOptima:
         assert (result.optimum, result.witness_text(),
                 result.states_expanded) == (optimum, witness, expanded)
 
+    @pytest.mark.parametrize("horizon, iots, optimum, witness", LATTICE_PINS)
+    def test_lattice_layouts_pinned(self, horizon, iots, optimum, witness):
+        inst = lattice_instance(horizon, [(float(x), float(y)) for x, y in iots])
+        result = exact_min_peak_aoi(inst)
+        assert (result.optimum, result.witness_text()) == (optimum, witness)
+        assert replay_verify(inst, result.witness) == optimum
+
+    def test_two_uav_split_needs_both_uavs(self):
+        # UAVs at (-10, 0) and (10, 0), IoTs at (0, 20) and (0, -20), 10 m
+        # hops, 5 m radius, horizon 4, nine actions (81 joints).
+        # Optimum 2: every IoT is 22.4 m from both UAVs, so no collection
+        # happens at slot 1.  To reach a source by slot 2 a UAV needs a hop
+        # and a diagonal hop toward it (N then NE ends 4.14 m from (0, 20)).
+        # The sources are 40 m apart, so one UAV cannot take both before the
+        # horizon, and both are taken at slot 2 only if one UAV flies north
+        # and the other south.
+        # Witness: the first joint, in product order (first UAV's action
+        # major), of least value.  At slot 0 that is N+S: after N the first
+        # UAV can only take the north source, and every N+b with b before S
+        # leaves the second UAV over 21 m from (0, -20), out of reach of one
+        # more hop.  From (-10, 10) and (10, -10) the only hops that collect
+        # at slot 2 are NE for the first UAV and SW for the second.  Nothing
+        # is pending after that, so the witness idles (joint 0 is N+N).
+        inst = bundled("two_uav_split.txt")
+        assert inst.config.n_actions ** inst.config.n_uavs == 81
+        result = exact_min_peak_aoi(inst)
+        assert (result.optimum, result.witness_text()) == (2, "N+S,NE+SW,N+N,N+N")
+        assert replay_verify(inst, result.witness) == 2
+
+    def test_search_steps_event_free_chunks(self, monkeypatch):
+        # Every `world.step` of a solve takes a batch that records no events,
+        # of at most MAX_CHUNK_ROWS rows, and no Event is ever built.
+        calls, events = [], []
+        real_step, real_event = world.step, world.Event
+
+        def step(state, actions, cfg):
+            calls.append((type(state), getattr(state, "record_events", None),
+                          len(actions)))
+            return real_step(state, actions, cfg)
+
+        def event(*fields):
+            events.append(fields)
+            return real_event(*fields)
+
+        monkeypatch.setattr(world, "step", step)
+        monkeypatch.setattr(world, "Event", event)
+        result = exact_min_peak_aoi(bundled("two_uav_split.txt"))
+        assert result.optimum == 2
+        assert len(calls) > 1
+        assert all(kind is world.WorldBatch and records is False
+                   and 1 < rows <= MAX_CHUNK_ROWS for kind, records, rows in calls)
+        assert events == []
+
     def test_solve_leaves_no_reference_cycles(self):
-        # The memo must be freed when the solve returns, not whenever the
+        # The levels must be freed when the solve returns, not whenever the
         # cycle collector next runs.
         inst = bundled("two_iot_symmetric.txt")
         gc.collect()
@@ -72,6 +157,20 @@ class TestHandTracedOptima:
         result = exact_min_peak_aoi(inst)
         text = result.witness_text()
         assert witness_from_text(text, inst.config.n_uavs) == result.witness
+
+    def test_battery_death_scores_horizon(self):
+        # Two hops reach the IoT at slot 2, but 60 J lasts one 40.6 J hop:
+        # the UAV dies on the second hop, and a dead UAV collects nothing.
+        lbd_far = [(400.0, 400.0, 0.0)]
+        full = make_instance(toy_config(horizon=4, charge_radius=1.0),
+                             iots=[(0.0, 20.0)], uavs=[(0.0, 0.0)], lbds=lbd_far)
+        starved = make_instance(
+            toy_config(horizon=4, charge_radius=1.0, e_init_frac=0.002),
+            iots=[(0.0, 20.0)], uavs=[(0.0, 0.0)], lbds=lbd_far)
+        assert exact_min_peak_aoi(full).optimum == 2
+        result = exact_min_peak_aoi(starved)
+        assert result.optimum == 4
+        assert replay_verify(starved, result.witness) == 4
 
     def test_all_hover_scores_horizon(self):
         cfg = toy_config(include_hover_action=True, horizon=4)

@@ -784,6 +784,20 @@ class TestStepBatch:
         assert states_equal(by_step[0].row(1), by_batch[0].row(1))
         np.testing.assert_array_equal(by_step[1].total, by_batch[1].total)
 
+    @pytest.mark.parametrize("record_events", [False, True])
+    def test_take_by_index_and_join_rebuild_the_batch(self, record_events):
+        cfg = tiny_scenario()
+        rng = np.random.default_rng(3)
+        batch = WorldBatch.of([reset(cfg, seed=s) for s in (1, 2, 3, 4)],
+                              record_events)
+        batch, _, _ = step_batch(batch, rng.integers(cfg.n_actions, size=(4, 2)), cfg)
+        parts = [batch.take(np.array([3, 0])), batch.take([1]),
+                 batch.take(np.array([False, False, True, False]))]
+        joined = WorldBatch.join(parts)
+        for b, original in enumerate([3, 0, 1, 2]):
+            assert states_equal(joined.row(b), batch.row(original))
+        assert joined.record_events is record_events
+
     def test_invalid_calls_rejected(self):
         cfg = replace(tiny_scenario(), horizon=1)
         batch = WorldBatch.of([reset(cfg, seed=1)] * 2)
