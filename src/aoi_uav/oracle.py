@@ -162,18 +162,21 @@ def _keys(batch: WorldBatch) -> list[bytes]:
 
 
 def _expand(frontier: WorldBatch, joints: np.ndarray, cfg: ScenarioConfig
-            ) -> tuple[np.ndarray, np.ndarray, WorldBatch | None]:
+            ) -> tuple[np.ndarray, np.ndarray, WorldBatch | None, int]:
     """Step every node of ``frontier`` under every joint action, at most
     `MAX_CHUNK_ROWS` rows per `world.step` call.
 
-    Returns (floor, child, next level), floor and child (nodes, joints).
-    The value of joint j at node b is the larger of ``floor[b, j]`` and the
-    value of next-level node ``child[b, j]``; a child of -1 adds nothing.
-    The next level holds the distinct live children in first-occurrence
-    order, or is None if there are none.
+    Returns (floor, child, next level, its size), floor and child (nodes,
+    joints).  The value of joint j at node b is the larger of
+    ``floor[b, j]`` and the value of next-level node ``child[b, j]``; a
+    child of -1 adds nothing.  The next level holds the distinct live
+    children in first-occurrence order.  It is None if there are none, and
+    also at slot horizon - 1: that level is never stepped, so only its size
+    is kept.
     """
     horizon = cfg.horizon
     t = frontier.slot + 1
+    build = t < horizon - 1
     n_nodes, n_joints = len(frontier.uav_energy), len(joints)
     per_chunk = max(1, MAX_CHUNK_ROWS // n_joints)
     floor = np.empty((n_nodes, n_joints), np.int32)
@@ -198,18 +201,20 @@ def _expand(frontier: WorldBatch, joints: np.ndarray, cfg: ScenarioConfig
         solved = ~pending.all(axis=1)
         block[solved] = np.where(pending[solved], horizon + 1, t)
         floor[nodes] = block
+        # Number the open children by key; a row is the first of its key
+        # when its id is above every id before it.
         keys = _keys(nxt)
+        open_rows = np.flatnonzero(live & ~solved[:, None])
+        base = len(seen)
+        ids = np.array([seen.setdefault(keys[r], len(seen))
+                        for r in open_rows.tolist()], np.int32)
         links = np.full(len(keys), -1, np.int32)
-        fresh = []
-        for r in np.flatnonzero(live & ~solved[:, None]).tolist():
-            n_seen = len(seen)
-            links[r] = seen.setdefault(keys[r], n_seen)
-            if len(seen) > n_seen:
-                fresh.append(r)
+        links[open_rows] = ids
         child[nodes] = links.reshape(shape)
-        if fresh:
-            parts.append(nxt.take(fresh))
-    return floor, child, (WorldBatch.join(parts) if parts else None)
+        if build and len(seen) > base:
+            before = np.maximum.accumulate(np.append(np.int32(base - 1), ids[:-1]))
+            parts.append(nxt.take(open_rows[ids > before]))
+    return floor, child, (WorldBatch.join(parts) if parts else None), len(seen)
 
 
 def exact_min_peak_aoi(instance: TinyInstance) -> OracleResult:
@@ -221,18 +226,17 @@ def exact_min_peak_aoi(instance: TinyInstance) -> OracleResult:
 
     # Forward: one level per slot, until no live state is left.  A node at
     # slot horizon - 1 scores the horizon whatever it does, so that level is
-    # not stepped and its nodes take joint 0.
+    # only counted, not built or stepped, and its nodes take joint 0.
     levels = []
     frontier = WorldBatch.of([instance.initial_state()])
-    expanded = 0
-    while frontier is not None:
-        expanded += len(frontier.uav_energy)
-        if frontier.slot == horizon - 1:
-            break
-        floor, child, frontier = _expand(frontier, joints, cfg)
+    expanded = size = 1
+    for _ in range(horizon - 1):
+        floor, child, frontier, size = _expand(frontier, joints, cfg)
         levels.append((floor, child))
-    value = np.full(0 if frontier is None else len(frontier.uav_energy), horizon,
-                    np.int32)
+        expanded += size
+        if frontier is None:
+            break
+    value = np.full(size, horizon, np.int32)
 
     # Backward: each node takes its first joint of least value.
     choices = [(np.zeros(len(value), np.intp), np.full(len(value), -1, np.int32))]

@@ -521,7 +521,9 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
     Row b of the result equals `step` on episode b bit for bit: state,
     tallies, rewards, done and, in a batch that records events, the event
     list.  Every phase acts on all B·U UAVs at once, and only charging
-    assignment loops, once per round of min(U, L).  A batch of one episode,
+    assignment loops, once per round of min(U, L).  The scalar physics runs
+    once per distinct distance (`_per_distinct`), so no Python runs per
+    row.  A batch of one episode,
     and a batch that records events, steps row by row through `step`
     (`_step_rows`): `step` is faster on a single row even with the
     conversion to and from a batch, and it is the only builder of events.
@@ -582,11 +584,20 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
         charging[rows, uav] = lbd
         open_dist[rows, uav, :] = np.inf
         open_dist[rows, :, lbd] = np.inf
-        for b, j, k in zip(rows.tolist(), uav.tolist(), lbd.tolist()):
-            beam_height = config.altitude - float(lbds[k][2])
-            power = laser_power_received(config.laser, float(lbd_dist[b, j, k]),
-                                         beam_height)
-            charge_gain[b, j] = power * config.slot_dt
+    # Laser power for every charging UAV at once, one call per distinct
+    # (beam height, distance); the beam height is usually one value.
+    b, j = np.nonzero(charging >= 0)
+    if b.size:
+        k = charging[b, j]
+        charge_dist = lbd_dist[b, j, k]
+        beam = config.altitude - lbds[k, 2]
+        power = np.empty(len(b))
+        for height in set(beam.tolist()):
+            group = beam == height
+            power[group] = _per_distinct(
+                lambda d: laser_power_received(config.laser, d, height),
+                charge_dist[group])
+        charge_gain[b, j] = power * config.slot_dt
 
     # 4. Propulsion drain and the energy update.
     drain = np.where(actions == 8,
@@ -605,12 +616,12 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
     collector = dist.argmin(axis=2)                  # (B, I), lower UAV on ties
     collector_dist = dist.min(axis=2)
     hit = batch.has_data & (collector_dist <= config.comm_radius)
-    if config.rate_gated_collection:
-        for b, i in zip(*np.nonzero(hit)):
-            rate = transmission_rate(config.channel, float(collector_dist[b, i]),
-                                     config.altitude)
-            if rate * config.slot_dt < config.data_volume:
-                hit[b, i] = False
+    if config.rate_gated_collection and hit.any():
+        sent = np.nonzero(hit)
+        rate = _per_distinct(
+            lambda d: transmission_rate(config.channel, d, config.altitude),
+            collector_dist[sent])
+        hit[sent] = ~(rate * config.slot_dt < config.data_volume)
     age = t - batch.gen_time
     recorded_aoi = np.where(hit, age, batch.recorded_aoi)
     tx_energy = config.channel.tx_power_w * config.slot_dt
@@ -645,6 +656,21 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
     total = rw.alpha_a * r_a[:, None] + rw.beta_p * r_p + rw.gamma_s * r_s
     return (nxt, BatchRewards(r_a, r_p, r_s, total),
             died.any(axis=1) | (t >= config.horizon))
+
+
+def _per_distinct(f, x: np.ndarray) -> np.ndarray:
+    """``[f(v) for v in x]`` as an array, calling ``f`` once per distinct
+    value of the 1-D float array ``x``, so each entry is f's result bit for
+    bit.  Values that compare equal share one call, so -0.0 and 0.0 do too;
+    distances from `np.hypot` are never -0.0."""
+    xs = x.copy()
+    xs.sort()
+    first = np.empty(len(xs), bool)
+    first[:1] = True
+    np.not_equal(xs[1:], xs[:-1], out=first[1:])
+    distinct = xs[first]
+    values = np.array([f(v) for v in distinct.tolist()], dtype=float)
+    return values[distinct.searchsorted(x)]
 
 
 def _step_rows(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig

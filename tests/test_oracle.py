@@ -20,6 +20,7 @@ from aoi_uav.oracle import (
     witness_from_text,
 )
 from aoi_uav.trainer import GreedyPolicy
+from aoi_uav.world import WorldBatch
 
 
 def bundled(name):
@@ -64,6 +65,11 @@ LATTICE_PINS = [
 ]
 
 
+# States expanded for the identity layouts of LATTICE_PINS (rows 0, 4, 8
+# and 12), as the frontier search first counted them.
+LATTICE_EXPANDED = [(0, 1558), (4, 2627), (8, 3814), (12, 7254)]
+
+
 class TestHandTracedOptima:
     def test_adjacent_iot_optimum_one(self):
         inst = bundled("adjacent_iot.txt")
@@ -93,6 +99,12 @@ class TestHandTracedOptima:
         result = exact_min_peak_aoi(inst)
         assert (result.optimum, result.witness_text()) == (optimum, witness)
         assert replay_verify(inst, result.witness) == optimum
+
+    @pytest.mark.parametrize("pin, expanded", LATTICE_EXPANDED)
+    def test_lattice_states_expanded_pinned(self, pin, expanded):
+        horizon, iots, _, _ = LATTICE_PINS[pin]
+        inst = lattice_instance(horizon, [(float(x), float(y)) for x, y in iots])
+        assert exact_min_peak_aoi(inst).states_expanded == expanded
 
     def test_two_uav_split_needs_both_uavs(self):
         # UAVs at (-10, 0) and (10, 0), IoTs at (0, 20) and (0, -20), 10 m
@@ -139,6 +151,48 @@ class TestHandTracedOptima:
         assert all(kind is world.WorldBatch and records is False
                    and 1 < rows <= MAX_CHUNK_ROWS for kind, records, rows in calls)
         assert events == []
+
+    def test_laser_power_once_per_distinct_distance(self, monkeypatch):
+        # Every stepped row of a lattice instance charges, but the laser
+        # power is computed once per distinct distance in a chunk.
+        rows, powers = [], []
+        real_step, real_power = world.step, world.laser_power_received
+
+        def step(state, actions, cfg):
+            rows.append(len(actions))
+            return real_step(state, actions, cfg)
+
+        def power(*args):
+            powers.append(args)
+            return real_power(*args)
+
+        monkeypatch.setattr(world, "step", step)
+        monkeypatch.setattr(world, "laser_power_received", power)
+        horizon, iots, optimum, _ = LATTICE_PINS[12]
+        inst = lattice_instance(horizon, [(float(x), float(y)) for x, y in iots])
+        assert exact_min_peak_aoi(inst).optimum == optimum
+        assert 0 < len(powers) < sum(rows) / 10
+
+    def test_last_level_is_counted_not_built(self, monkeypatch):
+        # The level at slot horizon - 1 is never stepped, so the search
+        # takes no rows at that slot and joins no chunks of it.
+        built = []
+        real_take, real_join = WorldBatch.take, WorldBatch.join
+
+        def take(self, keep):
+            built.append(self.slot)
+            return real_take(self, keep)
+
+        def join(parts):
+            built.append(parts[0].slot)
+            return real_join(parts)
+
+        monkeypatch.setattr(WorldBatch, "take", take)
+        monkeypatch.setattr(WorldBatch, "join", join)
+        inst = bundled("two_uav_split.txt")
+        result = exact_min_peak_aoi(inst)
+        assert result.states_expanded == 52566
+        assert built and max(built) == inst.config.horizon - 2
 
     def test_solve_leaves_no_reference_cycles(self):
         # The levels must be freed when the solve returns, not whenever the

@@ -666,20 +666,28 @@ class TestGoldenMultiUavStep:
 
 
 def lock_step_against_step(cfg, episodes, seed, layout=None,
-                           record_events=False):
+                           record_events=False, twins=False):
     """Play ``episodes`` random episodes with `step_batch` and each one alone
     with `step`, asserting that every row equals its episode bit for bit:
     state, tallies, rewards, done and, in a batch that records them, events.
     A finished episode leaves the batch, and its `episode_counts` must equal
-    the tally of its `step` events.  Returns each episode's `step` events."""
+    the tally of its `step` events.  With ``twins``, episode e of the second
+    half plays the actions of episode e - episodes // 2, so the two stay
+    equal.  Returns each episode's `step` events."""
     start = reset(cfg, seed=1, layout=layout)
     rng = np.random.default_rng(seed)
     states = [start] * episodes
     logs = [[] for _ in range(episodes)]
     batch = WorldBatch.of([start] * episodes, record_events)
     live = list(range(episodes))
+    half = episodes // 2
     while live:
         actions = rng.integers(0, cfg.n_actions, (len(live), cfg.n_uavs))
+        if twins:
+            at = {e: k for k, e in enumerate(live)}
+            for k, e in enumerate(live):
+                if e >= half:
+                    actions[k] = actions[at[e - half]]
         batch, rewards, done = step_batch(batch, actions, cfg)
         assert (batch.events == []) != record_events
         for k, e in enumerate(live):
@@ -732,10 +740,36 @@ class TestStepBatch:
         assert 0 < sum(count) and count != [
             sum(e.event == "collect" for e in events) for events in free]
 
+    def test_rate_gate_with_repeated_distances(self):
+        # Sixteen pairs of twin episodes: each collector distance comes up
+        # at least twice in a slot, and the rate gate, evaluated once per
+        # distinct distance, must still give each row its own `step` result.
+        cfg = replace(tiny_scenario(), rate_gated_collection=True,
+                      data_volume=1.04e7)
+        gated = lock_step_against_step(cfg, 32, seed=9, twins=True)
+        free = lock_step_against_step(
+            replace(cfg, rate_gated_collection=False), 32, seed=9, twins=True)
+        assert gated[:16] == gated[16:]
+        count = [sum(e.event == "collect" for e in events) for events in gated]
+        assert 0 < sum(count) < sum(
+            sum(e.event == "collect" for e in events) for events in free)
+
     def test_crowded_two_lbds_with_collisions_and_deaths(self):
         golden = TestGoldenMultiUavStep
         logs = lock_step_against_step(golden.CFG, 6, seed=5, layout=golden.LAYOUT)
         assert {"collide", "charge", "clip", "die"} <= event_kinds(logs)
+
+    def test_charging_at_two_beam_heights(self):
+        # The golden layout's stations stand 0 and 10 m tall; start a UAV
+        # beside each, so one slot charges at both beam heights.
+        golden = TestGoldenMultiUavStep
+        layout = (golden.LAYOUT[0], golden.LAYOUT[1],
+                  [(45.0, 20.0), (-28.0, -30.0), (44.0, 12.0)])
+        logs = lock_step_against_step(golden.CFG, 6, seed=10, layout=layout)
+        assert "charge" in event_kinds(logs)
+        batch = WorldBatch.of([reset(golden.CFG, seed=1, layout=layout)] * 2)
+        nxt, _, _ = step_batch(batch, np.full((2, 3), 8), golden.CFG)
+        assert nxt.charging_lbd.tolist() == [[0, 1, -1]] * 2
 
     def test_low_energy_deaths_end_episodes_at_different_slots(self):
         cfg = replace(tiny_scenario(), n_uavs=3, e_init_frac=0.03)
@@ -824,3 +858,32 @@ class TestStepBatch:
             for b, st in enumerate(states):
                 np.testing.assert_array_equal(rows[b], observe(st, None, cfg))
                 np.testing.assert_array_equal(gstates[b], global_state_vector(st, cfg))
+
+
+class TestPerDistinct:
+    def test_one_call_per_distinct_value(self):
+        calls = []
+
+        def f(v):
+            calls.append(v)
+            return v * v
+
+        out = world._per_distinct(f, np.array([3.0, 1.0, 3.0, 2.0, 1.0, 3.0]))
+        assert sorted(calls) == [1.0, 2.0, 3.0]
+        assert out.tolist() == [9.0, 1.0, 9.0, 4.0, 1.0, 9.0]
+
+    def test_bitwise_equal_to_scalar_calls(self):
+        rng = np.random.default_rng(11)
+        x = rng.choice(rng.uniform(0.0, 300.0, 40), 400)   # unsorted, repeats
+
+        def f(d):
+            return world.laser_power_received(LaserParams(), d, 10.0)
+
+        expected = np.array([f(v) for v in x.tolist()])
+        assert world._per_distinct(f, x).tobytes() == expected.tobytes()
+
+    def test_signed_zeros_share_a_call(self):
+        calls = []
+        out = world._per_distinct(lambda v: calls.append(v) or 1.0,
+                                  np.array([0.0, -0.0, 0.0]))
+        assert len(calls) == 1 and out.tolist() == [1.0] * 3
