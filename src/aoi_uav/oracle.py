@@ -137,18 +137,6 @@ class OracleResult:
                         for joint in self.witness)
 
 
-def witness_from_text(text: str, n_uavs: int) -> list[tuple[int, ...]]:
-    name_to_idx = {name: i for i, name in enumerate(ACTION_NAMES)}
-    out = []
-    for slot_part in text.split(","):
-        names = slot_part.split("+")
-        if len(names) != n_uavs:
-            raise ValueError(f"slot {slot_part!r} has {len(names)} actions, "
-                             f"expected {n_uavs}")
-        out.append(tuple(name_to_idx[n.strip().upper()] for n in names))
-    return out
-
-
 def _keys(batch: WorldBatch) -> list[bytes]:
     """The key on which the search merges states, one per episode:
     positions to 1e-6 m (``+ 0.0`` merges -0.0 with 0.0), energies in quanta

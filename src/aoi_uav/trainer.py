@@ -2,12 +2,15 @@
 policy updates, plus heuristic baselines and the evaluation harness.
 
 Training collection steps every episode of an update in lock step
-(`world.step_batch`); evaluation plays one episode at a time through
-`rollout_policy` and `world.step`.  Either way an episode's counts come
-from the tallies on its final state (`world.episode_counts`).  Both follow
-one RNG rule: episode ``e`` of a rollout seeded ``s`` draws from its own
-stream, ``np.random.default_rng([s, e])``, so an episode's output depends
-on the seed and its index alone, not on how many episodes run beside it.
+(`world.step_batch`), which builds no events; when `train` has an event
+sink, it rebuilds each episode's events by replaying its stored joint
+actions through `world.step`.  Evaluation plays one episode at a time
+through `rollout_policy` and `world.step`.  Either way an episode's counts
+come from the tallies on its final state (`world.episode_counts`).  Both
+follow one RNG rule: episode ``e`` of a rollout seeded ``s`` draws from its
+own stream, ``np.random.default_rng([s, e])``, so an episode's output
+depends on the seed and its index alone, not on how many episodes run
+beside it.
 """
 
 from __future__ import annotations
@@ -145,7 +148,6 @@ class EpisodeTrajectory:
     agents: list[AgentTrajectory]
     global_states: np.ndarray    # (T, global_state_dim)
     metrics: EpisodeMetrics
-    events: list[Event] | None   # only when collected with events
 
 
 @dataclass
@@ -183,8 +185,8 @@ def _episode_metrics(episode: int, rewards: list[list[float]],
 # ---------------------------------------------------------------------------
 
 def collect_rollout(scenario: ScenarioConfig, bundle: PolicyBundle,
-                    episodes: int, seed: int, *, first_episode_idx: int = 0,
-                    with_events: bool = False) -> TrajectoryBatch:
+                    episodes: int, seed: int, *,
+                    first_episode_idx: int = 0) -> TrajectoryBatch:
     """Run full episodes under the bundle's actors, sampling actions.
 
     The episodes run in lock step as one `world.WorldBatch`: each slot makes
@@ -195,9 +197,8 @@ def collect_rollout(scenario: ScenarioConfig, bundle: PolicyBundle,
     Episode ``i`` (counted from ``first_episode_idx``) draws U uniforms per
     slot from ``np.random.default_rng([seed, i])``, so its trajectory equals
     the one it would have alone.  Hidden states start at zero.  Every
-    quantity the update needs is stored; ``with_events`` keeps each
-    episode's events, which `world.step_batch` then builds by stepping the
-    episodes one at a time through `world.step`.
+    quantity the update needs is stored; no events are built
+    (`_replay_events` rebuilds an episode's).
 
     An episode's ``wall_ms`` is its share of the rollout's wall time: the
     reset split evenly over the episodes, and each slot's time split
@@ -213,10 +214,9 @@ def collect_rollout(scenario: ScenarioConfig, bundle: PolicyBundle,
             (scenario.horizon, n)) for e in range(episodes)])
     actors = stack_actors(bundle.actors)
     start = world.reset(scenario, scenario.rng_seed)
-    batch = world.WorldBatch.of([start] * episodes, record_events=with_events)
+    batch = world.WorldBatch.of([start] * episodes)
     hidden = zero_hidden(bundle.hidden_size, episodes, n)
     slots = []    # per slot: the running episodes, then one row per episode
-    events = [[] for _ in range(episodes)]
     ends = {}     # episode -> final state
     wall = np.full(episodes, (time.perf_counter() - t0) / episodes)
     live = np.arange(episodes)
@@ -229,8 +229,6 @@ def collect_rollout(scenario: ScenarioConfig, bundle: PolicyBundle,
         batch, rewards, done = world.step(batch, actions, scenario)
         slots.append((live, obs, gstate, actions, logp, rewards.total,
                       rewards.r_p, rewards.r_a))
-        for e, slot_events in zip(live.tolist(), batch.events):
-            events[e].extend(slot_events)
         running = live
         if done.any():
             for k in np.flatnonzero(done).tolist():
@@ -257,9 +255,18 @@ def collect_rollout(scenario: ScenarioConfig, bundle: PolicyBundle,
             first_episode_idx + e, rewards, r_a[rows].tolist(),
             r_p[rows].T.tolist(), ends[e], scenario, wall[e] * 1e3)
         trajectories.append(EpisodeTrajectory(
-            agents=agents, global_states=gstate[rows], metrics=metrics,
-            events=events[e] if with_events else None))
+            agents=agents, global_states=gstate[rows], metrics=metrics))
     return TrajectoryBatch(episodes=trajectories)
+
+
+def _replay_events(scenario: ScenarioConfig, ep: EpisodeTrajectory) -> list[Event]:
+    """Episode ``ep``'s events: its stored joint actions replayed through
+    `world.step` from the reset that `collect_rollout` starts from."""
+    state, events = world.reset(scenario, scenario.rng_seed), []
+    for joint in zip(*(traj.actions for traj in ep.agents)):
+        state, _, _ = world.step(state, list(joint), scenario)
+        events.extend(state.events)
+    return events
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +586,7 @@ def train(scenario: ScenarioConfig, tconf: TrainConfig, seed: int,
     for ``tconf.episodes`` episodes.  Each update collects its episodes in
     lock step from the run seed, episode ``i`` of the run drawing from
     ``np.random.default_rng([seed, i])``; ``event_sink(episode, events)``,
-    when given, receives each episode's event list."""
+    when given, receives each episode's event list, rebuilt by replay."""
     scenario.validate()
     tconf.validate()
     bundle = build_bundle(scenario, tconf, seed)
@@ -594,8 +601,7 @@ def train(scenario: ScenarioConfig, tconf: TrainConfig, seed: int,
     while episodes_done < tconf.episodes:
         todo = min(tconf.episodes_per_update, tconf.episodes - episodes_done)
         batch = collect_rollout(scenario, bundle, todo, seed,
-                                first_episode_idx=episodes_done,
-                                with_events=event_sink is not None)
+                                first_episode_idx=episodes_done)
         compute_advantages(batch, tconf.gamma, tconf.gae_lambda)
         ppo_update(batch, bundle, optimizer, tconf)
         for ep in batch.episodes:
@@ -603,7 +609,7 @@ def train(scenario: ScenarioConfig, tconf: TrainConfig, seed: int,
             if metrics_sink is not None:
                 metrics_sink(ep.metrics)
             if event_sink is not None:
-                event_sink(ep.metrics.episode, ep.events)
+                event_sink(ep.metrics.episode, _replay_events(scenario, ep))
         episodes_done += todo
         if checkpoint_sink is not None and episodes_done >= next_checkpoint:
             checkpoint_sink(episodes_done, bundle)

@@ -7,11 +7,12 @@ charging assignment, propulsion drain, data collection, AoI bookkeeping, and
 reward computation.  `observe` builds every agent's observation in one call.
 `step_batch` advances B episodes of one scenario in lock step, with
 `WorldState`'s columns given a leading episode axis (`WorldBatch`); each of
-its rows equals `step` on that episode bit for bit.  Training collection
-and the oracle's frontier search use it; evaluation, witness replays and
-direct callers use `step`, the only builder of events.  Both keep running
-tallies, from which `episode_counts` reads an episode's constraint counts,
-so no caller scans events.
+its rows equals `step` on that episode bit for bit, events aside.  Training
+collection and the oracle's frontier search use it; evaluation, witness
+replays, the replays that rebuild a training episode's events and direct
+callers use `step`, the only builder of events.  Both keep running tallies,
+from which `episode_counts` reads an episode's constraint counts, so no
+caller scans events.
 Everything is deterministic given (config, seed, actions); randomness enters
 only through IoT placement at reset.
 """
@@ -415,9 +416,7 @@ def peak_aoi(state: WorldState) -> int:
 class WorldBatch:
     """B running episodes of one scenario at the same slot: `WorldState`'s
     columns and tallies with a leading episode axis.  ``lbds`` and
-    ``iot_pos`` are shared by every episode.  Events are kept only for a
-    batch made with ``record_events``; ``events`` then holds each episode's
-    events of the current slot, and is empty otherwise."""
+    ``iot_pos`` are shared by every episode.  A batch holds no events."""
 
     slot: int
     lbds: np.ndarray              # (L, 3)
@@ -434,17 +433,15 @@ class WorldBatch:
     collections: np.ndarray       # (B,) int64
     collisions: np.ndarray        # (B,) int64 pairs
     clips: np.ndarray             # (B,) int64
-    record_events: bool = False
-    events: list[list[Event]] = field(default_factory=list)
 
+    # Always empty: the benchmark's span tracer counts every `step` result's events.
+    events = ()
     iot_ages = WorldState.iot_ages
 
     @classmethod
-    def of(cls, states: list[WorldState], record_events: bool = False
-           ) -> "WorldBatch":
+    def of(cls, states: list[WorldState]) -> "WorldBatch":
         """The episodes ``states``, all at one slot, as a batch; a batch of
-        one shares the state's columns.  It keeps their events if it
-        records them."""
+        one shares the state's columns."""
         def rows(name):
             if len(states) == 1:
                 return getattr(states[0], name)[None]
@@ -458,9 +455,7 @@ class WorldBatch:
                    rows("uav_alive"), rows("charging_lbd"), first.iot_pos,
                    rows("gen_time"), rows("has_data"), rows("recorded_aoi"),
                    rows("iot_energy"), tally("peak_recorded_aoi"),
-                   tally("collections"), tally("collisions"), tally("clips"),
-                   record_events,
-                   [st.events for st in states] if record_events else [])
+                   tally("collections"), tally("collisions"), tally("clips"))
 
     @classmethod
     def join(cls, parts: list["WorldBatch"]) -> "WorldBatch":
@@ -474,8 +469,7 @@ class WorldBatch:
                    rows("uav_alive"), rows("charging_lbd"), first.iot_pos,
                    rows("gen_time"), rows("has_data"), rows("recorded_aoi"),
                    rows("iot_energy"), rows("peak_recorded_aoi"),
-                   rows("collections"), rows("collisions"), rows("clips"),
-                   first.record_events, [e for p in parts for e in p.events])
+                   rows("collections"), rows("collisions"), rows("clips"))
 
     def take(self, keep: np.ndarray | list[int]) -> "WorldBatch":
         """The episodes that ``keep`` selects: a mask, or indices in order."""
@@ -485,22 +479,18 @@ class WorldBatch:
                           self.gen_time[keep], self.has_data[keep],
                           self.recorded_aoi[keep], self.iot_energy[keep],
                           self.peak_recorded_aoi[keep], self.collections[keep],
-                          self.collisions[keep], self.clips[keep],
-                          self.record_events,
-                          [self.events[b] for b in np.arange(len(self.clips))[keep]]
-                          if self.record_events else [])
+                          self.collisions[keep], self.clips[keep])
 
     def row(self, b: int) -> WorldState:
-        """Episode ``b`` as a `WorldState` that shares the batch's columns;
-        its ``events`` are the slot's events if the batch records them."""
+        """Episode ``b`` as a `WorldState` that shares the batch's columns,
+        with no events."""
         return WorldState(self.slot, self.lbds, self.uav_pos[b],
                           self.uav_energy[b], self.uav_alive[b],
                           self.charging_lbd[b], self.iot_pos, self.gen_time[b],
                           self.has_data[b], self.recorded_aoi[b],
                           self.iot_energy[b], int(self.peak_recorded_aoi[b]),
                           int(self.collections[b]), int(self.collisions[b]),
-                          int(self.clips[b]),
-                          self.events[b] if self.record_events else [])
+                          int(self.clips[b]))
 
 
 @dataclass
@@ -519,23 +509,21 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
     Returns the next batch, the rewards and which episodes ended, (B,).
 
     Row b of the result equals `step` on episode b bit for bit: state,
-    tallies, rewards, done and, in a batch that records events, the event
-    list.  Every phase acts on all B·U UAVs at once, and only charging
-    assignment loops, once per round of min(U, L).  The scalar physics runs
-    once per distinct distance (`_per_distinct`), so no Python runs per
-    row.  A batch of one episode,
-    and a batch that records events, steps row by row through `step`
-    (`_step_rows`): `step` is faster on a single row even with the
-    conversion to and from a batch, and it is the only builder of events.
-    Training collection steps its lock-step episodes here, and the oracle
-    steps each slot's frontier times every joint action, in chunks.
+    tallies, rewards and done; no events are built.  Every phase acts on
+    all B·U UAVs at once, and only charging assignment loops, once per
+    round of min(U, L).  The scalar physics runs once per distinct distance
+    (`_per_distinct`), so no Python runs per row.  A batch of one episode
+    goes through `step` (`_step_rows`), which is faster on a single row
+    even with the conversion to and from a batch.  Training collection
+    steps its lock-step episodes here, and the oracle steps each slot's
+    frontier times every joint action, in chunks.
     """
     n = config.n_uavs
     actions = np.asarray(actions)
     if actions.shape != batch.uav_energy.shape:
         raise ValueError(f"expected actions of shape {batch.uav_energy.shape}, "
                          f"got {actions.shape}")
-    if len(actions) == 1 or batch.record_events:
+    if len(actions) == 1:
         return _step_rows(batch, actions, config)
     if batch.slot >= config.horizon or not batch.uav_alive.all():
         raise EpisodeOver(f"batch holds a finished episode at slot {batch.slot}")
@@ -675,16 +663,14 @@ def _per_distinct(f, x: np.ndarray) -> np.ndarray:
 
 def _step_rows(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
                ) -> tuple[WorldBatch, BatchRewards, np.ndarray]:
-    """`step_batch` through `step`, one episode at a time."""
-    states, rewards, done = zip(*(
-        step(batch.row(b), joint, config)
-        for b, joint in enumerate(actions.tolist())))
-    return (WorldBatch.of(states, batch.record_events),
-            BatchRewards(np.array([r[0].r_a for r in rewards]),
-                         np.array([[x.r_p for x in r] for r in rewards]),
-                         np.array([[x.r_s for x in r] for r in rewards]),
-                         np.array([[x.total for x in r] for r in rewards])),
-            np.array(done))
+    """`step_batch` of a one-episode batch, through `step`."""
+    state, rewards, done = step(batch.row(0), actions[0].tolist(), config)
+    return (WorldBatch.of([state]),
+            BatchRewards(np.array([rewards[0].r_a]),
+                         np.array([[x.r_p for x in rewards]]),
+                         np.array([[x.r_s for x in rewards]]),
+                         np.array([[x.total for x in rewards]])),
+            np.array([done]))
 
 
 # ---------------------------------------------------------------------------

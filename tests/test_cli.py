@@ -4,9 +4,9 @@ from dataclasses import replace
 
 import pytest
 
-from aoi_uav import cli
+from aoi_uav import cli, world
 from aoi_uav.config import TrainConfig, tiny_scenario
-from aoi_uav.config_io import dump_config
+from aoi_uav.config_io import dump_config, load_config
 
 
 @pytest.fixture()
@@ -103,6 +103,29 @@ class TestTrain:
         ep0 = out / "events" / "ep_0.csv"
         assert ep0.is_file()
         assert ep0.read_text().startswith("slot,entity_kind,entity_id,event,value")
+
+    def test_events_run_steps_no_batch_row_by_row(self, mini_cfg, tmp_path,
+                                                  monkeypatch):
+        # Four episodes per update, none cut short: collection steps them in
+        # lock step, and their events come from replays through `step`, so
+        # `step_batch` never falls back to stepping a batch row by row.
+        calls = []
+        real_step_rows = world._step_rows
+
+        def step_rows(*args):
+            calls.append(args)
+            return real_step_rows(*args)
+
+        monkeypatch.setattr(world, "_step_rows", step_rows)
+        scen, tconf, _ = load_config(str(mini_cfg))
+        cfg = tmp_path / "four.cfg"
+        cfg.write_text(dump_config(
+            scen, replace(tconf, episodes=8, episodes_per_update=4)))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg), "--seed", "1",
+                         "--out", str(out), "--events"]) == 0
+        assert len(list((out / "events").iterdir())) == 8
+        assert calls == []
 
 
 @pytest.mark.parametrize("argv, run_section, flag", [

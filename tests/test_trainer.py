@@ -51,7 +51,6 @@ def synthetic_batch(rewards, values):
         agents=[traj],
         global_states=np.zeros((T, 4)),
         metrics=None,
-        events=None,
     )
     return TrajectoryBatch(episodes=[ep])
 
@@ -216,14 +215,15 @@ class TestRolloutCollection:
         scen = small_scenario(horizon=8)
         bundle = build_bundle(scen, SMALL_TRAIN, seed=4)
         batch = collect_rollout(scen, bundle, episodes=3, seed=13,
-                                first_episode_idx=5, with_events=True)
+                                first_episode_idx=5)
         rows = rollout_policy(scen, make_policy("learned", scen, bundle),
                               3, seed=13, greedy=False, first_episode_idx=5)
         logs = [sampled_episode_events(scen, bundle, 13, i) for i in (5, 6, 7)]
 
         assert ([stable(ep.metrics) for ep in batch.episodes]
                 == [stable(row) for row in rows])
-        assert ([world.events_to_csv(ep.events) for ep in batch.episodes]
+        assert ([world.events_to_csv(trainer._replay_events(scen, ep))
+                 for ep in batch.episodes]
                 == [world.events_to_csv(events) for events in logs])
 
     @pytest.mark.parametrize("algo", ["mappo_lstm", "mappo_ff"])
@@ -233,15 +233,18 @@ class TestRolloutCollection:
         scen = replace(small_scenario(horizon=40, n_uavs=3), e_init_frac=0.03)
         bundle = build_bundle(scen, replace(SMALL_TRAIN, algo=algo), seed=2)
         batch = collect_rollout(scen, bundle, episodes=5, seed=9,
-                                first_episode_idx=3, with_events=True)
+                                first_episode_idx=3)
         lengths = [len(ep.agents[0].actions) for ep in batch.episodes]
         assert len(set(lengths)) > 2 and min(lengths) < scen.horizon
         for e, ep in enumerate(batch.episodes):
             alone = collect_rollout(scen, bundle, episodes=1, seed=9,
-                                    first_episode_idx=3 + e,
-                                    with_events=True).episodes[0]
+                                    first_episode_idx=3 + e).episodes[0]
             assert stable(ep.metrics) == stable(alone.metrics)
-            assert world.events_to_csv(ep.events) == world.events_to_csv(alone.events)
+            events = world.events_to_csv(trainer._replay_events(scen, ep))
+            assert events == world.events_to_csv(
+                trainer._replay_events(scen, alone))
+            assert events == world.events_to_csv(
+                sampled_episode_events(scen, bundle, 9, 3 + e))
             np.testing.assert_array_equal(ep.global_states, alone.global_states)
             for a, b in zip(ep.agents, alone.agents):
                 np.testing.assert_array_equal(a.obs, b.obs)
@@ -259,15 +262,40 @@ class TestRolloutCollection:
                 assert (critic_values(bundle.critic, obs, gstate).tolist()
                         == [traj.values[t] for traj in ep.agents])
 
-    def test_events_kept_only_when_asked(self):
-        scen = small_scenario(horizon=5)
-        bundle = build_bundle(scen, SMALL_TRAIN, seed=0)
-        plain = collect_rollout(scen, bundle, episodes=2, seed=1)
-        kept = collect_rollout(scen, bundle, episodes=2, seed=1, with_events=True)
-        assert [ep.events for ep in plain.episodes] == [None, None]
-        assert all(ep.events for ep in kept.episodes)
-        assert ([stable(ep.metrics) for ep in plain.episodes]
-                == [stable(ep.metrics) for ep in kept.episodes])
+    @pytest.mark.parametrize("per_update", [4, 1])
+    @pytest.mark.parametrize("algo", ["mappo_lstm", "mappo_ff"])
+    def test_event_sink_gets_each_episodes_step_events(self, algo, per_update,
+                                                       monkeypatch):
+        # `train` hands each episode the events of its stored actions played
+        # through `world.step`, also for episodes cut short by a death, and
+        # asking for events changes no metric and no weight.
+        scen = replace(small_scenario(horizon=40, n_uavs=3), e_init_frac=0.03)
+        tconf = replace(SMALL_TRAIN, algo=algo, episodes=5,
+                        episodes_per_update=per_update)
+        plain = train(scen, tconf, seed=3)
+        collected, sunk = [], []
+        real_collect = trainer.collect_rollout
+
+        def collect(*args, **kwargs):
+            batch = real_collect(*args, **kwargs)
+            collected.extend(batch.episodes)
+            return batch
+
+        monkeypatch.setattr(trainer, "collect_rollout", collect)
+        logged = train(scen, tconf, seed=3,
+                       event_sink=lambda idx, events: sunk.append((idx, events)))
+        assert [idx for idx, _ in sunk] == list(range(5))
+        assert len({len(ep.agents[0].actions) for ep in collected}) > 1
+        for ep, (_, events) in zip(collected, sunk):
+            joints = zip(*(traj.actions for traj in ep.agents))
+            _, played = play_episode(scen, lambda state: list(next(joints)))
+            assert next(joints, None) is None
+            assert world.events_to_csv(events) == world.events_to_csv(played)
+        assert ([stable(row) for row in logged.metrics]
+                == [stable(row) for row in plain.metrics])
+        for name, weights in bundle_to_tensors(plain.bundle).items():
+            np.testing.assert_array_equal(
+                bundle_to_tensors(logged.bundle)[name], weights)
 
     def test_wall_ms_shares_fit_in_the_collection_time(self):
         scen = small_scenario(horizon=10)

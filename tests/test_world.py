@@ -665,11 +665,10 @@ class TestGoldenMultiUavStep:
         assert state.peak_recorded_aoi == 1
 
 
-def lock_step_against_step(cfg, episodes, seed, layout=None,
-                           record_events=False, twins=False):
+def lock_step_against_step(cfg, episodes, seed, layout=None, twins=False):
     """Play ``episodes`` random episodes with `step_batch` and each one alone
     with `step`, asserting that every row equals its episode bit for bit:
-    state, tallies, rewards, done and, in a batch that records them, events.
+    state, tallies, rewards and done; the batch builds no events.
     A finished episode leaves the batch, and its `episode_counts` must equal
     the tally of its `step` events.  With ``twins``, episode e of the second
     half plays the actions of episode e - episodes // 2, so the two stay
@@ -678,7 +677,7 @@ def lock_step_against_step(cfg, episodes, seed, layout=None,
     rng = np.random.default_rng(seed)
     states = [start] * episodes
     logs = [[] for _ in range(episodes)]
-    batch = WorldBatch.of([start] * episodes, record_events)
+    batch = WorldBatch.of([start] * episodes)
     live = list(range(episodes))
     half = episodes // 2
     while live:
@@ -689,12 +688,11 @@ def lock_step_against_step(cfg, episodes, seed, layout=None,
                 if e >= half:
                     actions[k] = actions[at[e - half]]
         batch, rewards, done = step_batch(batch, actions, cfg)
-        assert (batch.events == []) != record_events
+        assert batch.events == ()
         for k, e in enumerate(live):
             states[e], expected, ended = step(states[e], actions[k].tolist(), cfg)
             logs[e].extend(states[e].events)
-            alone = states[e] if record_events else replace(states[e], events=[])
-            assert states_equal(batch.row(k), alone)
+            assert states_equal(batch.row(k), replace(states[e], events=[]))
             got = [RewardBreakdown(float(rewards.r_a[k]), *row) for row in zip(
                 rewards.r_p[k].tolist(), rewards.r_s[k].tolist(),
                 rewards.total[k].tolist())]
@@ -713,16 +711,24 @@ def event_kinds(logs):
 
 
 class TestStepBatch:
-    @pytest.mark.parametrize("cfg, episodes", [
-        pytest.param(tiny_scenario(), 4, id="tiny"),
-        pytest.param(tiny_scenario(), 1, id="tiny-one-episode"),
-        pytest.param(CANON, 3, id="canonical"),
-        pytest.param(replace(CANON, n_lbds=10, lbd_layout="ring"), 3,
-                     id="canonical_ring"),
+    @pytest.mark.parametrize("cfg, episodes, seed, layout, kinds, ends", [
+        pytest.param(tiny_scenario(), 4, 2, None, set(), 1, id="tiny"),
+        pytest.param(tiny_scenario(), 1, 2, None, set(), 1,
+                     id="tiny-one-episode"),
+        pytest.param(CANON, 3, 2, None, set(), 1, id="canonical"),
+        pytest.param(replace(CANON, n_lbds=10, lbd_layout="ring"), 3, 2, None,
+                     set(), 1, id="canonical_ring"),
+        pytest.param(TestGoldenMultiUavStep.CFG, 6, 6, TestGoldenMultiUavStep.LAYOUT,
+                     {"collide", "charge", "clip", "die"}, 1, id="crowded"),
+        pytest.param(replace(tiny_scenario(), n_uavs=3, e_init_frac=0.03), 6, 6,
+                     None, {"die"}, 3, id="ragged-deaths"),
     ])
-    def test_rows_equal_step(self, cfg, episodes):
-        logs = lock_step_against_step(cfg, episodes, seed=2)
-        assert {"move", "drain", "collect"} <= event_kinds(logs)
+    def test_rows_equal_step(self, cfg, episodes, seed, layout, kinds, ends):
+        # Rows stay equal to `step` where UAVs collide, clip, charge and die,
+        # also as episodes leave the batch at different slots.
+        logs = lock_step_against_step(cfg, episodes, seed, layout=layout)
+        assert kinds | {"move", "drain", "collect"} <= event_kinds(logs)
+        assert len({events[-1].slot for events in logs}) >= ends
 
     def test_square_and_disc_clipping(self):
         logs = lock_step_against_step(tiny_scenario(), 4, seed=3)
@@ -778,38 +784,6 @@ class TestStepBatch:
         assert len(ends) > 2 and max(ends) < cfg.horizon
         assert all(any(e.event == "die" for e in events) for events in logs)
 
-    @pytest.mark.parametrize("cfg, episodes, layout, kinds, ends", [
-        pytest.param(tiny_scenario(), 4, None, {"clip", "collect"}, 1, id="tiny"),
-        pytest.param(tiny_scenario(), 1, None, {"collect"}, 1,
-                     id="tiny-one-episode"),
-        pytest.param(TestGoldenMultiUavStep.CFG, 6, TestGoldenMultiUavStep.LAYOUT,
-                     {"collide", "charge", "clip", "die"}, 1, id="crowded"),
-        pytest.param(replace(tiny_scenario(), n_uavs=3, e_init_frac=0.03), 6,
-                     None, {"die"}, 3, id="ragged-deaths"),
-    ])
-    def test_recording_batch_events_equal_step_events(self, cfg, episodes,
-                                                      layout, kinds, ends):
-        # Row by row, the recorded events are each episode's `step` events,
-        # also as episodes die and leave the batch at different slots.
-        logs = lock_step_against_step(cfg, episodes, seed=6, layout=layout,
-                                      record_events=True)
-        assert kinds | {"move", "drain"} <= event_kinds(logs)
-        assert len({events[-1].slot for events in logs}) >= ends
-
-    def test_counts_do_not_depend_on_recording_events(self):
-        cfg = replace(tiny_scenario(), horizon=30)
-        start = reset(cfg, seed=1)
-        actions = np.random.default_rng(7).integers(0, cfg.n_actions,
-                                                    (30, 3, cfg.n_uavs))
-        counts = []
-        for record in (False, True):
-            batch = WorldBatch.of([start] * 3, record)
-            for joint in actions:
-                batch, _, _ = step_batch(batch, joint, cfg)
-            assert (batch.events == []) != record
-            counts.append([episode_counts(batch.row(b), cfg) for b in range(3)])
-        assert counts[0] == counts[1]
-
     def test_world_step_takes_a_batch(self):
         cfg = tiny_scenario()
         batch = WorldBatch.of([reset(cfg, seed=1)] * 2)
@@ -818,19 +792,16 @@ class TestStepBatch:
         assert states_equal(by_step[0].row(1), by_batch[0].row(1))
         np.testing.assert_array_equal(by_step[1].total, by_batch[1].total)
 
-    @pytest.mark.parametrize("record_events", [False, True])
-    def test_take_by_index_and_join_rebuild_the_batch(self, record_events):
+    def test_take_by_index_and_join_rebuild_the_batch(self):
         cfg = tiny_scenario()
         rng = np.random.default_rng(3)
-        batch = WorldBatch.of([reset(cfg, seed=s) for s in (1, 2, 3, 4)],
-                              record_events)
+        batch = WorldBatch.of([reset(cfg, seed=s) for s in (1, 2, 3, 4)])
         batch, _, _ = step_batch(batch, rng.integers(cfg.n_actions, size=(4, 2)), cfg)
         parts = [batch.take(np.array([3, 0])), batch.take([1]),
                  batch.take(np.array([False, False, True, False]))]
         joined = WorldBatch.join(parts)
         for b, original in enumerate([3, 0, 1, 2]):
             assert states_equal(joined.row(b), batch.row(original))
-        assert joined.record_events is record_events
 
     def test_invalid_calls_rejected(self):
         cfg = replace(tiny_scenario(), horizon=1)
