@@ -9,8 +9,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aoi_uav import world
-from aoi_uav.config import ConfigError, RewardParams, ScenarioConfig, tiny_scenario
+from aoi_uav import trainer, world
+from aoi_uav.config import (
+    ConfigError, RewardParams, ScenarioConfig, TrainConfig, tiny_scenario)
 from aoi_uav.physics import LaserParams, propulsion_power
 from aoi_uav.world import (
     EpisodeCounts,
@@ -784,6 +785,48 @@ class TestStepBatch:
         assert len(ends) > 2 and max(ends) < cfg.horizon
         assert all(any(e.event == "die" for e in events) for events in logs)
 
+    @pytest.mark.parametrize("cfg, episodes, layout, kinds, ends", [
+        pytest.param(tiny_scenario(), 4, None, {"clip", "collect"}, 1, id="tiny"),
+        pytest.param(tiny_scenario(), 1, None, {"collect"}, 1,
+                     id="tiny-one-episode"),
+        pytest.param(TestGoldenMultiUavStep.CFG, 6, TestGoldenMultiUavStep.LAYOUT,
+                     {"collide", "charge", "clip", "die"}, 1, id="crowded"),
+        pytest.param(replace(tiny_scenario(), n_uavs=3, e_init_frac=0.03), 6,
+                     None, {"die"}, 3, id="ragged-deaths"),
+    ])
+    def test_recording_batch_events_equal_step_events(self, cfg, episodes,
+                                                      layout, kinds, ends,
+                                                      tmp_path):
+        # A lock-step batch builds no events; `train` records an episode's by
+        # replaying its stored joint actions through `step`.  Row by row those
+        # are the events of the episode played alone through `step`, also as
+        # episodes die and leave the batch at different slots.
+        if layout is not None:
+            iots, lbds, uavs = layout
+            field = tmp_path / "field.txt"
+            field.write_text("".join(
+                [f"IOT {x} {y}\n" for x, y in iots]
+                + [f"LBD {x} {y} {z}\n" for x, y, z in lbds]
+                + [f"UAV {x} {y}\n" for x, y in uavs]))
+            cfg = replace(cfg, layout_file=str(field))
+        tconf = TrainConfig(hidden_size=8, head_hidden=8, critic_hidden1=8,
+                            critic_hidden2=8)
+        bundle = trainer.build_bundle(cfg, tconf, seed=6)
+        batch = trainer.collect_rollout(cfg, bundle, episodes, seed=6)
+        logs = []
+        for e, ep in enumerate(batch.episodes):
+            policy = trainer.make_policy("learned", cfg, bundle)
+            rng = np.random.default_rng([6, e])
+            state, alone, done = reset(cfg, cfg.rng_seed), [], False
+            while not done:
+                state, _, done = step(
+                    state, policy.joint_action(state, rng, False), cfg)
+                alone.extend(state.events)
+            logs.append(trainer._replay_events(cfg, ep))
+            assert events_to_csv(logs[-1]) == events_to_csv(alone)
+        assert kinds | {"move", "drain"} <= event_kinds(logs)
+        assert len({events[-1].slot for events in logs}) >= ends
+
     def test_world_step_takes_a_batch(self):
         cfg = tiny_scenario()
         batch = WorldBatch.of([reset(cfg, seed=1)] * 2)
@@ -792,11 +835,15 @@ class TestStepBatch:
         assert states_equal(by_step[0].row(1), by_batch[0].row(1))
         np.testing.assert_array_equal(by_step[1].total, by_batch[1].total)
 
-    def test_take_by_index_and_join_rebuild_the_batch(self):
+    @pytest.mark.parametrize("stepped", [False, True])
+    def test_take_by_index_and_join_rebuild_the_batch(self, stepped):
+        # Both a batch fresh from `of` and one `step_batch` returned.
         cfg = tiny_scenario()
         rng = np.random.default_rng(3)
         batch = WorldBatch.of([reset(cfg, seed=s) for s in (1, 2, 3, 4)])
-        batch, _, _ = step_batch(batch, rng.integers(cfg.n_actions, size=(4, 2)), cfg)
+        if stepped:
+            batch, _, _ = step_batch(
+                batch, rng.integers(cfg.n_actions, size=(4, 2)), cfg)
         parts = [batch.take(np.array([3, 0])), batch.take([1]),
                  batch.take(np.array([False, False, True, False]))]
         joined = WorldBatch.join(parts)
