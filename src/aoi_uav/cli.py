@@ -26,7 +26,8 @@ import numpy as np
 
 from . import __version__, checkpoint, config_io, gradcheck, oracle, trainer, world
 from .config import ConfigError, ScenarioConfig, TrainConfig
-from .config_io import RunSettings, SWEEPABLE_PARAMS, apply_sweep_value
+from .config_io import (
+    RunSettings, SWEEPABLE_PARAMS, apply_sweep_value, parse_sweep_values)
 from .trainer import METRICS_CSV_HEADER, TrainingDiverged
 
 EXIT_OK = 0
@@ -158,12 +159,8 @@ def cmd_sweep(args) -> int:
                           f"choose from {', '.join(SWEEPABLE_PARAMS)}")
     scenario, tconf, seed = _load_run_config(args.config, args.seed)
     _at_least("--episodes", args.episodes, 1)
-    try:
-        values = sorted(float(v) for v in args.values.split(","))
-    except ValueError:
-        raise ConfigError(f"cannot parse sweep values {args.values!r}") from None
     rows = []
-    for value in values:
+    for value in parse_sweep_values(args.param, args.values):
         swept = apply_sweep_value(scenario, args.param, value)
         swept.validate()
         if args.mode == "train":
@@ -173,7 +170,8 @@ def cmd_sweep(args) -> int:
             policy = trainer.make_policy(args.policy, swept)
         metrics = trainer.rollout_policy(swept, policy, args.episodes, seed)
         peaks = np.array([m.peak_aoi for m in metrics], dtype=float)
-        rows.append((value, float(peaks.mean()), float(peaks.std())))
+        # sweep.csv holds every value as a float, counts included.
+        rows.append((float(value), float(peaks.mean()), float(peaks.std())))
         print(f"{args.param}={value}: mean peak AoI {peaks.mean():.3f} "
               f"(std {peaks.std():.3f})")
     out_dir = Path(args.out)

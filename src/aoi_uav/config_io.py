@@ -51,7 +51,9 @@ def _field_types(cls) -> dict[str, str]:
     return {f.name: f.type for f in fields(cls) if f.name not in _NOT_KEYS}
 
 
-def _coerce(section: str, key: str, raw: str, kind: str):
+def _coerce(where: str, raw: str, kind: str):
+    """``raw`` parsed as ``kind``; a `ConfigError` naming ``where`` if it
+    does not parse, or if a float is not finite."""
     try:
         if kind == "int":
             return int(raw)
@@ -70,8 +72,7 @@ def _coerce(section: str, key: str, raw: str, kind: str):
         return raw
     except ValueError:
         expected = "finite float" if kind == "float" else kind
-        raise ConfigError(
-            f"[{section}] {key}: cannot parse {raw!r} as {expected}") from None
+        raise ConfigError(f"{where}: cannot parse {raw!r} as {expected}") from None
 
 
 def parse_config(text: str) -> tuple[ScenarioConfig, TrainConfig, RunSettings]:
@@ -98,7 +99,7 @@ def parse_config(text: str) -> tuple[ScenarioConfig, TrainConfig, RunSettings]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
         if key in values[section]:
             raise ConfigError(f"line {lineno}: key {key!r} repeated in [{section}]")
-        values[section][key] = _coerce(section, key, raw_value, kinds[key])
+        values[section][key] = _coerce(f"[{section}] {key}", raw_value, kinds[key])
 
     scenario = ScenarioConfig(
         **values["scenario"],
@@ -154,20 +155,28 @@ def load_config(path: str) -> tuple[ScenarioConfig, TrainConfig, RunSettings]:
     return parse_config(text)
 
 
-# Sweepable parameter name -> how to apply it to a scenario.
-SWEEPABLE_PARAMS = ("eta_le", "n_uavs", "n_iots", "P_L")
+# Sweepable parameter name -> the kind of the config key it sets.
+SWEEPABLE_PARAMS = {"eta_le": "float", "n_uavs": "int", "n_iots": "int",
+                    "P_L": "float"}
+
+
+def parse_sweep_values(param: str, text: str) -> list[int | float]:
+    """The comma-separated ``--values`` of ``param``, sorted, each parsed
+    as the config key it sets would be."""
+    return sorted(_coerce(f"--values {param}", raw, SWEEPABLE_PARAMS[param])
+                  for raw in text.split(","))
 
 
 def apply_sweep_value(scenario: ScenarioConfig, param: str,
-                      value: float) -> ScenarioConfig:
+                      value: int | float) -> ScenarioConfig:
     if param == "eta_le":
         return replace(scenario, laser=replace(scenario.laser,
                                                conversion_eff=value))
     if param == "P_L":
         return replace(scenario, laser=replace(scenario.laser, power_w=value))
     if param == "n_uavs":
-        return replace(scenario, n_uavs=int(value))
+        return replace(scenario, n_uavs=value)
     if param == "n_iots":
-        return replace(scenario, n_iots=int(value))
+        return replace(scenario, n_iots=value)
     raise ConfigError(f"unknown sweep parameter {param!r}; "
                       f"choose from {', '.join(SWEEPABLE_PARAMS)}")

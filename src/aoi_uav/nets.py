@@ -190,9 +190,8 @@ def init_critic(rng: np.random.Generator, obs_dim: int, state_dim: int,
 
 def policy_head_batch(params: ActorParams, features: Tensor) -> Tensor:
     """Action logits for a (N, feature) matrix of actor features."""
-    hid = tt.tanh(tt.add(tt.matmul(features, tt.transpose(params.w_head)),
-                         params.b_head))
-    return tt.add(tt.matmul(hid, tt.transpose(params.w_out)), params.b_out)
+    hid = tt.tanh(tt.linear(features, params.w_head, params.b_head))
+    return tt.linear(hid, params.w_out, params.b_out)
 
 
 @dataclass
@@ -320,13 +319,11 @@ def _mlp_array(layers: list[tuple[Tensor, Tensor]], x: np.ndarray) -> np.ndarray
 
 
 def _mlp_forward(layers: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
-    out = x
     for idx, (w, b) in enumerate(layers):
-        out = tt.add(tt.matmul(out, tt.transpose(w)) if out.data.ndim == 2
-                     else tt.matmul(w, out), b)
+        x = tt.linear(x, w, b)
         if idx < len(layers) - 1:
-            out = tt.tanh(out)
-    return out
+            x = tt.tanh(x)
+    return x
 
 
 def blend_weights(params: CriticParams) -> Tensor:

@@ -108,7 +108,7 @@ def parse_instance(text: str) -> TinyInstance:
                 raise ConfigError(f"unknown instance config key {key!r}")
             if key in overrides:
                 raise ConfigError(f"instance line {lineno}: CFG {key} repeated")
-            overrides[key] = config_io._coerce("scenario", key, raw_value, kinds[key])
+            overrides[key] = config_io._coerce(f"[scenario] {key}", raw_value, kinds[key])
         else:
             layout_lines.append(raw)
     iots, lbds, uavs = world.parse_layout("\n".join(layout_lines))

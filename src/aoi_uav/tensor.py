@@ -3,13 +3,14 @@
 A ``Tape`` records operations executed while it is active; ``Tape.backward``
 replays the records in reverse to accumulate gradients into every tensor
 created with ``requires_grad=True``.  With no tape active the same ops run as
-plain numpy computations.  Two ops are fused, each one tape record with a
-hand-written backward: ``lstm_seq`` runs an LSTM over a whole padded batch
-of sequences (backpropagation through time), optionally for several LSTMs
-at once along leading axes (training replays every agent's actor in one
-record, its weights joined by ``stack``), and ``log_softmax`` replaces
-``log(softmax(x))`` and stays finite where a probability underflows to 0.
-Rollout and evaluation actors build no ``Tensor``: they step the LSTM
+plain numpy computations.  Three ops are fused, each one tape record with a
+hand-written backward: ``linear`` is the affine layer ``x @ w.T + b`` that
+every policy and value head is built from; ``lstm_seq`` runs an LSTM over a
+whole padded batch of sequences (backpropagation through time), optionally
+for several LSTMs at once along leading axes (training replays every agent's
+actor in one record, its weights joined by ``stack``); and ``log_softmax``
+replaces ``log(softmax(x))`` and stays finite where a probability underflows
+to 0.  Rollout and evaluation actors build no ``Tensor``: they step the LSTM
 through the plain-numpy kernels ``lstm_cell`` and ``softmax_array``, which
 the ops share.  Tensors and tapes are confined to a single thread: the
 active tape is a module global, so an op run on another thread while a tape
@@ -197,36 +198,33 @@ def mul(a, b) -> Tensor:
     return _record(out, (a, b), backward)
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product for the (m,n)@(n,) and (m,n)@(n,k) cases the networks
-    need; a 1-D left operand is rejected."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2:
-        raise ValueError(f"matmul needs a 2-D left operand, got shape {a.data.shape}")
-    out = Tensor(a.data @ b.data)
+def linear(x, w: Tensor, b: Tensor) -> Tensor:
+    """The affine layer ``x @ w.T + b`` as one tape record, for a (n,)
+    vector or (N, n) rows ``x``, ``w`` (m, n) and ``b`` (m,)."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    out = Tensor(x.data @ w.data.T + b.data)
 
     def backward(g: Array) -> None:
-        ad, bd = a.data, b.data
-        if a.requires_grad:
-            a.accumulate_grad(np.outer(g, bd) if bd.ndim == 1 else g @ bd.T)
+        if x.requires_grad:
+            x.accumulate_grad(g @ w.data)
+        if w.requires_grad:
+            w.accumulate_grad(np.outer(g, x.data) if g.ndim == 1 else (x.data.T @ g).T)
         if b.requires_grad:
-            b.accumulate_grad(ad.T @ g)
+            b.accumulate_grad(_unbroadcast(g, b.data.shape))
 
-    return _record(out, (a, b), backward)
+    return _record(out, (x, w, b), backward)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """Join tensors along their first axis."""
     tensors = [_as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    out = Tensor(np.concatenate([t.data for t in tensors]))
+    offsets = np.cumsum([0] + [len(t.data) for t in tensors])
 
     def backward(g: Array) -> None:
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t.accumulate_grad(g[tuple(idx)])
+                t.accumulate_grad(g[lo:hi])
 
     return _record(out, tuple(tensors), backward)
 
@@ -312,18 +310,14 @@ def sum_(a: Tensor, axis=None) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def mean(a: Tensor, axis=None) -> Tensor:
+def mean(a: Tensor) -> Tensor:
+    """The mean over every element."""
     a = _as_tensor(a)
-    out = Tensor(a.data.mean(axis=axis))
-    count = a.data.size if axis is None else a.data.shape[axis]
+    out = Tensor(a.data.mean())
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            if axis is None:
-                a.accumulate_grad(np.broadcast_to(g / count, a.data.shape).copy())
-            else:
-                a.accumulate_grad(np.broadcast_to(
-                    np.expand_dims(g / count, axis), a.data.shape).copy())
+            a.accumulate_grad(np.broadcast_to(g / a.data.size, a.data.shape).copy())
 
     return _record(out, (a,), backward)
 
@@ -337,17 +331,6 @@ def clip_by_value(a: Tensor, lo: float, hi: float) -> Tensor:
     def backward(g: Array) -> None:
         if a.requires_grad:
             a.accumulate_grad(g * inside)
-
-    return _record(out, (a,), backward)
-
-
-def transpose(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(a.data.T)
-
-    def backward(g: Array) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g.T)
 
     return _record(out, (a,), backward)
 

@@ -99,6 +99,14 @@ class WorldState:
         return np.where(self.has_data, self.slot - self.gen_time, self.recorded_aoi)
 
 
+# `WorldState`'s per-episode columns and tallies, each the name of a field;
+# a `WorldBatch` gives both a leading episode axis.  The other fields, the
+# slot and the shared ``lbds`` and ``iot_pos``, are one per batch.
+_COLUMNS = ("uav_pos", "uav_energy", "uav_alive", "charging_lbd", "gen_time",
+            "has_data", "recorded_aoi", "iot_energy")
+_TALLIES = ("peak_recorded_aoi", "collections", "collisions", "clips")
+
+
 @dataclass(frozen=True)
 class RewardBreakdown:
     r_a: float
@@ -443,54 +451,40 @@ class WorldBatch:
         """The episodes ``states``, all at one slot, as a batch; a batch of
         one shares the state's columns."""
         def rows(name):
+            if name in _TALLIES:
+                return np.array([getattr(st, name) for st in states], dtype=np.int64)
             if len(states) == 1:
                 return getattr(states[0], name)[None]
             return np.stack([getattr(st, name) for st in states])
 
-        def tally(name):
-            return np.array([getattr(st, name) for st in states], dtype=np.int64)
-
-        first = states[0]
-        return cls(first.slot, first.lbds, rows("uav_pos"), rows("uav_energy"),
-                   rows("uav_alive"), rows("charging_lbd"), first.iot_pos,
-                   rows("gen_time"), rows("has_data"), rows("recorded_aoi"),
-                   rows("iot_energy"), tally("peak_recorded_aoi"),
-                   tally("collections"), tally("collisions"), tally("clips"))
+        return _like(cls, states[0], rows)
 
     @classmethod
     def join(cls, parts: list["WorldBatch"]) -> "WorldBatch":
         """The episodes of ``parts``, all at one slot, as one batch in
         order."""
-        def rows(name):
-            return np.concatenate([getattr(p, name) for p in parts])
-
-        first = parts[0]
-        return cls(first.slot, first.lbds, rows("uav_pos"), rows("uav_energy"),
-                   rows("uav_alive"), rows("charging_lbd"), first.iot_pos,
-                   rows("gen_time"), rows("has_data"), rows("recorded_aoi"),
-                   rows("iot_energy"), rows("peak_recorded_aoi"),
-                   rows("collections"), rows("collisions"), rows("clips"))
+        return _like(cls, parts[0],
+                     lambda name: np.concatenate([getattr(p, name) for p in parts]))
 
     def take(self, keep: np.ndarray | list[int]) -> "WorldBatch":
         """The episodes that ``keep`` selects: a mask, or indices in order."""
-        return WorldBatch(self.slot, self.lbds, self.uav_pos[keep],
-                          self.uav_energy[keep], self.uav_alive[keep],
-                          self.charging_lbd[keep], self.iot_pos,
-                          self.gen_time[keep], self.has_data[keep],
-                          self.recorded_aoi[keep], self.iot_energy[keep],
-                          self.peak_recorded_aoi[keep], self.collections[keep],
-                          self.collisions[keep], self.clips[keep])
+        return _like(WorldBatch, self, lambda name: getattr(self, name)[keep])
 
     def row(self, b: int) -> WorldState:
         """Episode ``b`` as a `WorldState` that shares the batch's columns,
-        with no events."""
-        return WorldState(self.slot, self.lbds, self.uav_pos[b],
-                          self.uav_energy[b], self.uav_alive[b],
-                          self.charging_lbd[b], self.iot_pos, self.gen_time[b],
-                          self.has_data[b], self.recorded_aoi[b],
-                          self.iot_energy[b], int(self.peak_recorded_aoi[b]),
-                          int(self.collections[b]), int(self.collisions[b]),
-                          int(self.clips[b]))
+        with no events; its tallies are Python ints."""
+        def column(name):
+            value = getattr(self, name)[b]
+            return int(value) if name in _TALLIES else value
+
+        return _like(WorldState, self, column)
+
+
+def _like(cls, shared, per_episode):
+    """A ``cls`` with ``shared``'s slot, ``lbds`` and ``iot_pos``, and
+    ``per_episode(name)`` as each of its columns and tallies."""
+    return cls(slot=shared.slot, lbds=shared.lbds, iot_pos=shared.iot_pos,
+               **{name: per_episode(name) for name in (*_COLUMNS, *_TALLIES)})
 
 
 @dataclass
@@ -769,17 +763,7 @@ def events_to_csv(events: list[Event]) -> str:
 
 def states_equal(a: WorldState, b: WorldState) -> bool:
     """Bitwise equality of two world states (for determinism checks)."""
-    if (a.slot, a.peak_recorded_aoi, a.collections, a.collisions, a.clips) != (
-            b.slot, b.peak_recorded_aoi, b.collections, b.collisions, b.clips):
-        return False
-    return (np.array_equal(a.lbds, b.lbds)
-            and np.array_equal(a.uav_pos, b.uav_pos)
-            and np.array_equal(a.uav_energy, b.uav_energy)
-            and np.array_equal(a.uav_alive, b.uav_alive)
-            and np.array_equal(a.charging_lbd, b.charging_lbd)
-            and np.array_equal(a.iot_pos, b.iot_pos)
-            and np.array_equal(a.gen_time, b.gen_time)
-            and np.array_equal(a.has_data, b.has_data)
-            and np.array_equal(a.recorded_aoi, b.recorded_aoi)
-            and np.array_equal(a.iot_energy, b.iot_energy)
+    return (all(getattr(a, name) == getattr(b, name) for name in ("slot", *_TALLIES))
+            and all(np.array_equal(getattr(a, name), getattr(b, name))
+                    for name in ("lbds", "iot_pos", *_COLUMNS))
             and a.events == b.events)

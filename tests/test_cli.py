@@ -143,6 +143,16 @@ class TestTrain:
                  id="config-seed-negative"),
     pytest.param(["eval", "--policy", "greedy"], "[scenario]\nspeed = nan\n",
                  "[scenario] speed", id="config-speed-nan"),
+    # Sweep values parse as the config key they set: a count is an int and
+    # a float is finite.
+    pytest.param(["sweep", "--param", "n_uavs", "--values", "nan"], "",
+                 "--values", id="sweep-count-nan"),
+    pytest.param(["sweep", "--param", "n_uavs", "--values", "inf"], "",
+                 "--values", id="sweep-count-inf"),
+    pytest.param(["sweep", "--param", "n_uavs", "--values", "2.5"], "",
+                 "--values", id="sweep-count-fraction"),
+    pytest.param(["sweep", "--param", "P_L", "--values", "inf"], "",
+                 "--values", id="sweep-power-inf"),
 ])
 def test_out_of_range_number_exit_2_names_it(argv, run_section, flag, mini_cfg,
                                              tmp_path, capsys):

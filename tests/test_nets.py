@@ -210,6 +210,20 @@ class TestCritic:
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+class TestTapeRecords:
+    def test_every_affine_layer_is_one_record(self):
+        # A policy head is linear, tanh, linear; a 3-layer value head adds
+        # one more linear and tanh.
+        actor = fresh_actor(recurrent=False)
+        critic = init_critic(np.random.default_rng(1), OBS_DIM, 12, 6, 5)
+        with tt.Tape() as tape:
+            nets.policy_head_batch(actor, Tensor(RNG.normal(size=(4, OBS_DIM))))
+        assert len(tape.records) == 3
+        with tt.Tape() as tape:
+            global_value(critic, Tensor(RNG.normal(size=(4, 12))))
+        assert len(tape.records) == 5
+
+
 class TestSampling:
     def test_near_deterministic_distribution(self):
         probs = np.full(8, 1e-9)

@@ -59,7 +59,7 @@ class TestForwardSemantics:
 
     def test_matmul_identity(self):
         x = Tensor(np.arange(12.0).reshape(3, 4))
-        out = tt.matmul(Tensor(np.eye(3)), x)
+        out = tt.linear(x, Tensor(np.eye(4)), Tensor(np.zeros(4)))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_activations_at_zero(self):
@@ -85,7 +85,7 @@ class TestForwardSemantics:
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            tt.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4,))))
+            tt.linear(Tensor(np.ones((4,))), Tensor(np.ones((2, 3))), Tensor(np.zeros(2)))
 
 
 class TestBackward:
@@ -114,12 +114,13 @@ class TestBackward:
     def test_backward_deterministic(self):
         rng = np.random.default_rng(11)
         w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        b = Tensor(np.zeros(4))
         x = rng.normal(size=4)
 
         def run():
             w.zero_grad()
             with Tape() as tape:
-                tape.backward(tt.sum_(tt.tanh(tt.matmul(w, Tensor(x)))))
+                tape.backward(tt.sum_(tt.tanh(tt.linear(Tensor(x), w, b))))
             return w.grad.copy()
 
         g1, g2 = run(), run()
@@ -143,8 +144,8 @@ class TestFiniteDifferenceMaster:
         x = rng.normal(size=4)
 
         def forward():
-            h = tt.tanh(tt.add(tt.matmul(params["w1"], Tensor(x)), params["b1"]))
-            return tt.sum_(tt.matmul(params["w2"], h))
+            h = tt.tanh(tt.linear(Tensor(x), params["w1"], params["b1"]))
+            return tt.sum_(tt.linear(h, params["w2"], Tensor(np.zeros(1))))
 
         analytic = tape_gradients(forward, params)
         numeric = finite_difference(lambda: forward().item(), params)
@@ -156,7 +157,7 @@ class TestFiniteDifferenceMaster:
         x = rng.normal(size=5)
 
         def forward():
-            return tt.log_softmax(tt.matmul(params["w"], Tensor(x)))[3]
+            return tt.log_softmax(tt.linear(Tensor(x), params["w"], Tensor(np.zeros(8))))[3]
 
         analytic = tape_gradients(forward, params)
         numeric = finite_difference(lambda: forward().item(), params)
@@ -264,6 +265,28 @@ class TestFusedOps:
         numeric = finite_difference(lambda: forward().item(), params)
         assert_grads_close(analytic, numeric)
         np.testing.assert_array_equal(analytic["b"], weight[1])
+
+    @pytest.mark.parametrize("x_shape", [(4,), (5, 4)])
+    def test_linear_finite_differences(self, x_shape):
+        # On rows, the bias gradient sums over them.
+        rng = np.random.default_rng(43)
+        params = {"x": Tensor(rng.normal(size=x_shape), requires_grad=True),
+                  "w": Tensor(rng.normal(size=(3, 4)), requires_grad=True),
+                  "b": Tensor(rng.normal(size=3), requires_grad=True)}
+        weight = rng.normal(size=(*x_shape[:-1], 3))
+
+        def forward():
+            return tt.sum_(tt.mul(tt.linear(params["x"], params["w"], params["b"]),
+                                  weight))
+
+        with Tape() as tape:
+            out = tt.linear(params["x"], params["w"], params["b"])
+        assert len(tape.records) == 1
+        np.testing.assert_allclose(
+            out.data, params["x"].data @ params["w"].data.T + params["b"].data)
+        analytic = tape_gradients(forward, params)
+        numeric = finite_difference(lambda: forward().item(), params)
+        assert_grads_close(analytic, numeric)
 
     @pytest.mark.parametrize("shape", [(5,), (3, 6)])
     def test_log_softmax_finite_differences(self, shape):

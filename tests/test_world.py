@@ -292,6 +292,15 @@ class TestPeakAoi:
         assert all(a <= b for a, b in zip(peaks, peaks[1:]))
 
 
+def step_both(state, joint, cfg):
+    """`step` on ``state``, and `step_batch` on a batch of two copies of it:
+    a batch of one would go through `step`, not the batch kernel."""
+    nxt, rewards, _ = step(state, joint, cfg)
+    batch, batch_rewards, _ = step_batch(WorldBatch.of([state, state]),
+                                         np.array([joint, joint]), cfg)
+    return nxt, rewards, batch, batch_rewards
+
+
 class TestRewards:
     def test_healthy_band_gets_r0(self):
         cfg, state = open_field()
@@ -330,6 +339,35 @@ class TestRewards:
         nxt, rewards, _ = step(state, [8, 8], cfg)
         assert rewards[0].r_p == cfg.reward.r_0 - cfg.reward.event_penalty
         assert rewards[1].r_p == cfg.reward.r_0 - cfg.reward.event_penalty
+
+
+    def test_full_battery_outside_area_penalized_at_r_pen2(self):
+        # An epsilon_energy above one hover slot's drain (56.29 J) keeps a
+        # full UAV in the full-battery band; 400 m from the LBD at the
+        # origin, it is 150 m outside the 250 m charging disc.
+        cfg, state = open_field(include_hover_action=True, epsilon_energy=100.0)
+        state.uav_energy[0] = cfg.e_full
+        state.uav_pos[0] = np.array([400.0, 0.0])
+        nxt, rewards, _, batch_rewards = step_both(state, [8], cfg)
+        assert 0.0 < cfg.e_full - nxt.uav_energy[0] <= cfg.epsilon_energy
+        expected = -150.0 * cfg.reward.r_pen2
+        assert rewards[0].r_p == expected
+        assert batch_rewards.r_p.tolist() == [[expected]] * 2
+
+    def test_uavs_exactly_collision_dist_apart_do_not_collide(self):
+        # A collision needs a gap below collision_dist (10 m): two healthy
+        # UAVs hovering 10 m apart, outside the charging disc, log none.
+        cfg, state = open_field(n_uavs=2, include_hover_action=True)
+        state.uav_pos[0] = np.array([300.0, 0.0])
+        state.uav_pos[1] = np.array([310.0, 0.0])
+        state.uav_energy[[0, 1]] = 20000.0
+        nxt, rewards, batch, batch_rewards = step_both(state, [8, 8], cfg)
+        assert np.hypot(*(nxt.uav_pos[1] - nxt.uav_pos[0])) == cfg.collision_dist
+        assert nxt.collisions == 0
+        assert "collide" not in {e.event for e in nxt.events}
+        assert [r.r_p for r in rewards] == [cfg.reward.r_0] * 2
+        assert batch.collisions.tolist() == [0, 0]
+        assert batch_rewards.r_p.tolist() == [[cfg.reward.r_0] * 2] * 2
 
 
 class TestObservation:
