@@ -177,8 +177,9 @@ def _expand(frontier: WorldBatch, joints: np.ndarray, cfg: ScenarioConfig
         nxt, _, _ = world.step(rows, np.tile(joints, (len(nodes), 1)), cfg)
         shape = (len(nodes), n_joints)
         collected = (nxt.collections > rows.collections).reshape(shape)
-        pending = nxt.has_data.any(axis=1).reshape(shape)
-        live = pending & nxt.uav_alive.all(axis=1).reshape(shape)
+        pending = world._rowwise(np.logical_or, nxt.has_data).reshape(shape)
+        alive = world._rowwise(np.logical_and, nxt.uav_alive).reshape(shape)
+        live = pending & alive
         # A child with nothing pending scores its collection slot t; a
         # pending child that lost a UAV scores the horizon.  (A stepped
         # level is before slot horizon - 1, so no child reaches the horizon.)
@@ -186,7 +187,7 @@ def _expand(frontier: WorldBatch, joints: np.ndarray, cfg: ScenarioConfig
         block[pending & ~live] = horizon
         # A child that collects the last pending IoT scores t, the least any
         # joint can, so its node needs no other child.
-        solved = ~pending.all(axis=1)
+        solved = ~world._rowwise(np.logical_and, pending)
         block[solved] = np.where(pending[solved], horizon + 1, t)
         floor[nodes] = block
         # Number the open children by key; a row is the first of its key

@@ -132,10 +132,11 @@ def _sigmoid(x: Array) -> Array:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def softmax_array(x: Array, axis: int = -1) -> Array:
-    """Softmax with the maximum shifted out, so exp cannot overflow."""
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+def softmax_array(x: Array) -> Array:
+    """Softmax over the last axis with the maximum shifted out, so exp
+    cannot overflow."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def lstm_cell(z: Array, c: Array) -> tuple[Array, Array, Array, Array]:
@@ -267,30 +268,32 @@ def exp(a: Tensor) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis."""
     a = _as_tensor(a)
-    out_data = softmax_array(a.data, axis)
+    out_data = softmax_array(a.data)
     out = Tensor(out_data)
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            inner = (g * out_data).sum(axis=axis, keepdims=True)
+            inner = (g * out_data).sum(axis=-1, keepdims=True)
             a.accumulate_grad(out_data * (g - inner))
 
     return _record(out, (a,), backward)
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """``log(softmax(a))`` computed as ``shifted - log(sum(exp(shifted)))``:
-    finite wherever ``a`` is, even where the softmax underflows to 0."""
+def log_softmax(a: Tensor) -> Tensor:
+    """``log(softmax(a))`` over the last axis, computed as
+    ``shifted - log(sum(exp(shifted)))``: finite wherever ``a`` is, even
+    where the softmax underflows to 0."""
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    out_data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    out_data = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = Tensor(out_data)
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            a.accumulate_grad(g - np.exp(out_data) * g.sum(axis=axis, keepdims=True))
+            a.accumulate_grad(g - np.exp(out_data) * g.sum(axis=-1, keepdims=True))
 
     return _record(out, (a,), backward)
 

@@ -467,8 +467,16 @@ class WorldBatch:
                      lambda name: np.concatenate([getattr(p, name) for p in parts]))
 
     def take(self, keep: np.ndarray | list[int]) -> "WorldBatch":
-        """The episodes that ``keep`` selects: a mask, or indices in order."""
-        return _like(WorldBatch, self, lambda name: getattr(self, name)[keep])
+        """The episodes that ``keep`` selects: a mask, or indices in order.
+        Rows are gathered with ``ndarray.take``, a mask first becoming its
+        indices: at oracle chunk sizes that is several times faster than
+        indexing the (B, U, 2) and (B, I) columns with ``column[keep]``,
+        and gives the same arrays."""
+        index = np.asarray(keep)
+        if index.dtype == bool or not index.size:  # [] reads as floats
+            index = np.flatnonzero(index)
+        return _like(WorldBatch, self,
+                     lambda name: getattr(self, name).take(index, axis=0))
 
     def row(self, b: int) -> WorldState:
         """Episode ``b`` as a `WorldState` that shares the batch's columns,
@@ -504,13 +512,15 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
 
     Row b of the result equals `step` on episode b bit for bit: state,
     tallies, rewards and done; no events are built.  Every phase acts on
-    all B·U UAVs at once, and only charging assignment loops, once per
-    round of min(U, L).  The scalar physics runs once per distinct distance
-    (`_per_distinct`), so no Python runs per row.  A batch of one episode
-    goes through `step` (`_step_rows`), which is faster on a single row
-    even with the conversion to and from a batch.  Training collection
-    steps its lock-step episodes here, and the oracle steps each slot's
-    frontier times every joint action, in chunks.
+    all B·U UAVs at once.  Two loops remain, neither over rows: charging
+    assignment runs once per round of min(U, L), and `_argmin_min` walks
+    the short UAV or UAV·LBD axis one column at a time.  Reductions over
+    such a short trailing axis go through `_rowwise`.  The scalar physics
+    runs once per distinct distance (`_per_distinct`), so no Python runs
+    per row.  A batch of one episode goes through `step` (`_step_rows`),
+    which is faster on a single row even with the conversion to and from a
+    batch.  Training collection steps its lock-step episodes here, and the
+    oracle steps each slot's frontier times every joint action, in chunks.
     """
     n = config.n_uavs
     actions = np.asarray(actions)
@@ -530,24 +540,28 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
     n_lbds = len(lbds)
 
     # 1. Movement with square and flight-disc clipping.
-    delta = _ACTION_UNIT[actions] * (config.speed * config.slot_dt)   # (B, U, 2)
-    target = batch.uav_pos + delta
+    delta = _ACTION_UNIT.take(actions, axis=0) * (config.speed * config.slot_dt)
+    target = batch.uav_pos + delta                                    # (B, U, 2)
     pos = np.minimum(np.maximum(target, -half), half)
     radius = np.hypot(pos[..., 0], pos[..., 1])
     outside = radius > config.flight_limit
     if outside.any():
         pos[outside] *= (config.flight_limit / radius[outside])[:, None]
     fix = pos - target
-    corrections = np.hypot(fix[..., 0], fix[..., 1])
-    clipped = corrections > 1e-12
+    clipped = np.hypot(fix[..., 0], fix[..., 1]) > 1e-12
 
-    # 2. Pairwise collisions, pairs j < k.
+    # 2. Pairwise collisions, pairs j < k; one UAV has none.
     px, py = pos[..., 0], pos[..., 1]
-    gap = np.hypot(px[..., :, None] - px[..., None, :],
-                   py[..., :, None] - py[..., None, :])               # (B, U, U)
-    upper = np.less.outer(np.arange(n), np.arange(n))                # j < k
-    close = (gap < config.collision_dist) & upper
-    collide_counts = close.sum(axis=2) + close.sum(axis=1)
+    penalized = clipped                  # per UAV: its clip and collisions
+    collisions = batch.collisions
+    if n > 1:
+        gap = np.hypot(px[..., :, None] - px[..., None, :],
+                       py[..., :, None] - py[..., None, :])           # (B, U, U)
+        upper = np.less.outer(np.arange(n), np.arange(n))            # j < k
+        close = (gap < config.collision_dist) & upper
+        pairs = _rowwise(np.add, close)            # pairs (j, k) by their j
+        penalized = clipped + pairs + close.sum(axis=1)
+        collisions = collisions + _rowwise(np.add, pairs)
 
     # 3. Charging: each round gives every episode its nearest open
     #    (UAV, LBD) pair, lower UAV then LBD index on ties, which is the
@@ -555,11 +569,9 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
     lbd_dist = np.hypot(px[..., None] - lbds[:, 0], py[..., None] - lbds[:, 1])
     open_dist = np.where(lbd_dist <= config.charge_radius, lbd_dist, np.inf)
     charging = np.full((B, n), -1, dtype=np.int64)
-    charge_gain = np.zeros((B, n))
     for _ in range(min(n, n_lbds)):
-        flat = open_dist.reshape(B, -1)
-        best = flat.argmin(axis=1)
-        rows = np.flatnonzero(np.isfinite(flat[np.arange(B), best]))
+        best, nearest = _argmin_min(open_dist.reshape(B, -1))
+        rows = np.flatnonzero(np.isfinite(nearest))
         if not rows.size:
             break
         uav, lbd = np.divmod(best[rows], n_lbds)
@@ -567,15 +579,18 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
         open_dist[rows, uav, :] = np.inf
         open_dist[rows, :, lbd] = np.inf
     # Laser power for every charging UAV at once, one call per distinct
-    # (beam height, distance); the beam height is usually one value.
+    # (beam height, distance).  The beam heights are those of the L LBDs,
+    # usually one value, which then covers every charging UAV.
+    charge_gain = np.zeros((B, n))
     b, j = np.nonzero(charging >= 0)
     if b.size:
         k = charging[b, j]
         charge_dist = lbd_dist[b, j, k]
-        beam = config.altitude - lbds[k, 2]
+        beam = config.altitude - lbds[:, 2]                           # (L,)
+        heights = set(beam.tolist())
         power = np.empty(len(b))
-        for height in set(beam.tolist()):
-            group = beam == height
+        for height in heights:
+            group = slice(None) if len(heights) == 1 else beam.take(k) == height
             power[group] = _per_distinct(
                 lambda d: laser_power_received(config.laser, d, height),
                 charge_dist[group])
@@ -591,12 +606,11 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
     died = energy <= 0.0
 
     # 5. Data collection: the nearest alive UAV in range collects.
-    offset = batch.iot_pos[:, None] - pos[:, None]                    # (B, I, U, 2)
-    dist = np.hypot(offset[..., 0], offset[..., 1])
+    iot_x, iot_y = batch.iot_pos[:, 0, None], batch.iot_pos[:, 1, None]
+    dist = np.hypot(iot_x - px[:, None], iot_y - py[:, None])        # (B, I, U)
     if died.any():
         dist[np.broadcast_to(died[:, None, :], dist.shape)] = np.inf
-    collector = dist.argmin(axis=2)                  # (B, I), lower UAV on ties
-    collector_dist = dist.min(axis=2)
+    collector, collector_dist = _argmin_min(dist)   # lower UAV on ties
     hit = batch.has_data & (collector_dist <= config.comm_radius)
     if config.rate_gated_collection and hit.any():
         sent = np.nonzero(hit)
@@ -613,31 +627,56 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
         gen_time, has_data = np.where(hit, t, batch.gen_time), batch.has_data
     else:
         gen_time, has_data = batch.gen_time, batch.has_data & ~hit
-    collect_counts = (hit[..., None]
-                      & (collector[..., None] == np.arange(n))).sum(axis=1)
+    collector_of_hit = (np.arange(0, B * n, n)[:, None] + collector)[hit]  # b·U + j
+    collect_counts = np.bincount(collector_of_hit, minlength=B * n).reshape(B, n)
     peak_recorded = np.maximum(batch.peak_recorded_aoi,
-                               np.where(hit, age, 0).max(axis=1))
+                               _rowwise(np.maximum, np.where(hit, age, 0)))
 
     nxt = WorldBatch(t, lbds, pos, energy, ~died, charging, batch.iot_pos,
                      gen_time, has_data, recorded_aoi, iot_energy, peak_recorded,
-                     batch.collections + hit.sum(axis=1),
-                     batch.collisions + close.sum(axis=(1, 2)),
-                     batch.clips + clipped.sum(axis=1))
+                     batch.collections + _rowwise(np.add, hit), collisions,
+                     batch.clips + _rowwise(np.add, clipped))
 
     # 6/7. Rewards, as `_reward` computes them.
-    oldest = np.where(has_data, gen_time, t).min(axis=1)
+    oldest = _rowwise(np.minimum, np.where(has_data, gen_time, t))
     r_a = -np.maximum(peak_recorded, t - oldest) / config.aoi_norm
     rw = config.reward
-    d_c = np.maximum(0.0, lbd_dist.min(axis=2) - config.charge_radius)
+    d_c = np.maximum(0.0, _rowwise(np.minimum, lbd_dist) - config.charge_radius)
     r_p = np.where(energy <= config.e_charge_threshold, -d_c * rw.r_pen1,
                    np.where(np.abs(energy - config.e_full) <= config.epsilon_energy,
                             -d_c * rw.r_pen2, rw.r_0))
-    r_p = r_p - rw.event_penalty * (collide_counts + clipped)
+    r_p = r_p - rw.event_penalty * penalized
     r_p = np.where(died, r_p - rw.death_penalty, r_p)
     r_s = collect_counts.astype(float)
     total = rw.alpha_a * r_a[:, None] + rw.beta_p * r_p + rw.gamma_s * r_s
     return (nxt, BatchRewards(r_a, r_p, r_s, total),
-            died.any(axis=1) | (t >= config.horizon))
+            _rowwise(np.logical_or, died) | (t >= config.horizon))
+
+
+def _rowwise(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(x, axis=-1)`` on a column-major copy of an ``x``
+    whose last axis is short (U, I or U·L).  With `np.add`, `np.maximum`,
+    `np.minimum`, `np.logical_or` or `np.logical_and` it gives the value
+    and dtype of `np.sum`, `max`, `min`, `any` or `all` over that axis.
+    numpy reduces a short trailing axis of a C-ordered array a few elements
+    at a time, and the copy a whole column at a time: at about a thousand
+    rows, several times faster."""
+    return ufunc.reduce(np.asfortranarray(x), axis=-1)
+
+
+def _argmin_min(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(x.argmin(axis=-1), x.min(axis=-1))`` for a float ``x`` whose last
+    axis is short, walking that axis one column at a time.  A later column
+    wins only when strictly less, so ties go to the lower index, as with
+    `argmin`."""
+    low = x[..., 0].copy()
+    index = np.zeros(low.shape, np.intp)
+    for k in range(1, x.shape[-1]):
+        column = x[..., k]
+        lower = column < low
+        np.copyto(index, k, where=lower)
+        np.copyto(low, column, where=lower)
+    return index, low
 
 
 def _per_distinct(f, x: np.ndarray) -> np.ndarray:

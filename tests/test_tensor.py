@@ -53,7 +53,7 @@ class TestForwardSemantics:
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
-        out = tt.softmax(Tensor(rng.normal(size=(7, 9))), axis=-1)
+        out = tt.softmax(Tensor(rng.normal(size=(7, 9))))
         assert np.all(out.data > 0)
         np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(7), atol=1e-12)
 

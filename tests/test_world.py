@@ -749,6 +749,12 @@ def event_kinds(logs):
     return {e.event for events in logs for e in events}
 
 
+# One UAV and two LBDs at heights 0 and 25 m, 40 m apart: in most slots
+# some episodes charge at one height and some at the other.
+ONE_UAV = replace(tiny_scenario(), n_uavs=1, n_lbds=2)
+ONE_UAV_LAYOUT = ([], [(-20.0, 0.0, 0.0), (20.0, 0.0, 25.0)], [(0.0, 0.0)])
+
+
 class TestStepBatch:
     @pytest.mark.parametrize("cfg, episodes, seed, layout, kinds, ends", [
         pytest.param(tiny_scenario(), 4, 2, None, set(), 1, id="tiny"),
@@ -761,6 +767,11 @@ class TestStepBatch:
                      {"collide", "charge", "clip", "die"}, 1, id="crowded"),
         pytest.param(replace(tiny_scenario(), n_uavs=3, e_init_frac=0.03), 6, 6,
                      None, {"die"}, 3, id="ragged-deaths"),
+        pytest.param(ONE_UAV, 6, 7, ONE_UAV_LAYOUT, {"charge", "clip"}, 1,
+                     id="one-uav-two-heights"),
+        pytest.param(replace(ONE_UAV, rate_gated_collection=True, data_volume=1.04e7),
+                     6, 7, ONE_UAV_LAYOUT, {"charge", "clip"}, 1,
+                     id="one-uav-two-heights-rate-gated"),
     ])
     def test_rows_equal_step(self, cfg, episodes, seed, layout, kinds, ends):
         # Rows stay equal to `step` where UAVs collide, clip, charge and die,
@@ -888,6 +899,24 @@ class TestStepBatch:
         for b, original in enumerate([3, 0, 1, 2]):
             assert states_equal(joined.row(b), batch.row(original))
 
+    @pytest.mark.parametrize("keep", [
+        np.array([True, False, True, True, False]), np.array([4, 0, 0, 2]),
+        [3, 1], [], np.zeros(5, bool)],
+        ids=["mask", "indices", "list", "empty-list", "empty-mask"])
+    def test_take_gives_the_indexed_columns(self, keep):
+        cfg = tiny_scenario()
+        batch = WorldBatch.of([reset(cfg, seed=s) for s in range(5)])
+        batch, _, _ = step_batch(
+            batch, np.random.default_rng(4).integers(cfg.n_actions, size=(5, 2)), cfg)
+        got = batch.take(keep)
+        assert got.slot == batch.slot
+        assert got.lbds is batch.lbds and got.iot_pos is batch.iot_pos
+        for name in (*world._COLUMNS, *world._TALLIES):
+            expected = getattr(batch, name)[keep]
+            column = getattr(got, name)
+            assert (column.dtype, column.shape) == (expected.dtype, expected.shape)
+            np.testing.assert_array_equal(column, expected)
+
     def test_invalid_calls_rejected(self):
         cfg = replace(tiny_scenario(), horizon=1)
         batch = WorldBatch.of([reset(cfg, seed=1)] * 2)
@@ -943,3 +972,28 @@ class TestPerDistinct:
         out = world._per_distinct(lambda v: calls.append(v) or 1.0,
                                   np.array([0.0, -0.0, 0.0]))
         assert len(calls) == 1 and out.tolist() == [1.0] * 3
+
+
+class TestShortAxisHelpers:
+    SHAPES = [(37, 4), (5, 6, 2), (9, 1), (0, 3)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_argmin_min_equals_argmin_and_min(self, shape):
+        rng = np.random.default_rng(12)
+        x = rng.integers(0, 3, shape).astype(float)   # many ties
+        x[rng.random(shape[:-1]) < 0.2] = np.inf       # some all-inf rows
+        index, low = world._argmin_min(x)
+        assert index.dtype == x.argmin(axis=-1).dtype
+        np.testing.assert_array_equal(index, x.argmin(axis=-1))
+        assert low.tobytes() == x.min(axis=-1).tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("ufunc, reduce", [
+        (np.add, np.sum), (np.maximum, np.max), (np.minimum, np.min),
+        (np.logical_or, np.any), (np.logical_and, np.all)])
+    @pytest.mark.parametrize("dtype", [bool, np.int64, float])
+    def test_rowwise_equals_the_reduction(self, shape, ufunc, reduce, dtype):
+        x = np.random.default_rng(13).integers(0, 3, shape).astype(dtype)
+        got, expected = world._rowwise(ufunc, x), reduce(x, axis=-1)
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+        assert got.tobytes() == expected.tobytes()
