@@ -579,18 +579,17 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
         open_dist[rows, uav, :] = np.inf
         open_dist[rows, :, lbd] = np.inf
     # Laser power for every charging UAV at once, one call per distinct
-    # (beam height, distance).  The beam heights are those of the L LBDs,
-    # usually one value, which then covers every charging UAV.
+    # (beam height, distance).  The beam heights are those of the L LBDs.
     charge_gain = np.zeros((B, n))
     b, j = np.nonzero(charging >= 0)
     if b.size:
         k = charging[b, j]
         charge_dist = lbd_dist[b, j, k]
         beam = config.altitude - lbds[:, 2]                           # (L,)
-        heights = set(beam.tolist())
+        charge_beam = beam.take(k)
         power = np.empty(len(b))
-        for height in heights:
-            group = slice(None) if len(heights) == 1 else beam.take(k) == height
+        for height in set(beam.tolist()):
+            group = charge_beam == height
             power[group] = _per_distinct(
                 lambda d: laser_power_received(config.laser, d, height),
                 charge_dist[group])
