@@ -6,10 +6,10 @@ collects it in a lock-step batch or `eval` and `sweep` play it alone.
 
 Exit codes: 0 success, 1 check failed (oracle witness replay does not match
 the optimum, or a gradcheck trial failed), 2 config problem (including an
-out-of-range flag or key, a non-finite float, a repeated key, or an input or
-output path that cannot be read or written), 3 training
-diverged (non-finite loss), 4 checkpoint CRC/format failure, 5 oracle guard
-exceeded.
+out-of-range flag or key, a flag or key the command would ignore, a
+non-finite float, a repeated key, or an input or output path that cannot be
+read or written), 3 training diverged (non-finite loss), 4 checkpoint
+CRC/format failure, 5 oracle guard exceeded.
 """
 
 from __future__ import annotations
@@ -126,6 +126,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     scenario, tconf, seed = _load_run_config(args.config, args.seed)
     _at_least("--episodes", args.episodes, 1)
+    if args.policy != "learned" and args.checkpoint is not None:
+        raise ConfigError(f"--checkpoint applies only to --policy learned, "
+                          f"not {args.policy}")
     bundle = None
     if args.policy == "learned":
         if not args.checkpoint:
@@ -157,6 +160,9 @@ def cmd_sweep(args) -> int:
     if args.param not in SWEEPABLE_PARAMS:
         raise ConfigError(f"unknown sweep parameter {args.param!r}; "
                           f"choose from {', '.join(SWEEPABLE_PARAMS)}")
+    if args.mode == "train" and args.policy is not None:
+        raise ConfigError("--policy applies only to --mode eval; --mode train "
+                          "evaluates the policy it trains")
     scenario, tconf, seed = _load_run_config(args.config, args.seed)
     _at_least("--episodes", args.episodes, 1)
     rows = []
@@ -167,7 +173,7 @@ def cmd_sweep(args) -> int:
             result = trainer.train(swept, tconf, seed)
             policy = trainer.make_policy("learned", swept, result.bundle)
         else:
-            policy = trainer.make_policy(args.policy, swept)
+            policy = trainer.make_policy(args.policy or "greedy", swept)
         metrics = trainer.rollout_policy(swept, policy, args.episodes, seed)
         peaks = np.array([m.peak_aoi for m in metrics], dtype=float)
         # sweep.csv holds every value as a float, counts included.
@@ -255,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated values")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--mode", choices=("eval", "train"), default="eval")
-    p_sweep.add_argument("--policy", choices=("greedy", "random"),
-                         default="greedy")
+    p_sweep.add_argument("--policy", choices=("greedy", "random"), default=None,
+                         help="eval mode only (default greedy)")
     p_sweep.add_argument("--episodes", type=int, default=5)
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--out", default=".")

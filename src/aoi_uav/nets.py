@@ -4,14 +4,14 @@ Each agent owns a recurrent actor (one LSTM cell feeding a small policy
 head); a single centralized critic blends a local value of the agent's own
 observation with a global value of the full state through a softmax-
 constrained weight pair, so the blend stays a convex combination no matter
-how the weights train.  Rollouts run every agent's actor in one call over
-weights stacked along a leading agent axis (`stack_actors`), and compute
-every agent's value in plain numpy (`critic_values`); training collection
-adds a leading episode axis to both and samples every row at once
-(`sample_actions`).  The PPO update replays every agent's actor over a
-whole batch of episodes in one `lstm_seq` tape record
-(`actors_log_probs`), over per-agent weights joined along the agent axis
-by `tt.stack`.
+how the weights train.  Every rollout, training and evaluation alike, runs
+all agents' actors in one call over weights stacked along a leading agent
+axis (`stack_actors`) and samples every row at once (`sample_actions`);
+training collection adds a leading episode axis, and computes every
+agent's value in plain numpy (`critic_values`).  The PPO update replays
+every agent's actor over a whole batch of episodes in one `lstm_seq` tape
+record (`actors_log_probs`), over per-agent weights joined along the agent
+axis by `tt.stack`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,10 @@ class LstmCellParams:
     w_ih: Tensor  # (4H, In)
     w_hh: Tensor  # (4H, H)
     bias: Tensor  # (4H,)
-    hidden_size: int
+
+    @property
+    def hidden_size(self) -> int:
+        return self.w_hh.data.shape[-1]
 
     def tensors(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}/w_ih": self.w_ih, f"{prefix}/w_hh": self.w_hh,
@@ -113,7 +116,6 @@ def init_lstm(rng: np.random.Generator, input_dim: int, hidden: int) -> LstmCell
         w_ih=tt.glorot_uniform(rng, input_dim, hidden, (4 * hidden, input_dim)),
         w_hh=tt.glorot_uniform(rng, hidden, hidden, (4 * hidden, hidden)),
         bias=tt.zeros(4 * hidden),
-        hidden_size=hidden,
     )
     # Open the forget gate early so gradients flow through time from the start.
     cell.bias.data[hidden:2 * hidden] = FORGET_GATE_BIAS
@@ -139,30 +141,17 @@ def stack_actors(actors: list[ActorParams]) -> ActorParams:
     axis, (U, ...), so that one `actor_step` serves all agents.  It is for
     rollout inference only: training updates the per-agent actors, not the
     stack."""
-    def stack(weight) -> Tensor:
-        return Tensor(np.stack([weight(a).data for a in actors]))
-    return _build_actor(actors[0], stack)
+    def stack(weights: list[Tensor]) -> Tensor:
+        return Tensor(np.stack([w.data for w in weights]))
 
-
-def actor_row(stacked: ActorParams, agent: int) -> ActorParams:
-    """Agent ``agent``'s actor as views of its row of a `stack_actors` stack."""
-    return _build_actor(stacked, lambda weight: Tensor(weight(stacked).data[agent]))
-
-
-def _build_actor(like: ActorParams, make) -> ActorParams:
-    """An actor with ``like``'s architecture whose every weight is
-    ``make(weight)``, ``weight`` being the accessor of that weight."""
-    lstm = None
-    if like.recurrent:
-        lstm = LstmCellParams(w_ih=make(lambda a: a.lstm.w_ih),
-                              w_hh=make(lambda a: a.lstm.w_hh),
-                              bias=make(lambda a: a.lstm.bias),
-                              hidden_size=like.lstm.hidden_size)
-    return ActorParams(lstm=lstm,
-                       w_head=make(lambda a: a.w_head),
-                       b_head=make(lambda a: a.b_head),
-                       w_out=make(lambda a: a.w_out),
-                       b_out=make(lambda a: a.b_out))
+    cells = [a.lstm for a in actors]
+    lstm = None if cells[0] is None else LstmCellParams(
+        stack([c.w_ih for c in cells]), stack([c.w_hh for c in cells]),
+        stack([c.bias for c in cells]))
+    return ActorParams(lstm, stack([a.w_head for a in actors]),
+                       stack([a.b_head for a in actors]),
+                       stack([a.w_out for a in actors]),
+                       stack([a.b_out for a in actors]))
 
 
 def _init_mlp(rng: np.random.Generator, dims: list[int]) -> list[tuple[Tensor, Tensor]]:
@@ -333,20 +322,12 @@ def blend_weights(params: CriticParams) -> Tensor:
 
 def sample_actions(probs: np.ndarray,
                    u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`sample_action` on every distribution of ``probs`` (…, A) at once,
-    given each one's uniform draw ``u`` (…); returns the indices and their
-    log probabilities, both (…), equal to `sample_action`'s one by one."""
+    """Inverse-CDF draws from every distribution of ``probs`` (…, A) at
+    once, given each one's uniform draw ``u`` (…): the first index whose
+    cumulative probability exceeds the draw, the last if rounding leaves
+    none.  Returns the indices and their log probabilities, both (…)."""
     cdf = np.cumsum(probs, axis=-1)
     idx = np.minimum((cdf <= u[..., None]).sum(axis=-1), probs.shape[-1] - 1)
     flat = probs.reshape(-1, probs.shape[-1])
     chosen = flat[np.arange(len(flat)), idx.ravel()].tolist()
     return idx, np.array([math.log(p) for p in chosen]).reshape(idx.shape)
-
-
-def sample_action(probs: np.ndarray, rng: np.random.Generator) -> tuple[int, float]:
-    """Inverse-CDF draw from a distribution; returns (index, log prob)."""
-    u = rng.random()
-    cdf = np.cumsum(probs)
-    idx = int(np.searchsorted(cdf, u, side="right"))
-    idx = min(idx, len(probs) - 1)
-    return idx, math.log(probs[idx])

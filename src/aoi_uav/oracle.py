@@ -90,22 +90,33 @@ def make_instance(config: ScenarioConfig, iots, uavs, lbds) -> TinyInstance:
 # Instance files: layout records plus `CFG key value` scenario overrides.
 # ---------------------------------------------------------------------------
 
+# Scenario keys that an instance's records and `make_instance` decide: the
+# counts, the layout and one-shot collection.  A `CFG` line setting one
+# would be ignored, so it is an error.
+_RECORD_KEYS = ("n_uavs", "n_iots", "n_lbds", "layout_file", "lbd_layout",
+                "regenerate_on_collect")
+
+
 def parse_instance(text: str) -> TinyInstance:
-    """Parse an instance file: CFG overrides plus IOT/UAV/LBD layout records."""
+    """Parse an instance file: CFG overrides plus IOT/UAV/LBD layout records.
+    `parse_layout` reads every line but the CFG ones, which it sees blank,
+    so its errors name the file's own line numbers."""
     kinds = config_io._field_types(ScenarioConfig)
     overrides: dict = {}
     layout_lines = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0].upper() == "CFG":
+        parts = raw.split("#", 1)[0].split()
+        if parts and parts[0].upper() == "CFG":
+            layout_lines.append("")
             if len(parts) != 3:
                 raise ConfigError(f"instance line {lineno}: expected 'CFG key value'")
             key, raw_value = parts[1], parts[2]
             if key not in kinds:
                 raise ConfigError(f"unknown instance config key {key!r}")
+            if key in _RECORD_KEYS:
+                raise ConfigError(f"instance line {lineno}: CFG {key} cannot be "
+                                  f"set; the records place every entity and "
+                                  f"collection is one-shot")
             if key in overrides:
                 raise ConfigError(f"instance line {lineno}: CFG {key} repeated")
             overrides[key] = config_io._coerce(f"[scenario] {key}", raw_value, kinds[key])

@@ -26,12 +26,10 @@ from .nets import (
     ActorParams,
     CriticParams,
     HiddenState,
-    actor_row,
     actor_step,
     critic_value,
     critic_values,
     global_value,
-    sample_action,
     sample_actions,
     stack_actors,
     zero_hidden,
@@ -459,8 +457,9 @@ class GreedyPolicy(_PerAgentPolicy):
             self.charging[agent] = False
         pending = np.flatnonzero(state.has_data)
         if self.charging[agent] or not pending.size:
-            k, _ = world._nearest_lbd_horizontal(pos, state.lbds)
-            return state.lbds[k][:2]
+            lbds = state.lbds    # head for the horizontally nearest LBD
+            nearest = np.argmin(np.hypot(lbds[:, 0] - pos[0], lbds[:, 1] - pos[1]))
+            return lbds[nearest, :2]
         # Oldest first, then nearest, then lowest index (lexsort is stable).
         offset = state.iot_pos[pending] - pos
         order = np.lexsort((np.hypot(offset[:, 0], offset[:, 1]),
@@ -485,9 +484,10 @@ class GreedyPolicy(_PerAgentPolicy):
 
 class LearnedPolicy:
     """Greedy or sampling wrapper around trained actors, held as one
-    `stack_actors` stack, with one hidden-state row per agent.
-    `joint_action` steps every agent's actor in one call; `act` steps agent
-    ``agent``'s alone, on its rows of the stack and the hidden state."""
+    `stack_actors` stack, with one hidden-state row per agent.  Both
+    `joint_action` and `act` step every agent's actor in one call; `act`
+    keeps only agent ``agent``'s row of the result and of the hidden state,
+    which equals that agent's own step bit for bit."""
 
     name = "learned"
 
@@ -502,23 +502,26 @@ class LearnedPolicy:
 
     def joint_action(self, state: WorldState, rng: np.random.Generator,
                      greedy: bool) -> list[int]:
-        obs = observe(state, None, self.scenario)
-        probs, self.hidden = actor_step(self.actors, obs, self.hidden)
-        if greedy:
-            return np.argmax(probs, axis=1).tolist()
-        return [sample_action(p, rng)[0] for p in probs]
+        return self._choose(state, None, rng, greedy)
 
     def act(self, state: WorldState, agent: int, rng: np.random.Generator,
             greedy: bool) -> int:
-        obs = observe(state, agent, self.scenario)
-        probs, row = actor_step(
-            actor_row(self.actors, agent), obs,
-            HiddenState(self.hidden.h[agent], self.hidden.c[agent]))
-        self.hidden.h[agent], self.hidden.c[agent] = row.h, row.c
+        return self._choose(state, agent, rng, greedy)[0]
+
+    def _choose(self, state: WorldState, agent: int | None,
+                rng: np.random.Generator, greedy: bool) -> list[int]:
+        """The actions of every agent, or of ``agent`` alone: argmax, or
+        one uniform per chosen row through `sample_actions`."""
+        obs = observe(state, None, self.scenario)
+        probs, hidden = actor_step(self.actors, obs, self.hidden)
+        if agent is None:
+            self.hidden = hidden
+        else:
+            probs = probs[agent:agent + 1]
+            self.hidden.h[agent], self.hidden.c[agent] = hidden.h[agent], hidden.c[agent]
         if greedy:
-            return int(np.argmax(probs))
-        action, _ = sample_action(probs, rng)
-        return action
+            return np.argmax(probs, axis=1).tolist()
+        return sample_actions(probs, rng.random(len(probs)))[0].tolist()
 
 
 def make_policy(kind: str, scenario: ScenarioConfig,

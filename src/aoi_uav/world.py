@@ -5,9 +5,11 @@ One `step` advances all UAVs by one slot in a fixed order, each phase acting
 on every UAV at once: movement with boundary clipping, collision detection,
 charging assignment, propulsion drain, data collection, AoI bookkeeping, and
 reward computation.  `observe` builds every agent's observation in one call.
-`step_batch` advances B episodes of one scenario in lock step, with
-`WorldState`'s columns given a leading episode axis (`WorldBatch`); each of
-its rows equals `step` on that episode bit for bit, events aside.  Training
+`step_batch` advances B episodes of one scenario in lock step: a
+`WorldBatch` is a `WorldState` whose columns and tallies have a leading
+episode axis, and a slot's rewards are one `RewardBreakdown` of arrays.
+Each row of its result equals `step` on that episode bit for bit, events
+aside.  Training
 collection and the oracle's frontier search use it; evaluation, witness
 replays, the replays that rebuild a training episode's events and direct
 callers use `step`, the only builder of events.  Both keep running tallies,
@@ -64,24 +66,25 @@ class UavSnapshot(NamedTuple):
 class WorldState:
     """One slot of the world, held column-wise: one row per UAV and one
     entry per IoT.  ``lbds`` and ``iot_pos`` are never written after
-    ``reset``, so every state that `step` builds shares them."""
+    ``reset``, so every state that `step` builds shares them.  Where a
+    field has two shapes, the (B, …) one is a `WorldBatch`'s."""
 
     slot: int
     lbds: np.ndarray              # (L, 3) positions, m
-    uav_pos: np.ndarray           # (U, 2) horizontal positions, m
-    uav_energy: np.ndarray        # (U,) J
-    uav_alive: np.ndarray         # (U,) bool
-    charging_lbd: np.ndarray      # (U,) int64 LBD charging the UAV this slot, -1 none
+    uav_pos: np.ndarray           # (U, 2) or (B, U, 2): horizontal positions, m
+    uav_energy: np.ndarray        # (U,) or (B, U): J
+    uav_alive: np.ndarray         # (U,) or (B, U): bool
+    charging_lbd: np.ndarray      # (U,) or (B, U): int64 LBD charging it now, -1 none
     iot_pos: np.ndarray           # (I, 2) ground positions, m
-    gen_time: np.ndarray          # (I,) int64 slot the buffered data was generated
-    has_data: np.ndarray          # (I,) bool
-    recorded_aoi: np.ndarray      # (I,) int64 age at the most recent collection
-    iot_energy: np.ndarray        # (I,) J
-    peak_recorded_aoi: int = 0    # max age over all collections so far
-    collections: int = 0          # collections so far
-    collisions: int = 0           # UAV pairs too close, summed over slots
-    clips: int = 0                # boundary clips so far
-    events: list[Event] = field(default_factory=list)  # current slot only
+    gen_time: np.ndarray          # (I,) or (B, I): int64 slot its data was generated
+    has_data: np.ndarray          # (I,) or (B, I): bool
+    recorded_aoi: np.ndarray      # (I,) or (B, I): int64 age at its last collection
+    iot_energy: np.ndarray        # (I,) or (B, I): J
+    peak_recorded_aoi: int = 0    # or (B,) int64: max age over all collections so far
+    collections: int = 0          # or (B,) int64: collections so far
+    collisions: int = 0           # or (B,) int64: UAV pairs too close, summed over slots
+    clips: int = 0                # or (B,) int64: boundary clips so far
+    events: list[Event] = field(default_factory=list)  # this slot only; empty on a batch
 
     @property
     def uavs(self) -> list[UavSnapshot]:
@@ -109,10 +112,13 @@ _TALLIES = ("peak_recorded_aoi", "collections", "collisions", "clips")
 
 @dataclass(frozen=True)
 class RewardBreakdown:
-    r_a: float
-    r_p: float
-    r_s: float
-    total: float
+    """One agent's reward for one slot, or with array fields a lock-step
+    slot's rewards (`step_batch`)."""
+
+    r_a: float    # (B,) on a batch, shared by the agents of an episode
+    r_p: float    # (B, U) on a batch
+    r_s: float    # (B, U) on a batch
+    total: float  # (B, U) on a batch
 
 
 @dataclass(frozen=True)
@@ -241,12 +247,6 @@ def reset(config: ScenarioConfig, seed: int,
 
 def is_done(state: WorldState, config: ScenarioConfig) -> bool:
     return state.slot >= config.horizon or not all(state.uav_alive)
-
-
-def _nearest_lbd_horizontal(pos: np.ndarray, lbds: np.ndarray) -> tuple[int, float]:
-    d = np.hypot(lbds[:, 0] - pos[0], lbds[:, 1] - pos[1])
-    k = int(np.argmin(d))
-    return k, float(d[k])
 
 
 def step(state: WorldState, joint_action: list[int],
@@ -420,31 +420,10 @@ def peak_aoi(state: WorldState) -> int:
 # Lock-step batches
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WorldBatch:
-    """B running episodes of one scenario at the same slot: `WorldState`'s
-    columns and tallies with a leading episode axis.  ``lbds`` and
-    ``iot_pos`` are shared by every episode.  A batch holds no events."""
-
-    slot: int
-    lbds: np.ndarray              # (L, 3)
-    uav_pos: np.ndarray           # (B, U, 2)
-    uav_energy: np.ndarray        # (B, U)
-    uav_alive: np.ndarray         # (B, U) bool
-    charging_lbd: np.ndarray      # (B, U) int64, -1 none
-    iot_pos: np.ndarray           # (I, 2)
-    gen_time: np.ndarray          # (B, I) int64
-    has_data: np.ndarray          # (B, I) bool
-    recorded_aoi: np.ndarray      # (B, I) int64
-    iot_energy: np.ndarray        # (B, I)
-    peak_recorded_aoi: np.ndarray  # (B,) int64
-    collections: np.ndarray       # (B,) int64
-    collisions: np.ndarray        # (B,) int64 pairs
-    clips: np.ndarray             # (B,) int64
-
-    # Always empty: the benchmark's span tracer counts every `step` result's events.
-    events = ()
-    iot_ages = WorldState.iot_ages
+class WorldBatch(WorldState):
+    """B running episodes of one scenario at the same slot: `WorldState`
+    whose columns and tallies have a leading episode axis.  ``lbds`` and
+    ``iot_pos`` are shared by every episode.  Its ``events`` stay empty."""
 
     @classmethod
     def of(cls, states: list[WorldState]) -> "WorldBatch":
@@ -495,20 +474,11 @@ def _like(cls, shared, per_episode):
                **{name: per_episode(name) for name in (*_COLUMNS, *_TALLIES)})
 
 
-@dataclass
-class BatchRewards:
-    """One lock-step slot's rewards: `RewardBreakdown`'s fields as arrays."""
-
-    r_a: np.ndarray    # (B,) shared by the agents of an episode
-    r_p: np.ndarray    # (B, U)
-    r_s: np.ndarray    # (B, U)
-    total: np.ndarray  # (B, U)
-
-
 def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
-               ) -> tuple[WorldBatch, BatchRewards, np.ndarray]:
+               ) -> tuple[WorldBatch, RewardBreakdown, np.ndarray]:
     """Advance every episode of ``batch`` one slot; ``actions`` is (B, U).
-    Returns the next batch, the rewards and which episodes ended, (B,).
+    Returns the next batch, the rewards as one `RewardBreakdown` of arrays
+    and which episodes ended, (B,).
 
     Row b of the result equals `step` on episode b bit for bit: state,
     tallies, rewards and done; no events are built.  Every phase acts on
@@ -648,7 +618,7 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
     r_p = np.where(died, r_p - rw.death_penalty, r_p)
     r_s = collect_counts.astype(float)
     total = rw.alpha_a * r_a[:, None] + rw.beta_p * r_p + rw.gamma_s * r_s
-    return (nxt, BatchRewards(r_a, r_p, r_s, total),
+    return (nxt, RewardBreakdown(r_a, r_p, r_s, total),
             _rowwise(np.logical_or, died) | (t >= config.horizon))
 
 
@@ -694,14 +664,14 @@ def _per_distinct(f, x: np.ndarray) -> np.ndarray:
 
 
 def _step_rows(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
-               ) -> tuple[WorldBatch, BatchRewards, np.ndarray]:
+               ) -> tuple[WorldBatch, RewardBreakdown, np.ndarray]:
     """`step_batch` of a one-episode batch, through `step`."""
     state, rewards, done = step(batch.row(0), actions[0].tolist(), config)
     return (WorldBatch.of([state]),
-            BatchRewards(np.array([rewards[0].r_a]),
-                         np.array([[x.r_p for x in rewards]]),
-                         np.array([[x.r_s for x in rewards]]),
-                         np.array([[x.total for x in rewards]])),
+            RewardBreakdown(np.array([rewards[0].r_a]),
+                            np.array([[x.r_p for x in rewards]]),
+                            np.array([[x.r_s for x in rewards]]),
+                            np.array([[x.total for x in rewards]])),
             np.array([done]))
 
 

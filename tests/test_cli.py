@@ -239,6 +239,14 @@ class TestEval:
         assert cli.main(["eval", "--config", str(mini_cfg),
                          "--policy", "learned"]) == 2
 
+    @pytest.mark.parametrize("policy", ["greedy", "random"])
+    def test_checkpoint_without_learned_policy_exit_2(self, policy, capsys):
+        # Only a learned policy reads a checkpoint; the flag is not ignored.
+        assert cli.main(["eval", "--config", "tiny", "--policy", policy,
+                         "--episodes", "1",
+                         "--checkpoint", "/nonexistent/x.ckpt"]) == 2
+        assert "--checkpoint" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_sweep_csv_sorted_with_header(self, mini_cfg, tmp_path):
@@ -258,6 +266,26 @@ class TestSweep:
         assert cli.main(["sweep", "--param", "mass", "--values", "1,2",
                          "--config", str(mini_cfg),
                          "--out", str(tmp_path)]) == 2
+
+    def test_eval_mode_policy_defaults_to_greedy(self, mini_cfg, tmp_path):
+        sweeps = []
+        for name, extra in (("default", []), ("greedy", ["--policy", "greedy"])):
+            out = tmp_path / name
+            assert cli.main(["sweep", "--param", "eta_le", "--values", "0.1,0.2",
+                             "--config", str(mini_cfg), "--episodes", "1",
+                             "--seed", "3", "--out", str(out), *extra]) == 0
+            sweeps.append((out / "sweep.csv").read_text())
+        assert sweeps[0] == sweeps[1]
+
+    @pytest.mark.parametrize("policy", ["greedy", "random"])
+    def test_train_mode_policy_exit_2(self, policy, mini_cfg, tmp_path, capsys):
+        # Train mode evaluates the policy it trains, so --policy would be
+        # ignored.
+        assert cli.main(["sweep", "--param", "eta_le", "--values", "0.1",
+                         "--config", str(mini_cfg), "--mode", "train",
+                         "--policy", policy, "--out", str(tmp_path)]) == 2
+        assert "--policy" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestDivergenceExit:
@@ -324,6 +352,27 @@ class TestOracleAndGradcheck:
         inst.write_text("CFG horizon abc\nUAV 0 0\nIOT 0 10\nLBD 0 0 0\n")
         assert cli.main(["oracle", "--instance", str(inst)]) == 2
         assert "horizon" in capsys.readouterr().err
+
+    def test_bad_record_error_names_its_file_line(self, tmp_path, capsys):
+        # A comment and three CFG lines precede the bad record on line 6.
+        inst = tmp_path / "bad.txt"
+        inst.write_text("# comment\nCFG horizon 3\nCFG speed 10\n"
+                        "CFG comm_radius 5\nUAV 0 0\nIOT 0 10 7\nLBD 0 0 0\n")
+        assert cli.main(["oracle", "--instance", str(inst)]) == 2
+        assert "layout line 6:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", [
+        "n_uavs 1", "n_iots 7", "n_lbds 3", "layout_file /nonexistent",
+        "lbd_layout ring", "regenerate_on_collect true"])
+    def test_cfg_key_the_records_decide_exit_2(self, setting, tmp_path, capsys):
+        # The records place every entity and an instance collects one-shot,
+        # so these keys would be ignored; the error names the key and line.
+        inst = tmp_path / "ignored.txt"
+        inst.write_text(f"CFG horizon 3\nCFG {setting}\n"
+                        "UAV 0 0\nIOT 0 10\nLBD 0 0 0\n")
+        assert cli.main(["oracle", "--instance", str(inst)]) == 2
+        err = capsys.readouterr().err
+        assert f"line 2: CFG {setting.split()[0]} " in err
 
     def test_gradcheck_passes(self, capsys):
         assert cli.main(["gradcheck", "--trials", "4"]) == 0

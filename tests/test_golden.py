@@ -1,17 +1,23 @@
-"""Golden bytes of one small `aoi-uav train --events` run.
+"""Golden bytes of one small `aoi-uav train --events` run and of the
+evaluations that follow it.
 
 The run is the `tiny` preset cut to 3 UAVs, 30-slot episodes and 6 episodes
 at 4 per update, so it covers a full update, a short last update and
 colliding UAVs.  The digests pin its event CSVs, `metrics.csv` without the
-`wall_ms` column and its final checkpoint.  A change that alters training
-output on purpose re-records them, and says so in CHANGES.md.
+`wall_ms` column and its final checkpoint.  Two evaluation pins follow it:
+the `eval.csv` of `aoi-uav eval --policy learned` on that checkpoint, and
+the metrics rows, without `wall_ms`, of sampling learned policies through
+`rollout_policy(..., greedy=False)`.  A change that alters training or
+evaluation output on purpose re-records them, and says so in CHANGES.md.
 """
 
 import hashlib
 from dataclasses import replace
 from importlib import resources
 
-from aoi_uav import cli, config_io
+import pytest
+
+from aoi_uav import cli, config_io, trainer
 
 GOLDEN = {
     "checkpoints/ep_6.ckpt":
@@ -33,7 +39,24 @@ GOLDEN = {
 }
 
 
-def run_digests(tmp_path):
+EVAL_CSV = (
+    "policy,episodes,mean_peak_aoi,max_peak_aoi,mean_peak_aoi_recorded,"
+    "mean_cum_reward,mean_aoi_reward,mean_energy_reward,mean_collections\n"
+    "learned,2,30.0,30,3.0,39.49999999999999,-15.500000000000002,"
+    "-13.666666666666663,206.0\n")
+
+SAMPLING_ROWS = {
+    "mappo_lstm":
+        "b4cd57eb7d2fff6d32f2d6ff137208f4a15960b925dbfc72c28b4f0ebdf17710",
+    "mappo_ff":
+        "53487a33537a5c22235f76165f77e991c91048d8ac4030b0d572813122144c78",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """The golden config file and the directory of its training run."""
+    tmp_path = tmp_path_factory.mktemp("golden")
     preset = resources.files("aoi_uav").joinpath("presets", "tiny.cfg")
     scenario, tconf, _ = config_io.load_config(str(preset))
     cfg = tmp_path / "golden.cfg"
@@ -43,6 +66,10 @@ def run_digests(tmp_path):
     out = tmp_path / "run"
     assert cli.main(["train", "--config", str(cfg), "--seed", "11",
                      "--out", str(out), "--events"]) == 0
+    return cfg, out
+
+
+def run_digests(out):
     digests = {}
     for name in GOLDEN:
         data = (out / name).read_bytes()
@@ -52,5 +79,25 @@ def run_digests(tmp_path):
     return digests
 
 
-def test_train_events_run_bytes_pinned(tmp_path):
-    assert run_digests(tmp_path) == GOLDEN
+def test_train_events_run_bytes_pinned(golden_run):
+    assert run_digests(golden_run[1]) == GOLDEN
+
+
+def test_learned_eval_csv_pinned(golden_run, tmp_path):
+    cfg, out = golden_run
+    assert cli.main(["eval", "--config", str(cfg), "--policy", "learned",
+                     "--checkpoint", str(out / "checkpoints" / "ep_6.ckpt"),
+                     "--episodes", "2", "--seed", "11",
+                     "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "eval.csv").read_text() == EVAL_CSV
+
+
+@pytest.mark.parametrize("algo", sorted(SAMPLING_ROWS))
+def test_sampling_rollout_rows_pinned(golden_run, algo):
+    scenario, tconf, _ = config_io.load_config(str(golden_run[0]))
+    scenario = replace(scenario, rng_seed=11)
+    bundle = trainer.build_bundle(scenario, replace(tconf, algo=algo), seed=11)
+    rows = trainer.rollout_policy(
+        scenario, trainer.LearnedPolicy(scenario, bundle), 3, 11, greedy=False)
+    text = "\n".join(row.csv_row().rsplit(",", 1)[0] for row in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == SAMPLING_ROWS[algo]

@@ -9,7 +9,6 @@ from aoi_uav import nets, tensor as tt
 from aoi_uav.gradcheck import run_gradcheck
 from aoi_uav.nets import (
     HiddenState,
-    actor_row,
     actor_step,
     blend_weights,
     critic_value,
@@ -17,7 +16,6 @@ from aoi_uav.nets import (
     global_value,
     init_actor,
     init_critic,
-    sample_action,
     sample_actions,
     stack_actors,
     zero_hidden,
@@ -136,12 +134,16 @@ class TestStackedActors:
                 np.testing.assert_array_equal(hidden.h[b], own[b].h)
                 np.testing.assert_array_equal(hidden.c[b], own[b].c)
 
-    def test_row_of_stack_is_the_agent_actor(self):
-        actors = [fresh_actor(seed) for seed in range(3)]
-        row = actor_row(stack_actors(actors), 1)
-        assert row.tensors("a").keys() == actors[1].tensors("a").keys()
-        for name, t in row.tensors("a").items():
-            np.testing.assert_array_equal(t.data, actors[1].tensors("a")[name].data)
+    @pytest.mark.parametrize("recurrent", [True, False])
+    def test_stack_rows_are_the_agent_actors(self, recurrent):
+        actors = [fresh_actor(seed, recurrent) for seed in range(3)]
+        stacked = stack_actors(actors)
+        assert stacked.tensors("a").keys() == actors[0].tensors("a").keys()
+        for j, actor in enumerate(actors):
+            for name, t in stacked.tensors("a").items():
+                np.testing.assert_array_equal(t.data[j], actor.tensors("a")[name].data)
+        if recurrent:
+            assert stacked.lstm.hidden_size == actors[0].lstm.hidden_size == HIDDEN
 
 
 class TestCritic:
@@ -224,38 +226,42 @@ class TestTapeRecords:
         assert len(tape.records) == 5
 
 
+def inverse_cdf(probs, u):
+    """Reference draw from one distribution: the first index whose
+    cumulative probability exceeds ``u``, the last if none does."""
+    idx = min(int(np.searchsorted(np.cumsum(probs), u, side="right")),
+              len(probs) - 1)
+    return idx, math.log(probs[idx])
+
+
 class TestSampling:
     def test_near_deterministic_distribution(self):
         probs = np.full(8, 1e-9)
         probs[5] = 1.0 - probs.sum() + 1e-9
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            idx, logp = sample_action(probs, rng)
-            assert idx == 5
-            assert logp == pytest.approx(0.0, abs=1e-6)
+        idx, logp = sample_actions(np.tile(probs, (50, 1)), rng.random(50))
+        assert idx.tolist() == [5] * 50
+        np.testing.assert_allclose(logp, 0.0, atol=1e-6)
 
     def test_uniform_frequencies(self):
         probs = np.full(8, 0.125)
         rng = np.random.default_rng(123)
-        counts = np.zeros(8)
         n = 100_000
-        for _ in range(n):
-            idx, _ = sample_action(probs, rng)
-            counts[idx] += 1
-        np.testing.assert_allclose(counts / n, probs, atol=0.01)
+        idx, _ = sample_actions(np.broadcast_to(probs, (n, 8)), rng.random(n))
+        np.testing.assert_allclose(np.bincount(idx, minlength=8) / n, probs,
+                                   atol=0.01)
 
     def test_logp_is_exact_log(self):
         probs = np.array([0.1, 0.2, 0.3, 0.4])
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            idx, logp = sample_action(probs, rng)
-            assert logp == math.log(probs[idx])
+        idx, logp = sample_actions(np.tile(probs, (20, 1)), rng.random(20))
+        assert logp.tolist() == [math.log(probs[i]) for i in idx.tolist()]
 
 
 class TestBatchSampling:
-    def test_rows_equal_sample_action(self):
+    def test_rows_equal_inverse_cdf_reference(self):
         # U uniforms drawn at once equal U draws one by one, so the batch
-        # sampler picks what sample_action picks, row by row.
+        # sampler picks what a one-row inverse-CDF draw picks, row by row.
         rng = np.random.default_rng(3)
         probs = tt.softmax_array(rng.normal(size=(5, 3, N_ACTIONS)) * 3.0)
         probs[0, 0] = np.eye(N_ACTIONS)[N_ACTIONS - 1]   # a saturated row
@@ -265,7 +271,15 @@ class TestBatchSampling:
         for b in range(5):
             replay = np.random.default_rng([9, b])
             for j in range(3):
-                assert (idx[b, j], logp[b, j]) == sample_action(probs[b, j], replay)
+                assert ((idx[b, j], logp[b, j])
+                        == inverse_cdf(probs[b, j], replay.random()))
+
+    def test_rounding_short_cdf_picks_the_last_index(self):
+        # A cumulative sum that rounds below the draw selects no index by
+        # its rule, and both samplers fall back to the last one.
+        probs = np.array([[0.5, 0.5 - 1e-12]])
+        idx, _ = sample_actions(probs, np.array([1.0 - 1e-13]))
+        assert idx.tolist() == [1] == [inverse_cdf(probs[0], 1.0 - 1e-13)[0]]
 
 
 class TestGradientMasterProperty:

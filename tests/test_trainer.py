@@ -8,8 +8,9 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from aoi_uav import nets, tensor as tt, trainer, world
+from aoi_uav import cli, nets, tensor as tt, trainer, world
 from aoi_uav.config import ScenarioConfig, TrainConfig, tiny_scenario
+from aoi_uav.config_io import load_config
 from aoi_uav.nets import actor_step, critic_values, zero_hidden
 from aoi_uav.tensor import Tensor
 from aoi_uav.trainer import (
@@ -325,6 +326,26 @@ class TestRolloutCollection:
                 scen, lambda state: [policy.act(state, j, rng, True)
                                      for j in range(scen.n_uavs)])
             assert world.events_to_csv(by_agent) == world.events_to_csv(by_joint)
+
+    @pytest.mark.parametrize("greedy", [True, False], ids=["greedy", "sampling"])
+    @pytest.mark.parametrize("algo", ["mappo_lstm", "mappo_ff"])
+    def test_act_per_agent_equals_joint_action_on_canonical_ring(self, algo, greedy):
+        # `act` for agents 0..U-1 picks the joint action, keeps the same
+        # hidden state and draws the same numbers, one uniform per agent.
+        scen, _, _ = load_config(cli._resolve_input("canonical_ring", "presets"))
+        bundle = build_bundle(scen, replace(SMALL_TRAIN, algo=algo), seed=4)
+        joint = make_policy("learned", scen, bundle)
+        single = make_policy("learned", scen, bundle)
+        rng_joint, rng_single = np.random.default_rng(7), np.random.default_rng(7)
+        state = world.reset(scen, scen.rng_seed)
+        for _ in range(40):
+            actions = joint.joint_action(state, rng_joint, greedy)
+            assert [single.act(state, j, rng_single, greedy)
+                    for j in range(scen.n_uavs)] == actions
+            np.testing.assert_array_equal(single.hidden.h, joint.hidden.h)
+            np.testing.assert_array_equal(single.hidden.c, joint.hidden.c)
+            state, _, _ = world.step(state, actions, scen)
+        assert rng_single.random() == rng_joint.random()
 
     def test_padded_batch_replay_matches_per_episode_replay(self):
         # A UAV death ends an episode early, so the batch replay pads the

@@ -727,7 +727,7 @@ def lock_step_against_step(cfg, episodes, seed, layout=None, twins=False):
                 if e >= half:
                     actions[k] = actions[at[e - half]]
         batch, rewards, done = step_batch(batch, actions, cfg)
-        assert batch.events == ()
+        assert batch.events == []
         for k, e in enumerate(live):
             states[e], expected, ended = step(states[e], actions[k].tolist(), cfg)
             logs[e].extend(states[e].events)
@@ -898,6 +898,24 @@ class TestStepBatch:
         joined = WorldBatch.join(parts)
         for b, original in enumerate([3, 0, 1, 2]):
             assert states_equal(joined.row(b), batch.row(original))
+
+    def test_every_batch_is_a_world_state_with_no_events(self):
+        # `of`, `join`, `take` and `step_batch` (the kernel and the
+        # one-episode path through `step`) all give a `WorldState` whose
+        # events are empty; the rewards are one `RewardBreakdown` of arrays.
+        cfg = tiny_scenario()
+        made = WorldBatch.of([reset(cfg, seed=1)] * 3)
+        stepped, rewards, _ = step_batch(made, np.zeros((3, 2), dtype=int), cfg)
+        alone, alone_rewards, _ = step_batch(made.take([0]), np.zeros((1, 2), dtype=int),
+                                             cfg)
+        for batch in (made, WorldBatch.join([made, made.take([1])]),
+                      made.take([2, 0]), stepped, alone):
+            assert type(batch) is WorldBatch and isinstance(batch, world.WorldState)
+            assert batch.events == []
+        for got, b in ((rewards, 3), (alone_rewards, 1)):
+            assert type(got) is RewardBreakdown
+            assert got.r_a.shape == (b,)
+            assert got.r_p.shape == got.r_s.shape == got.total.shape == (b, 2)
 
     @pytest.mark.parametrize("keep", [
         np.array([True, False, True, True, False]), np.array([4, 0, 0, 2]),
