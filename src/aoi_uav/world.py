@@ -539,15 +539,17 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
     lbd_dist = np.hypot(px[..., None] - lbds[:, 0], py[..., None] - lbds[:, 1])
     open_dist = np.where(lbd_dist <= config.charge_radius, lbd_dist, np.inf)
     charging = np.full((B, n), -1, dtype=np.int64)
-    for _ in range(min(n, n_lbds)):
+    rounds = min(n, n_lbds)
+    for r in range(rounds):
         best, nearest = _argmin_min(open_dist.reshape(B, -1))
         rows = np.flatnonzero(np.isfinite(nearest))
         if not rows.size:
             break
         uav, lbd = np.divmod(best[rows], n_lbds)
         charging[rows, uav] = lbd
-        open_dist[rows, uav, :] = np.inf
-        open_dist[rows, :, lbd] = np.inf
+        if r + 1 < rounds:  # no round after the last reads its writes
+            open_dist[rows, uav, :] = np.inf
+            open_dist[rows, :, lbd] = np.inf
     # Laser power for every charging UAV at once, one call per distinct
     # (beam height, distance).  The beam heights are those of the L LBDs.
     charge_gain = np.zeros((B, n))

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from aoi_uav import cli, world
+from aoi_uav import cli, oracle, world
 from aoi_uav.config import TrainConfig, tiny_scenario
 from aoi_uav.config_io import dump_config, load_config
 
@@ -346,6 +346,12 @@ class TestOracleAndGradcheck:
                         "IOT 0 10\nLBD 0 0 0\n")
         assert cli.main(["oracle", "--instance", str(inst)]) == 5
         assert "guard" in capsys.readouterr().err
+
+    def test_state_cap_exit_5(self, monkeypatch, capsys):
+        # two_iot_symmetric's pruned search reaches 16 states.
+        monkeypatch.setattr(oracle, "MAX_STATES", 15)
+        assert cli.main(["oracle", "--instance", "two_iot_symmetric"]) == 5
+        assert "passed 15 states" in capsys.readouterr().err
 
     def test_unparsable_instance_value_exit_2(self, tmp_path, capsys):
         inst = tmp_path / "bad.txt"

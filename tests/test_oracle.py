@@ -1,4 +1,5 @@
-"""Exhaustive-search oracle: hand-traced optima, witnesses, invariances."""
+"""Exact-search oracle: hand-traced optima, witnesses, invariances, and the
+pruned search against its exhaustive pass (k = horizon)."""
 
 import gc
 from dataclasses import replace
@@ -7,11 +8,13 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from aoi_uav import world
+from aoi_uav import oracle, world
 from aoi_uav.config import ConfigError, ScenarioConfig
 from aoi_uav.oracle import (
     MAX_CHUNK_ROWS,
     OracleGuardExceeded,
+    _solve,
+    _tour_bound,
     exact_min_peak_aoi,
     load_instance,
     make_instance,
@@ -31,6 +34,16 @@ def toy_config(**kw):
     base = dict(horizon=3, speed=10.0, comm_radius=5.0)
     base.update(kw)
     return replace(ScenarioConfig(), **base)
+
+
+def exhaustive(inst):
+    """The pass that prunes nothing: the search without a bound."""
+    return _solve(inst, inst.config.horizon)
+
+
+def root_bound(inst):
+    root = inst.initial_state()
+    return int(_tour_bound(inst)(0, root.uav_pos[None], root.has_data[None])[0])
 
 
 def lattice_instance(horizon, iots):
@@ -65,8 +78,10 @@ LATTICE_PINS = [
 
 
 # States expanded for the identity layouts of LATTICE_PINS (rows 0, 4, 8
-# and 12), as the frontier search first counted them.
+# and 12): by the exhaustive pass, as the frontier search first counted
+# them, and by the pruned search over all its passes.
 LATTICE_EXPANDED = [(0, 1558), (4, 2627), (8, 3814), (12, 7254)]
+LATTICE_PRUNED = [(0, 3), (4, 11), (8, 17), (12, 0)]
 
 
 class TestHandTracedOptima:
@@ -83,14 +98,18 @@ class TestHandTracedOptima:
         assert result.optimum == 3
         assert replay_verify(inst, result.witness) == 3
 
-    @pytest.mark.parametrize("name, optimum, witness, expanded", [
-        ("adjacent_iot.txt", 1, "N,N,N", 1),
-        ("two_iot_symmetric.txt", 3, "N,S,S,N", 238),
+    @pytest.mark.parametrize("name, optimum, witness, expanded, pruned", [
+        ("adjacent_iot.txt", 1, "N,N,N", 1, 1),
+        ("two_iot_symmetric.txt", 3, "N,S,S,N", 238, 16),
     ])
-    def test_bundled_solves_pinned(self, name, optimum, witness, expanded):
-        result = exact_min_peak_aoi(bundled(name))
+    def test_bundled_solves_pinned(self, name, optimum, witness, expanded, pruned):
+        inst = bundled(name)
+        full = exhaustive(inst)
+        assert (full.optimum, full.witness_text(),
+                full.states_expanded) == (optimum, witness, expanded)
+        result = exact_min_peak_aoi(inst)
         assert (result.optimum, result.witness_text(),
-                result.states_expanded) == (optimum, witness, expanded)
+                result.states_expanded) == (optimum, witness, pruned)
 
     @pytest.mark.parametrize("horizon, iots, optimum, witness", LATTICE_PINS)
     def test_lattice_layouts_pinned(self, horizon, iots, optimum, witness):
@@ -101,6 +120,12 @@ class TestHandTracedOptima:
 
     @pytest.mark.parametrize("pin, expanded", LATTICE_EXPANDED)
     def test_lattice_states_expanded_pinned(self, pin, expanded):
+        horizon, iots, _, _ = LATTICE_PINS[pin]
+        inst = lattice_instance(horizon, [(float(x), float(y)) for x, y in iots])
+        assert exhaustive(inst).states_expanded == expanded
+
+    @pytest.mark.parametrize("pin, expanded", LATTICE_PRUNED)
+    def test_lattice_pruned_states_expanded_pinned(self, pin, expanded):
         horizon, iots, _, _ = LATTICE_PINS[pin]
         inst = lattice_instance(horizon, [(float(x), float(y)) for x, y in iots])
         assert exact_min_peak_aoi(inst).states_expanded == expanded
@@ -124,8 +149,25 @@ class TestHandTracedOptima:
         inst = bundled("two_uav_split.txt")
         assert inst.config.n_actions ** inst.config.n_uavs == 81
         result = exact_min_peak_aoi(inst)
-        assert (result.optimum, result.witness_text()) == (2, "N+S,NE+SW,N+N,N+N")
+        assert (result.optimum, result.witness_text(),
+                result.states_expanded) == (2, "N+S,NE+SW,N+N,N+N", 9)
         assert replay_verify(inst, result.witness) == 2
+
+    def test_two_uav_horizon_eight_solves(self):
+        # UAVs at (-10, 0) and (10, 0), four IoTs on the 10 m lattice, nine
+        # actions (81 joints), horizon 8.  81^8 joint sequences are far out
+        # of reach of enumeration; the pruned search finds the optimum, 5,
+        # below the horizon, and its pass with bound 4 finds no peak of 4.
+        cfg = toy_config(horizon=8, include_hover_action=True)
+        inst = make_instance(cfg, iots=[(-10.0, 0.0), (10.0, -20.0),
+                                        (20.0, 30.0), (30.0, -30.0)],
+                             uavs=[(-10.0, 0.0), (10.0, 0.0)],
+                             lbds=[(0.0, 0.0, 0.0)])
+        result = exact_min_peak_aoi(inst)
+        assert (result.optimum, result.witness_text(), result.states_expanded) == (
+            5, "H+E,NE+S,NE+SW,NE+SE,NE+SE,N+N,N+N,N+N", 49)
+        assert replay_verify(inst, result.witness) == 5
+        assert _solve(inst, 4, _tour_bound(inst)).optimum > 4
 
     def test_search_steps_event_free_chunks(self, monkeypatch):
         # Every `world.step` of a solve takes a batch of 2 to MAX_CHUNK_ROWS
@@ -168,7 +210,7 @@ class TestHandTracedOptima:
         monkeypatch.setattr(world, "laser_power_received", power)
         horizon, iots, optimum, _ = LATTICE_PINS[12]
         inst = lattice_instance(horizon, [(float(x), float(y)) for x, y in iots])
-        assert exact_min_peak_aoi(inst).optimum == optimum
+        assert exhaustive(inst).optimum == optimum
         assert 0 < len(powers) < sum(rows) / 10
 
     def test_last_level_is_counted_not_built(self, monkeypatch):
@@ -188,7 +230,7 @@ class TestHandTracedOptima:
         monkeypatch.setattr(WorldBatch, "take", take)
         monkeypatch.setattr(WorldBatch, "join", join)
         inst = bundled("two_uav_split.txt")
-        result = exact_min_peak_aoi(inst)
+        result = exhaustive(inst)
         assert result.states_expanded == 52566
         assert built and max(built) == inst.config.horizon - 2
 
@@ -217,6 +259,19 @@ class TestHandTracedOptima:
         result = exact_min_peak_aoi(starved)
         assert result.optimum == 4
         assert replay_verify(starved, result.witness) == 4
+        assert result.witness == exhaustive(starved).witness
+
+    def test_uav_placed_outside_the_area_starts_clipped(self):
+        # The UAV starts at x = 1000, outside the 500 m square.  A first
+        # move E (the first in action order that collects) is clipped to
+        # (500, 0), 5 m from the IoT, which it collects at slot 1.  Measured
+        # from x = 1000 the tour bound would be 50 slots, and the search
+        # would stop at the horizon untried.
+        inst = make_instance(toy_config(), iots=[(495.0, 0.0)],
+                             uavs=[(1000.0, 0.0)], lbds=[(0.0, 0.0, 0.0)])
+        result = exact_min_peak_aoi(inst)
+        assert (result.optimum, result.witness_text()) == (1, "E,N,N")
+        assert replay_verify(inst, result.witness) == 1
 
     def test_all_hover_scores_horizon(self):
         cfg = toy_config(include_hover_action=True, horizon=4)
@@ -259,6 +314,50 @@ class TestInvariances:
         assert optima[0] == 3
 
 
+class TestPrunedEqualsExhaustive:
+    """The pruned search returns the exhaustive pass's optimum and witness,
+    and the root's tour bound never exceeds the optimum."""
+
+    @staticmethod
+    def check(inst):
+        full = exhaustive(inst)
+        result = exact_min_peak_aoi(inst)
+        assert (result.optimum, result.witness) == (full.optimum, full.witness)
+        assert root_bound(inst) <= full.optimum
+
+    @pytest.mark.parametrize("horizon, iots", [row[:2] for row in LATTICE_PINS])
+    def test_lattice_pins(self, horizon, iots):
+        self.check(lattice_instance(horizon, [(float(x), float(y)) for x, y in iots]))
+
+    @pytest.mark.parametrize("name", ["adjacent_iot.txt", "two_iot_symmetric.txt",
+                                      "two_uav_split.txt"])
+    def test_bundled(self, name):
+        self.check(bundled(name))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_lattice_layouts(self, seed, monkeypatch):
+        # One UAV at horizon 6 (even seeds) or two at horizon 4 (odd), with
+        # hover on every other pair of seeds.  Seeds 10 and 11 start with
+        # 90 J, two hops, and their station out of reach, so a UAV dies on
+        # its third hop; at seed 11 that raises the optimum from 3 to the
+        # horizon.  The exhaustive pass on two UAVs can pass the state cap,
+        # which guards solves, not this reference.
+        monkeypatch.setattr(oracle, "MAX_STATES", 10 ** 6)
+        rng = np.random.default_rng(seed)
+        two_uavs, starved = seed % 2 == 1, seed >= 10
+        cells = {tuple(rng.integers(-3, 4, size=2).tolist())
+                 for _ in range(int(rng.integers(1, 5)))}
+        cfg = toy_config(horizon=4 if two_uavs else 6,
+                         include_hover_action=seed % 4 < 2,
+                         **(dict(e_init_frac=0.003, charge_radius=1.0)
+                            if starved else {}))
+        inst = make_instance(
+            cfg, iots=[(10.0 * x, 10.0 * y) for x, y in sorted(cells)],
+            uavs=[(-10.0, 0.0), (10.0, 0.0)] if two_uavs else [(0.0, 0.0)],
+            lbds=[(400.0, 400.0, 0.0)] if starved else [(0.0, 0.0, 0.0)])
+        self.check(inst)
+
+
 class TestPolicyBound:
     def test_greedy_never_beats_oracle(self):
         inst = bundled("two_iot_symmetric.txt")
@@ -294,13 +393,40 @@ class TestGuardsAndParsing:
                           uavs=[(0.0, 0.0), (5.0, 0.0), (10.0, 0.0)],
                           lbds=[(0.0, 0.0, 0.0)])
 
+    def test_state_cap_counts_every_pass(self, monkeypatch):
+        # two_iot_symmetric's pruned search reaches 16 states over its two
+        # passes (bounds 2 and 3).
+        inst = bundled("two_iot_symmetric.txt")
+        monkeypatch.setattr(oracle, "MAX_STATES", 16)
+        assert exact_min_peak_aoi(inst).states_expanded == 16
+        monkeypatch.setattr(oracle, "MAX_STATES", 15)
+        with pytest.raises(OracleGuardExceeded, match="15 states"):
+            exact_min_peak_aoi(inst)
+
+    def test_state_cap_stops_a_level_midway(self, monkeypatch):
+        # The exhaustive pass on two_uav_split steps its 81 states at slot 1
+        # in 7 chunks of up to 12 nodes, whose children pass 200 states in
+        # the first chunk; the cap stops the level there.
+        calls = []
+        real_step = world.step
+
+        def step(state, actions, cfg):
+            calls.append(state.slot)
+            return real_step(state, actions, cfg)
+
+        monkeypatch.setattr(world, "step", step)
+        monkeypatch.setattr(oracle, "MAX_STATES", 200)
+        with pytest.raises(OracleGuardExceeded):
+            exhaustive(bundled("two_uav_split.txt"))
+        assert calls == [0, 1]
+
     def test_replay_length_mismatch(self):
         inst = bundled("adjacent_iot.txt")
         with pytest.raises(ValueError):
             replay_verify(inst, [(0,)])
 
     def test_unknown_cfg_key_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="line 1"):
             parse_instance("CFG warp_drive 9\nUAV 0 0\nIOT 0 10\nLBD 0 0 0\n")
 
     @pytest.mark.parametrize("key,raw", [("horizon", "abc"), ("speed", "fast"),
