@@ -4,7 +4,9 @@ Layout: 8-byte magic, u32 format version, then named-tensor records
 (u32 name length, name bytes, u32 rank, u32 dims, little-endian float64
 payload) until 4 bytes before EOF, which hold the CRC32 of everything
 preceding them.  Records round-trip in insertion order, so save -> load ->
-save reproduces the bytes exactly.
+save reproduces the bytes exactly.  A container whose CRC holds but whose
+records do not parse (a length past the end, a name that is not UTF-8, a
+repeated name) is a `CheckpointError` too.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ FORMAT_VERSION = 1
 
 
 class CheckpointError(ValueError):
-    """Malformed container, bad CRC, or unsupported version."""
+    """Malformed container or record, bad CRC, or unsupported version."""
 
 
 def dump_tensors(tensors: dict[str, np.ndarray]) -> bytes:
@@ -52,21 +54,24 @@ def load_tensors(blob: bytes) -> dict[str, np.ndarray]:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     out: dict[str, np.ndarray] = {}
     end = len(body)
-    while offset < end:
-        (name_len,) = struct.unpack_from("<I", body, offset)
-        offset += 4
-        name = body[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<I", body, offset)
-        offset += 4
-        dims = struct.unpack_from(f"<{rank}I", body, offset)
-        offset += 4 * rank
-        count = int(np.prod(dims)) if rank else 1
-        payload = np.frombuffer(body, dtype="<f8", count=count, offset=offset)
-        offset += 8 * count
-        out[name] = payload.reshape(dims).astype(np.float64)
-    if offset != end:
-        raise CheckpointError("trailing bytes after last record")
+    try:
+        while offset < end:
+            (name_len,) = struct.unpack_from("<I", body, offset)
+            offset += 4
+            name = body[offset:offset + name_len].decode("utf-8")
+            if name in out:
+                raise ValueError(f"tensor {name!r} repeated")
+            offset += name_len
+            (rank,) = struct.unpack_from("<I", body, offset)
+            offset += 4
+            dims = struct.unpack_from(f"<{rank}I", body, offset)
+            offset += 4 * rank
+            count = int(np.prod(dims, dtype=object))  # Python ints: no overflow
+            payload = np.frombuffer(body, dtype="<f8", count=count, offset=offset)
+            offset += 8 * count
+            out[name] = payload.reshape(dims).astype(np.float64)
+    except (struct.error, ValueError, OverflowError) as err:  # UnicodeDecodeError too
+        raise CheckpointError(f"malformed record at byte {offset}: {err}") from None
     return out
 
 

@@ -9,7 +9,7 @@ the optimum, or a gradcheck trial failed), 2 config problem (including an
 out-of-range flag or key, a flag or key the command would ignore, a
 non-finite float, a repeated key, or an input or output path that cannot be
 read or written), 3 training diverged (non-finite loss), 4 checkpoint
-CRC/format failure, 5 oracle guard exceeded.
+CRC, format or record failure, 5 oracle guard exceeded.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ import numpy as np
 
 from . import __version__, checkpoint, config_io, gradcheck, oracle, trainer, world
 from .config import ConfigError, ScenarioConfig, TrainConfig
-from .config_io import (
-    RunSettings, SWEEPABLE_PARAMS, apply_sweep_value, parse_sweep_values)
+from .config_io import RunSettings, apply_sweep_value, parse_sweep_values
 from .trainer import METRICS_CSV_HEADER, TrainingDiverged
 
 EXIT_OK = 0
@@ -157,9 +156,6 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args) -> int:
-    if args.param not in SWEEPABLE_PARAMS:
-        raise ConfigError(f"unknown sweep parameter {args.param!r}; "
-                          f"choose from {', '.join(SWEEPABLE_PARAMS)}")
     if args.mode == "train" and args.policy is not None:
         raise ConfigError("--policy applies only to --mode eval; --mode train "
                           "evaluates the policy it trains")

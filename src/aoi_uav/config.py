@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .physics import ChannelParams, LaserParams, PropulsionParams
 
@@ -183,19 +183,12 @@ class TrainConfig:
             raise ConfigError("clip_norm must be >= 0 (0 disables clipping)")
 
 
-def tiny_scenario(**overrides) -> ScenarioConfig:
-    """Two UAVs, ten IoTs, short horizon; sized for minute-scale training."""
-    base = ScenarioConfig(
-        n_uavs=2,
-        n_iots=10,
-        n_lbds=1,
-        area_half_side=60.0,
-        speed=10.0,
-        horizon=100,
-        charge_radius=30.0,
-        flight_limit=60.0,
-        comm_radius=60.0,
-        obs_k_nearest=10,
-        include_hover_action=True,
-    )
-    return replace(base, **overrides)
+def tiny_scenario() -> ScenarioConfig:
+    """Two UAVs, ten IoTs, short horizon; sized for minute-scale training.
+    The scenario of the bundled ``tiny`` preset."""
+    from importlib import resources
+
+    from . import config_io  # which imports this module
+
+    path = resources.files("aoi_uav").joinpath("presets", "tiny.cfg")
+    return config_io.load_config(str(path))[0]

@@ -155,28 +155,32 @@ def load_config(path: str) -> tuple[ScenarioConfig, TrainConfig, RunSettings]:
     return parse_config(text)
 
 
-# Sweepable parameter name -> the kind of the config key it sets.
-SWEEPABLE_PARAMS = {"eta_le": "float", "n_uavs": "int", "n_iots": "int",
-                    "P_L": "float"}
+# Sweepable parameter -> the [section] and key of the config value it sets.
+SWEEPABLE_PARAMS = {"eta_le": ("laser", "conversion_eff"),
+                    "n_uavs": ("scenario", "n_uavs"),
+                    "n_iots": ("scenario", "n_iots"),
+                    "P_L": ("laser", "power_w")}
+
+
+def _sweep_target(param: str) -> tuple[str, str]:
+    if param not in SWEEPABLE_PARAMS:
+        raise ConfigError(f"unknown sweep parameter {param!r}; "
+                          f"choose from {', '.join(SWEEPABLE_PARAMS)}")
+    return SWEEPABLE_PARAMS[param]
 
 
 def parse_sweep_values(param: str, text: str) -> list[int | float]:
     """The comma-separated ``--values`` of ``param``, sorted, each parsed
     as the config key it sets would be."""
-    return sorted(_coerce(f"--values {param}", raw, SWEEPABLE_PARAMS[param])
-                  for raw in text.split(","))
+    section, key = _sweep_target(param)
+    kind = _field_types(_SECTION_TYPES[section])[key]
+    return sorted(_coerce(f"--values {param}", raw, kind) for raw in text.split(","))
 
 
 def apply_sweep_value(scenario: ScenarioConfig, param: str,
                       value: int | float) -> ScenarioConfig:
-    if param == "eta_le":
-        return replace(scenario, laser=replace(scenario.laser,
-                                               conversion_eff=value))
-    if param == "P_L":
-        return replace(scenario, laser=replace(scenario.laser, power_w=value))
-    if param == "n_uavs":
-        return replace(scenario, n_uavs=value)
-    if param == "n_iots":
-        return replace(scenario, n_iots=value)
-    raise ConfigError(f"unknown sweep parameter {param!r}; "
-                      f"choose from {', '.join(SWEEPABLE_PARAMS)}")
+    section, key = _sweep_target(param)
+    if section == "scenario":
+        return replace(scenario, **{key: value})
+    group = replace(getattr(scenario, section), **{key: value})
+    return replace(scenario, **{section: group})

@@ -5,12 +5,14 @@ Training collection steps every episode of an update in lock step
 (`world.step_batch`), which builds no events; when `train` has an event
 sink, it rebuilds each episode's events by replaying its stored joint
 actions through `world.step`.  Evaluation plays one episode at a time
-through `rollout_policy` and `world.step`.  Either way an episode's counts
-come from the tallies on its final state (`world.episode_counts`).  Both
-follow one RNG rule: episode ``e`` of a rollout seeded ``s`` draws from its
-own stream, ``np.random.default_rng([s, e])``, so an episode's output
-depends on the seed and its index alone, not on how many episodes run
-beside it.
+through `rollout_policy` and `world.step`.  Either way an episode's
+rewards reach `_episode_metrics` as columns with one row per slot, totals
+and ``r_p`` (T, U) and ``r_a`` (T,), and its counts come from the tallies
+on its final state (`world.episode_counts`); collection also keeps each
+agent's `AgentTrajectory` fields as arrays.  Both follow one RNG rule:
+episode ``e`` of a rollout seeded ``s`` draws from its own stream,
+``np.random.default_rng([s, e])``, so an episode's output depends on the
+seed and its index alone, not on how many episodes run beside it.
 """
 
 from __future__ import annotations
@@ -115,10 +117,10 @@ def bundle_from_tensors(tensors: dict[str, np.ndarray],
 @dataclass
 class AgentTrajectory:
     obs: np.ndarray              # (T, obs_dim)
-    actions: list[int]
-    log_probs: list[float]       # at collection
-    rewards: list[float]
-    values: list[float]
+    actions: np.ndarray          # (T,)
+    log_probs: np.ndarray        # (T,) at collection
+    rewards: np.ndarray          # (T,) totals
+    values: np.ndarray           # (T,)
     advantages: np.ndarray | None = None
     returns: np.ndarray | None = None
 
@@ -158,19 +160,20 @@ class TrajectoryBatch:
                 yield ep, agent_idx, traj
 
 
-def _episode_metrics(episode: int, rewards: list[list[float]],
-                     r_a: list[float], r_p: list[list[float]],
-                     final: WorldState, config: ScenarioConfig,
+def _episode_metrics(episode: int, totals: np.ndarray, r_p: np.ndarray,
+                     r_a: np.ndarray, final: WorldState, config: ScenarioConfig,
                      wall_ms: float) -> EpisodeMetrics:
-    """One episode's metrics from each agent's per-slot total and energy
-    rewards, the per-slot AoI reward and the final state."""
+    """One episode's metrics from its per-slot reward columns, ``totals``
+    and ``r_p`` (T, U) and ``r_a`` (T,), and its final state.  The sums run
+    over Python floats, agent by agent, slot by slot."""
     n = config.n_uavs
     rw = config.reward
     return EpisodeMetrics(
         episode=episode,
-        cum_reward=sum(sum(rs) for rs in rewards) / n,
-        aoi_reward=sum(rw.alpha_a * r for r in r_a),
-        energy_reward=sum(sum(rw.beta_p * r for r in rs) for rs in r_p) / n,
+        cum_reward=sum(sum(rs) for rs in totals.T.tolist()) / n,
+        aoi_reward=sum(rw.alpha_a * r for r in r_a.tolist()),
+        energy_reward=sum(sum(rw.beta_p * r for r in rs)
+                          for rs in r_p.T.tolist()) / n,
         peak_aoi=peak_aoi(final),
         peak_aoi_recorded=final.peak_recorded_aoi,
         counts=world.episode_counts(final, config),
@@ -242,16 +245,14 @@ def collect_rollout(scenario: ScenarioConfig, bundle: PolicyBundle,
     trajectories = []
     for e in range(episodes):
         rows = np.flatnonzero(owner == e)           # the episode's slots, in order
-        rewards = totals[rows].T.tolist()
-        agents = [AgentTrajectory(obs=obs[rows, j],
-                                  actions=actions[rows, j].tolist(),
-                                  log_probs=logp[rows, j].tolist(),
-                                  rewards=rewards[j],
-                                  values=values[rows, j].tolist())
+        agents = [AgentTrajectory(obs=obs[rows, j], actions=actions[rows, j],
+                                  log_probs=logp[rows, j],
+                                  rewards=totals[rows, j],
+                                  values=values[rows, j])
                   for j in range(n)]
         metrics = _episode_metrics(
-            first_episode_idx + e, rewards, r_a[rows].tolist(),
-            r_p[rows].T.tolist(), ends[e], scenario, wall[e] * 1e3)
+            first_episode_idx + e, totals[rows], r_p[rows], r_a[rows],
+            ends[e], scenario, wall[e] * 1e3)
         trajectories.append(EpisodeTrajectory(
             agents=agents, global_states=gstate[rows], metrics=metrics))
     return TrajectoryBatch(episodes=trajectories)
@@ -261,8 +262,8 @@ def _replay_events(scenario: ScenarioConfig, ep: EpisodeTrajectory) -> list[Even
     """Episode ``ep``'s events: its stored joint actions replayed through
     `world.step` from the reset that `collect_rollout` starts from."""
     state, events = world.reset(scenario, scenario.rng_seed), []
-    for joint in zip(*(traj.actions for traj in ep.agents)):
-        state, _, _ = world.step(state, list(joint), scenario)
+    for joint in np.column_stack([traj.actions for traj in ep.agents]).tolist():
+        state, _, _ = world.step(state, joint, scenario)
         events.extend(state.events)
     return events
 
@@ -549,26 +550,21 @@ def rollout_policy(scenario: ScenarioConfig, policy, episodes: int, seed: int,
     from ``first_episode_idx``) draws from ``np.random.default_rng([seed,
     i])``, the stream that `collect_rollout` gives it.  An episode's
     ``wall_ms`` covers its reset and every slot."""
-    n = scenario.n_uavs
     rows = []
     for idx in range(first_episode_idx, first_episode_idx + episodes):
         rng = np.random.default_rng([seed, idx])
         policy.begin_episode()
         t0 = time.perf_counter()
         state = world.reset(scenario, scenario.rng_seed)
-        rewards: list[list[float]] = [[] for _ in range(n)]
-        r_p: list[list[float]] = [[] for _ in range(n)]
-        r_a: list[float] = []
+        slots = []    # per slot: its totals (U,), r_p (U,) and r_a
         done = False
         while not done:
-            state, step_rewards, done = world.step(
+            state, rewards, done = world.step(
                 state, policy.joint_action(state, rng, greedy), scenario)
-            r_a.append(step_rewards[0].r_a)
-            for j, breakdown in enumerate(step_rewards):
-                rewards[j].append(breakdown.total)
-                r_p[j].append(breakdown.r_p)
+            slots.append((rewards.total, rewards.r_p, rewards.r_a))
         wall_ms = (time.perf_counter() - t0) * 1e3
-        rows.append(_episode_metrics(idx, rewards, r_a, r_p, state, scenario,
+        totals, r_p, r_a = map(np.array, zip(*slots))
+        rows.append(_episode_metrics(idx, totals, r_p, r_a, state, scenario,
                                      wall_ms))
     return rows
 

@@ -4,17 +4,17 @@
 One `step` advances all UAVs by one slot in a fixed order, each phase acting
 on every UAV at once: movement with boundary clipping, collision detection,
 charging assignment, propulsion drain, data collection, AoI bookkeeping, and
-reward computation.  `observe` builds every agent's observation in one call.
-`step_batch` advances B episodes of one scenario in lock step: a
-`WorldBatch` is a `WorldState` whose columns and tallies have a leading
-episode axis, and a slot's rewards are one `RewardBreakdown` of arrays.
+reward computation.  A slot's rewards are one `RewardBreakdown`: the
+shared AoI term, then one entry per agent.  `observe` builds every agent's
+observation in one call.  `step_batch` advances B episodes of one scenario
+in lock step: a `WorldBatch` is a `WorldState` whose columns and tallies
+have a leading episode axis, and so do the fields of its `RewardBreakdown`.
 Each row of its result equals `step` on that episode bit for bit, events
-aside.  Training
-collection and the oracle's frontier search use it; evaluation, witness
-replays, the replays that rebuild a training episode's events and direct
-callers use `step`, the only builder of events.  Both keep running tallies,
-from which `episode_counts` reads an episode's constraint counts, so no
-caller scans events.
+aside.  Training collection and the oracle's frontier search use it;
+evaluation, witness replays, the replays that rebuild a training episode's
+events and direct callers use `step`, the only builder of events.  Both
+keep running tallies, from which `episode_counts` reads an episode's
+constraint counts, so no caller scans events.
 Everything is deterministic given (config, seed, actions); randomness enters
 only through IoT placement at reset.
 """
@@ -112,13 +112,14 @@ _TALLIES = ("peak_recorded_aoi", "collections", "collisions", "clips")
 
 @dataclass(frozen=True)
 class RewardBreakdown:
-    """One agent's reward for one slot, or with array fields a lock-step
-    slot's rewards (`step_batch`)."""
+    """A slot's rewards: ``r_a``, a float shared by the agents, and one
+    float64 per agent in each other field, (U,).  `step_batch` gives every
+    field a leading episode axis: ``r_a`` (B,), the others (B, U)."""
 
-    r_a: float    # (B,) on a batch, shared by the agents of an episode
-    r_p: float    # (B, U) on a batch
-    r_s: float    # (B, U) on a batch
-    total: float  # (B, U) on a batch
+    r_a: float | np.ndarray   # AoI term
+    r_p: np.ndarray           # energy term, with event and death penalties
+    r_s: np.ndarray           # collections
+    total: np.ndarray         # alpha_a·r_a + beta_p·r_p + gamma_s·r_s
 
 
 @dataclass(frozen=True)
@@ -250,8 +251,8 @@ def is_done(state: WorldState, config: ScenarioConfig) -> bool:
 
 
 def step(state: WorldState, joint_action: list[int],
-         config: ScenarioConfig) -> tuple[WorldState, list[RewardBreakdown], bool]:
-    """Advance one slot; returns (next state, per-agent rewards, done).
+         config: ScenarioConfig) -> tuple[WorldState, RewardBreakdown, bool]:
+    """Advance one slot; returns (next state, rewards, done).
 
     A `WorldBatch` with (B, U) actions goes to `step_batch`, so one entry
     point, the one the benchmark's span tracer times, steps an episode or a
@@ -384,16 +385,17 @@ def step(state: WorldState, joint_action: list[int],
     # 6/7. Rewards from the updated state and this slot's event tallies; the
     #      nearest-LBD distance is the row minimum of the charging matrix.
     r_a = -peak_aoi(nxt) / config.aoi_norm
-    rewards = [
+    r_p, r_s, total = np.array([
         _reward(min(lbd_dist[j]), energy[j], collect_counts[j],
                 collide_counts[j] + clip_counts[j], died[j], r_a, config)
-        for j in range(n)
-    ]
-    return nxt, rewards, done
+        for j in range(n)]).T
+    return nxt, RewardBreakdown(r_a, r_p, r_s, total), done
 
 
 def _reward(d_lbd: float, energy: float, collected: int, penal_events: int,
-            died: bool, r_a: float, config: ScenarioConfig) -> RewardBreakdown:
+            died: bool, r_a: float, config: ScenarioConfig
+            ) -> tuple[float, float, float]:
+    """One agent's ``(r_p, r_s, total)`` for one slot, in Python floats."""
     rw = config.reward
     d_c = max(0.0, d_lbd - config.charge_radius)
     if energy <= config.e_charge_threshold:
@@ -407,7 +409,7 @@ def _reward(d_lbd: float, energy: float, collected: int, penal_events: int,
         r_p -= rw.death_penalty
     r_s = float(collected)
     total = rw.alpha_a * r_a + rw.beta_p * r_p + rw.gamma_s * r_s
-    return RewardBreakdown(r_a=r_a, r_p=r_p, r_s=r_s, total=total)
+    return r_p, r_s, total
 
 
 def peak_aoi(state: WorldState) -> int:
@@ -667,13 +669,12 @@ def _per_distinct(f, x: np.ndarray) -> np.ndarray:
 
 def _step_rows(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
                ) -> tuple[WorldBatch, RewardBreakdown, np.ndarray]:
-    """`step_batch` of a one-episode batch, through `step`."""
-    state, rewards, done = step(batch.row(0), actions[0].tolist(), config)
+    """`step_batch` of a one-episode batch, through `step`, lifted to a
+    leading episode axis of one."""
+    state, r, done = step(batch.row(0), actions[0].tolist(), config)
     return (WorldBatch.of([state]),
-            RewardBreakdown(np.array([rewards[0].r_a]),
-                            np.array([[x.r_p for x in rewards]]),
-                            np.array([[x.r_s for x in rewards]]),
-                            np.array([[x.total for x in rewards]])),
+            RewardBreakdown(np.array([r.r_a]), r.r_p[None], r.r_s[None],
+                            r.total[None]),
             np.array([done]))
 
 

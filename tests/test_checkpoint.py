@@ -1,11 +1,15 @@
-"""Checkpoint container: round trips, CRC, version gating."""
+"""Checkpoint container: round trips, CRC, version gating, malformed
+records."""
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
+from aoi_uav import cli
 from aoi_uav.checkpoint import (
+    FORMAT_VERSION,
     MAGIC,
     CheckpointError,
     dump_tensors,
@@ -58,6 +62,41 @@ class TestContainer:
     def test_truncated_rejected(self):
         with pytest.raises(CheckpointError):
             load_tensors(b"AOI")
+
+
+def with_crc(records: bytes) -> bytes:
+    """A container of raw ``records`` whose header and CRC are right."""
+    body = MAGIC + struct.pack("<I", FORMAT_VERSION) + records
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+# One well-formed record: name length 1, "w", rank 1, dim 4, 32 payload bytes.
+W = dump_tensors({"w": np.arange(4.0)})[12:-4]
+MALFORMED = {
+    "name-past-end": struct.pack("<I", 99) + b"w",
+    "rank-without-dims": struct.pack("<I", 1) + b"w" + struct.pack("<I", 2),
+    "short-payload": W[:-8],
+    "name-not-utf8": struct.pack("<I", 2) + b"\xff\xfe" + W[5:],
+    "repeated-name": W + W,
+    "dims-overflow": struct.pack("<I", 1) + b"w" + struct.pack("<4I", 3, *[2**32 - 1] * 3),
+}
+
+
+@pytest.mark.parametrize("records", MALFORMED.values(), ids=MALFORMED)
+class TestMalformedRecords:
+    # Each container passes the CRC check, so only the record parser sees
+    # what is wrong with it.
+    def test_load_raises_checkpoint_error(self, records):
+        assert load_tensors(with_crc(W)).keys() == {"w"}
+        with pytest.raises(CheckpointError, match="malformed record"):
+            load_tensors(with_crc(records))
+
+    def test_eval_exits_4(self, records, tmp_path, capsys):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(with_crc(records))
+        assert cli.main(["eval", "--config", "tiny", "--policy", "learned",
+                         "--checkpoint", str(path)]) == 4
+        assert capsys.readouterr().err.startswith("checkpoint error: malformed record")
 
 
 class TestBundleSerialization:

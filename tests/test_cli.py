@@ -262,10 +262,13 @@ class TestSweep:
         values = [float(line.split(",")[0]) for line in lines[1:]]
         assert values == sorted(values) == [0.05, 0.15, 0.25]
 
-    def test_unknown_param_exit_2(self, mini_cfg, tmp_path):
+    def test_unknown_param_exit_2(self, mini_cfg, tmp_path, capsys):
         assert cli.main(["sweep", "--param", "mass", "--values", "1,2",
                          "--config", str(mini_cfg),
                          "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: unknown sweep parameter 'mass'; "
+            "choose from eta_le, n_uavs, n_iots, P_L\n")
 
     def test_eval_mode_policy_defaults_to_greedy(self, mini_cfg, tmp_path):
         sweeps = []

@@ -7,8 +7,10 @@ colliding UAVs.  The digests pin its event CSVs, `metrics.csv` without the
 `wall_ms` column and its final checkpoint.  Two evaluation pins follow it:
 the `eval.csv` of `aoi-uav eval --policy learned` on that checkpoint, and
 the metrics rows, without `wall_ms`, of sampling learned policies through
-`rollout_policy(..., greedy=False)`.  A change that alters training or
-evaluation output on purpose re-records them, and says so in CHANGES.md.
+`rollout_policy(..., greedy=False)`.  The heuristic baselines' rows, played
+through `rollout_policy` on the bundled presets, are pinned the same way.  A
+change that alters training or evaluation output on purpose re-records
+them, and says so in CHANGES.md.
 """
 
 import hashlib
@@ -51,6 +53,24 @@ SAMPLING_ROWS = {
     "mappo_ff":
         "53487a33537a5c22235f76165f77e991c91048d8ac4030b0d572813122144c78",
 }
+
+# Seed 5, three episodes each; `rng_seed` set to the seed as `aoi-uav eval`
+# sets it.
+HEURISTIC_ROWS = {
+    ("tiny", "greedy"):
+        "250ba4ae371dd7cd5c31874639db5f6dea02b741416917ef0ec8101ad4df9536",
+    ("tiny", "random"):
+        "00d60950c97ecd62e25ebc51f36c236a26d9e29c50f19e1c83be82471a78e454",
+    ("canonical_ring", "greedy"):
+        "ef2ae40356de3fb834e43b9db99060356e9542054d13f92c7aacdd1403ef0b5a",
+    ("canonical_ring", "random"):
+        "1ee9b54edfa62ad2bc7223854f41c61189555c84d1c1287c4f920ba46b8a870e",
+}
+
+
+def rows_digest(rows):
+    text = "\n".join(row.csv_row().rsplit(",", 1)[0] for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -99,5 +119,14 @@ def test_sampling_rollout_rows_pinned(golden_run, algo):
     bundle = trainer.build_bundle(scenario, replace(tconf, algo=algo), seed=11)
     rows = trainer.rollout_policy(
         scenario, trainer.LearnedPolicy(scenario, bundle), 3, 11, greedy=False)
-    text = "\n".join(row.csv_row().rsplit(",", 1)[0] for row in rows)
-    assert hashlib.sha256(text.encode()).hexdigest() == SAMPLING_ROWS[algo]
+    assert rows_digest(rows) == SAMPLING_ROWS[algo]
+
+
+@pytest.mark.parametrize("preset, kind", sorted(HEURISTIC_ROWS))
+def test_heuristic_rollout_rows_pinned(preset, kind):
+    path = resources.files("aoi_uav").joinpath("presets", f"{preset}.cfg")
+    scenario, _, _ = config_io.load_config(str(path))
+    scenario = replace(scenario, rng_seed=5)
+    rows = trainer.rollout_policy(
+        scenario, trainer.make_policy(kind, scenario), 3, 5)
+    assert rows_digest(rows) == HEURISTIC_ROWS[preset, kind]

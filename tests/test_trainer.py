@@ -185,10 +185,8 @@ class TestRolloutCollection:
         b = collect_rollout(scen, bundle, episodes=2, seed=5)
         for ep_a, ep_b in zip(a.episodes, b.episodes):
             for ta, tb in zip(ep_a.agents, ep_b.agents):
-                assert ta.actions == tb.actions
-                assert ta.log_probs == tb.log_probs
-                assert ta.rewards == tb.rewards
-                np.testing.assert_array_equal(np.stack(ta.obs), np.stack(tb.obs))
+                for name in ("actions", "log_probs", "rewards", "obs"):
+                    np.testing.assert_array_equal(getattr(ta, name), getattr(tb, name))
 
     def test_episode_order_follows_first_episode_idx(self):
         # Episode i draws from default_rng([seed, i]): a shorter rollout is
@@ -202,12 +200,15 @@ class TestRolloutCollection:
                                first_episode_idx=2)
         assert [ep.metrics.episode for ep in full.episodes] == [0, 1, 2, 3]
         assert [ep.metrics.episode for ep in tail.episodes] == [2, 3]
-        actions = [[t.actions for t in ep.agents] for ep in full.episodes]
-        assert [[t.actions for t in ep.agents] for ep in head.episodes] == actions[:2]
-        assert [[t.actions for t in ep.agents] for ep in tail.episodes] == actions[2:]
+        def joint_actions(batch):
+            return [[t.actions.tolist() for t in ep.agents] for ep in batch.episodes]
+
+        actions = joint_actions(full)
+        assert joint_actions(head) == actions[:2]
+        assert joint_actions(tail) == actions[2:]
         assert actions[0] != actions[1]
         other_seed = collect_rollout(scen, bundle, episodes=1, seed=10)
-        assert [t.actions for t in other_seed.episodes[0].agents] != actions[0]
+        assert joint_actions(other_seed)[0] != actions[0]
 
     def test_collection_matches_sampling_policy_rollout(self):
         # Lock-step collection and a sampling LearnedPolicy played one
@@ -248,9 +249,8 @@ class TestRolloutCollection:
                 sampled_episode_events(scen, bundle, 9, 3 + e))
             np.testing.assert_array_equal(ep.global_states, alone.global_states)
             for a, b in zip(ep.agents, alone.agents):
-                np.testing.assert_array_equal(a.obs, b.obs)
-                assert (a.actions, a.log_probs, a.rewards, a.values) == (
-                    b.actions, b.log_probs, b.rewards, b.values)
+                for name in ("obs", "actions", "log_probs", "rewards", "values"):
+                    np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     @pytest.mark.parametrize("algo", ["mappo_lstm", "mappo_ff"])
     def test_values_equal_per_slot_critic_calls(self, algo):

@@ -195,7 +195,7 @@ class TestChargingAndEnergy:
         assert slot == math.floor(18000.0 / DRAIN_PER_SLOT_V5) + 1 == 373
         assert any(e.event == "die" for e in state.events)
         # Dying agent receives the terminal penalty through r_p.
-        assert rewards[0].r_p <= -cfg.reward.death_penalty
+        assert rewards.r_p[0] <= -cfg.reward.death_penalty
 
 
 class TestCollection:
@@ -203,7 +203,7 @@ class TestCollection:
         cfg, state = open_field(iot_at=((1.0, 50.0),))
         nxt, rewards, _ = step(state, [0], cfg)  # north: (1,5), dist 45 < 60
         assert any(e.event == "collect" for e in nxt.events)
-        assert rewards[0].r_s == 1.0
+        assert rewards.r_s.tolist() == [1.0]
         assert nxt.recorded_aoi[0] == 1
 
     def test_regenerate_keeps_data_flag(self):
@@ -223,13 +223,13 @@ class TestCollection:
         state.uav_pos[0] = np.array([5.0, 0.0])
         state.uav_pos[1] = np.array([9.0, 0.0])
         nxt, rewards, _ = step(state, [8, 8], cfg)
-        assert rewards[0].r_s == 1.0 and rewards[1].r_s == 0.0
+        assert rewards.r_s.tolist() == [1.0, 0.0]
 
     def test_agent_can_collect_two(self):
         cfg, state = open_field(n_iots=2, iot_at=((1.0, 20.0), (1.0, -10.0)),
                                 include_hover_action=True)
         nxt, rewards, _ = step(state, [8], cfg)
-        assert rewards[0].r_s == 2.0
+        assert rewards.r_s.tolist() == [2.0]
 
     def test_iot_energy_drains_on_collect(self):
         cfg, state = open_field(iot_at=((1.0, 10.0),))
@@ -307,14 +307,14 @@ class TestRewards:
         state.uav_energy[0] = 20000.0
         state.uav_pos[0] = np.array([400.0, 0.0])  # outside charging area
         nxt, rewards, _ = step(state, [4], cfg)
-        assert rewards[0].r_p == cfg.reward.r_0
+        assert rewards.r_p.tolist() == [cfg.reward.r_0]
 
     def test_low_energy_inside_area_no_penalty(self):
         cfg, state = open_field(include_hover_action=True)
         state.uav_energy[0] = 5000.0
         state.uav_pos[0] = np.array([0.0, 100.0])  # inside charging disc
         nxt, rewards, _ = step(state, [8], cfg)
-        assert rewards[0].r_p == 0.0
+        assert rewards.r_p.tolist() == [0.0]
 
     def test_low_energy_outside_area_penalized(self):
         cfg, state = open_field()
@@ -322,14 +322,23 @@ class TestRewards:
         state.uav_pos[0] = np.array([400.0, 0.0])
         nxt, rewards, _ = step(state, [4], cfg)  # south, stays outside
         d_c = float(np.hypot(*nxt.uavs[0].pos)) - cfg.charge_radius
-        assert rewards[0].r_p == pytest.approx(-d_c * cfg.reward.r_pen1)
+        assert rewards.r_p[0] == pytest.approx(-d_c * cfg.reward.r_pen1)
 
     def test_total_is_exact_weighted_sum(self):
         cfg, state = open_field(iot_at=((1.0, 50.0),))
-        _, rewards, _ = step(state, [0], cfg)
-        r = rewards[0]
+        _, r, _ = step(state, [0], cfg)
         rw = cfg.reward
-        assert r.total == rw.alpha_a * r.r_a + rw.beta_p * r.r_p + rw.gamma_s * r.r_s
+        assert r.total.tolist() == (
+            rw.alpha_a * r.r_a + rw.beta_p * r.r_p + rw.gamma_s * r.r_s).tolist()
+
+    def test_one_breakdown_with_an_entry_per_agent(self):
+        # `step` gives the AoI term as a float and every other field as
+        # (U,) float64; `step_batch` adds a leading episode axis.
+        cfg, state = open_field(n_uavs=3, include_hover_action=True)
+        _, r, _ = step(state, [8, 8, 8], cfg)
+        assert type(r) is RewardBreakdown and type(r.r_a) is float
+        for column in (r.r_p, r.r_s, r.total):
+            assert column.shape == (3,) and column.dtype == np.float64
 
     def test_collision_penalty_folded_into_rp(self):
         cfg, state = open_field(n_uavs=2, include_hover_action=True)
@@ -337,8 +346,7 @@ class TestRewards:
         state.uav_pos[1] = np.array([104.0, 0.0])
         state.uav_energy[[0, 1]] = 20000.0
         nxt, rewards, _ = step(state, [8, 8], cfg)
-        assert rewards[0].r_p == cfg.reward.r_0 - cfg.reward.event_penalty
-        assert rewards[1].r_p == cfg.reward.r_0 - cfg.reward.event_penalty
+        assert rewards.r_p.tolist() == [cfg.reward.r_0 - cfg.reward.event_penalty] * 2
 
 
     def test_full_battery_outside_area_penalized_at_r_pen2(self):
@@ -351,7 +359,7 @@ class TestRewards:
         nxt, rewards, _, batch_rewards = step_both(state, [8], cfg)
         assert 0.0 < cfg.e_full - nxt.uav_energy[0] <= cfg.epsilon_energy
         expected = -150.0 * cfg.reward.r_pen2
-        assert rewards[0].r_p == expected
+        assert rewards.r_p.tolist() == [expected]
         assert batch_rewards.r_p.tolist() == [[expected]] * 2
 
     def test_uavs_exactly_collision_dist_apart_do_not_collide(self):
@@ -365,7 +373,7 @@ class TestRewards:
         assert np.hypot(*(nxt.uav_pos[1] - nxt.uav_pos[0])) == cfg.collision_dist
         assert nxt.collisions == 0
         assert "collide" not in {e.event for e in nxt.events}
-        assert [r.r_p for r in rewards] == [cfg.reward.r_0] * 2
+        assert rewards.r_p.tolist() == [cfg.reward.r_0] * 2
         assert batch.collisions.tolist() == [0, 0]
         assert batch_rewards.r_p.tolist() == [[cfg.reward.r_0] * 2] * 2
 
@@ -659,23 +667,24 @@ class TestGoldenMultiUavStep:
         '4,uav,2,drain,40.60243756526654\n'
         '4,iot,1,collect,0.0\n'
     )
+    # Per slot: r_a, then each agent's r_p, r_s and total.
     REWARDS = [
-        ['RewardBreakdown(r_a=-0.1, r_p=-2.9, r_s=0.0, total=-1.55)',
-         'RewardBreakdown(r_a=-0.1, r_p=-2.9, r_s=0.0, total=-1.55)',
-         'RewardBreakdown(r_a=-0.1, r_p=-1.9, r_s=2.0, total=0.95)'],
-        ['RewardBreakdown(r_a=-0.2, r_p=-1.9, r_s=1.0, total=-0.1499999999999999)',
-         'RewardBreakdown(r_a=-0.2, r_p=-0.9, r_s=0.0, total=-0.65)',
-         'RewardBreakdown(r_a=-0.2, r_p=-0.9, r_s=0.0, total=-0.65)'],
-        ['RewardBreakdown(r_a=-0.3, r_p=-0.9, r_s=1.0, total=0.25)',
-         'RewardBreakdown(r_a=-0.3, r_p=-1.00960313696972, r_s=0.0, '
-         'total=-0.80480156848486)',
-         'RewardBreakdown(r_a=-0.3, r_p=-0.032315462117278176, r_s=0.0, '
-         'total=-0.3161577310586391)'],
-        ['RewardBreakdown(r_a=-0.4, r_p=-0.9, r_s=1.0, total=0.1499999999999999)',
-         'RewardBreakdown(r_a=-0.4, r_p=-11.00960313696972, r_s=0.0, '
-         'total=-5.90480156848486)',
-         'RewardBreakdown(r_a=-0.4, r_p=-0.1273863375370596, r_s=0.0, '
-         'total=-0.46369316876852984)'],
+        (-0.1,
+         [-2.9, -2.9, -1.9],
+         [0.0, 0.0, 2.0],
+         [-1.55, -1.55, 0.95]),
+        (-0.2,
+         [-1.9, -0.9, -0.9],
+         [1.0, 0.0, 0.0],
+         [-0.1499999999999999, -0.65, -0.65]),
+        (-0.3,
+         [-0.9, -1.00960313696972, -0.032315462117278176],
+         [1.0, 0.0, 0.0],
+         [0.25, -0.80480156848486, -0.3161577310586391]),
+        (-0.4,
+         [-0.9, -11.00960313696972, -0.1273863375370596],
+         [1.0, 0.0, 0.0],
+         [0.1499999999999999, -5.90480156848486, -0.46369316876852984]),
     ]
 
     def test_events_rewards_and_final_state_pinned(self):
@@ -683,9 +692,9 @@ class TestGoldenMultiUavStep:
         events, rewards, done = [], [], False
         for joint in self.PLAN:
             assert not done
-            state, step_rewards, done = step(state, joint, self.CFG)
+            state, r, done = step(state, joint, self.CFG)
             events.extend(state.events)
-            rewards.append([repr(r) for r in step_rewards])
+            rewards.append((r.r_a, r.r_p.tolist(), r.r_s.tolist(), r.total.tolist()))
         assert done and state.slot == 4
         assert events_to_csv(events) == self.EVENTS_CSV
         assert rewards == self.REWARDS
@@ -732,10 +741,9 @@ def lock_step_against_step(cfg, episodes, seed, layout=None, twins=False):
             states[e], expected, ended = step(states[e], actions[k].tolist(), cfg)
             logs[e].extend(states[e].events)
             assert states_equal(batch.row(k), replace(states[e], events=[]))
-            got = [RewardBreakdown(float(rewards.r_a[k]), *row) for row in zip(
-                rewards.r_p[k].tolist(), rewards.r_s[k].tolist(),
-                rewards.total[k].tolist())]
-            assert [repr(r) for r in got] == [repr(r) for r in expected]
+            for name in ("r_a", "r_p", "r_s", "total"):    # bit for bit
+                assert (np.asarray(getattr(rewards, name)[k]).tobytes()
+                        == np.asarray(getattr(expected, name)).tobytes())
             assert bool(done[k]) == ended
             if ended:
                 assert episode_counts(batch.row(k), cfg) == tally_events(
