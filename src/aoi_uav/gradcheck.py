@@ -75,12 +75,11 @@ def _actor_logprob_loss(rng: np.random.Generator):
                                for _ in actors])
     actions = rng.integers(n_actions, size=(len(actors), sum(lengths)))
     advantages = rng.normal(size=actions.shape)
-    rows = np.arange(sum(lengths))
 
     def build():
-        log_alls = nets.actors_log_probs(actors, batch)
-        return tt.sum_(tt.concat([tt.mul(log_all[rows, a], adv) for log_all, a, adv
-                                  in zip(log_alls, actions, advantages)]))
+        log_all = nets.actors_log_probs(actors, batch)
+        return tt.sum_(tt.mul(log_all[(*np.indices(actions.shape), actions)],
+                              advantages))
 
     return "actors-lstm-logprob", build, params
 

@@ -10,8 +10,8 @@ axis (`stack_actors`) and samples every row at once (`sample_actions`);
 training collection adds a leading episode axis, and computes every
 agent's value in plain numpy (`critic_values`).  The PPO update replays
 every agent's actor over a whole batch of episodes in one `lstm_seq` tape
-record (`actors_log_probs`), over per-agent weights joined along the agent
-axis by `tt.stack`.
+record (`actors_log_probs`) and scores them through one policy-head chain,
+over per-agent weights joined along the agent axis by `tt.stack`.
 """
 
 from __future__ import annotations
@@ -136,13 +136,15 @@ def init_actor(rng: np.random.Generator, obs_dim: int, n_actions: int,
     )
 
 
-def stack_actors(actors: list[ActorParams]) -> ActorParams:
-    """A copy of every agent's actor weights stacked along a leading agent
-    axis, (U, ...), so that one `actor_step` serves all agents.  It is for
-    rollout inference only: training updates the per-agent actors, not the
-    stack."""
-    def stack(weights: list[Tensor]) -> Tensor:
-        return Tensor(np.stack([w.data for w in weights]))
+def stack_actors(actors: list[ActorParams], stack=None) -> ActorParams:
+    """Every agent's actor weights stacked along a leading agent axis, (U,
+    ...), so that one call serves all agents.  By default the stack is a
+    plain copy, for rollout inference with `actor_step`: training updates
+    the per-agent actors, not the copy.  Training passes ``stack=tt.stack``,
+    a tape op whose backward hands each agent's rows to its own weights."""
+    if stack is None:
+        def stack(weights: list[Tensor]) -> Tensor:
+            return Tensor(np.stack([w.data for w in weights]))
 
     cells = [a.lstm for a in actors]
     lstm = None if cells[0] is None else LstmCellParams(
@@ -178,7 +180,8 @@ def init_critic(rng: np.random.Generator, obs_dim: int, state_dim: int,
 # ---------------------------------------------------------------------------
 
 def policy_head_batch(params: ActorParams, features: Tensor) -> Tensor:
-    """Action logits for a (N, feature) matrix of actor features."""
+    """Action logits for a (N, feature) matrix of actor features, or with
+    `stack_actors` weights for (U, N, feature), one matrix per agent."""
     hid = tt.tanh(tt.linear(features, params.w_head, params.b_head))
     return tt.linear(hid, params.w_out, params.b_out)
 
@@ -207,29 +210,29 @@ def replay_batch(obs_seqs: list[list[np.ndarray]]) -> ReplayBatch:
     return ReplayBatch(obs=obs, x=x, mask=mask, steps=steps)
 
 
-def actors_log_probs(actors: list[ActorParams], batch: ReplayBatch) -> list[Tensor]:
+def actors_log_probs(actors: list[ActorParams], batch: ReplayBatch) -> Tensor:
     """Log-probabilities of every action at every slot under each agent's
-    actor, one (N, A) tensor per agent, its rows those of ``batch.obs``.
+    actor, (U, N, A), row ``[j, n]`` for row n of ``batch.obs[j]``.
 
-    Recurrent actors replay every sequence from a zero hidden state in one
-    padded `lstm_seq` record for all agents, over weights joined by
-    `tt.stack`, so each agent's gradients reach its own weights; the mask
-    skips the padding after a shorter sequence, and only the unpadded slots
-    reach the policy heads, which run agent by agent.
+    Every agent's weights are joined along a leading agent axis by
+    `tt.stack`, so each agent's gradients reach its own weights, and every
+    op serves all agents at once; a batched matmul runs one gemm per agent,
+    so each agent's rows and gradients equal those of its own chain bit for
+    bit.  Recurrent actors replay every sequence from a zero hidden state
+    in one padded `lstm_seq` record; the mask skips the padding after a
+    shorter sequence, and only the unpadded slots reach the policy heads.
     """
-    if actors[0].recurrent:
-        cells = [a.lstm for a in actors]
+    stacked = stack_actors(actors, tt.stack)
+    if stacked.recurrent:
+        cell = stacked.lstm
         U, B = batch.x.shape[:2]
-        zero = np.zeros((U, B, cells[0].hidden_size))
-        hs = tt.lstm_seq(batch.x, *(tt.stack([getattr(c, name) for c in cells])
-                                    for name in ("w_ih", "w_hh", "bias")),
-                         zero, zero, batch.mask)
+        zero = np.zeros((U, B, cell.hidden_size))
+        hs = tt.lstm_seq(batch.x, cell.w_ih, cell.w_hh, cell.bias, zero, zero,
+                         batch.mask)
         features = hs[(slice(None), *batch.steps)]               # (U, N, H)
-        per_agent = [features[j] for j in range(U)]
     else:
-        per_agent = [Tensor(obs) for obs in batch.obs]
-    return [tt.log_softmax(policy_head_batch(actor, features))
-            for actor, features in zip(actors, per_agent)]
+        features = Tensor(batch.obs)
+    return tt.log_softmax(policy_head_batch(stacked, features))
 
 
 def _matvec(w: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -5,16 +5,23 @@ replays the records in reverse to accumulate gradients into every tensor
 created with ``requires_grad=True``.  With no tape active the same ops run as
 plain numpy computations.  Three ops are fused, each one tape record with a
 hand-written backward: ``linear`` is the affine layer ``x @ w.T + b`` that
-every policy and value head is built from; ``lstm_seq`` runs an LSTM over a
-whole padded batch of sequences (backpropagation through time), optionally
-for several LSTMs at once along leading axes (training replays every agent's
-actor in one record, its weights joined by ``stack``); and ``log_softmax``
-replaces ``log(softmax(x))`` and stays finite where a probability underflows
-to 0.  Rollout and evaluation actors build no ``Tensor``: they step the LSTM
-through the plain-numpy kernels ``lstm_cell`` and ``softmax_array``, which
-the ops share.  Tensors and tapes are confined to a single thread: the
-active tape is a module global, so an op run on another thread while a tape
-is active would record onto it.
+every policy and value head is built from, optionally for a stack of layers
+along a leading axis; ``lstm_seq`` runs an LSTM over a whole padded batch of
+sequences (backpropagation through time), optionally for several LSTMs at
+once along leading axes; and ``log_softmax`` replaces ``log(softmax(x))``
+and stays finite where a probability underflows to 0.  Training replays and
+scores every agent's actor through one such chain, its weights joined along
+the agent axis by ``stack``.  Rollout and evaluation actors build no
+``Tensor``: they step the LSTM through the plain-numpy kernels ``lstm_cell``
+and ``softmax_array``, which the ops share.
+
+A tensor's first gradient is stored as 0.0 + g in C order, in the array the
+op made for it where the op hands it over (``accumulate_grad(owned=True)``);
+``Adam`` keeps every parameter, and both moments, in one flat vector that
+each parameter's ``.data`` views.  Both keep every result bit for bit equal
+to zeroed gradients and per-parameter updates.  Tensors and tapes are
+confined to a single thread: the active tape is a module global, so an op
+run on another thread while a tape is active would record onto it.
 """
 
 from __future__ import annotations
@@ -44,10 +51,22 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def accumulate_grad(self, g: Array) -> None:
+    def accumulate_grad(self, g: Array, owned: bool = False) -> None:
+        """Add ``g`` onto ``.grad``.  ``owned`` says that the caller made
+        ``g`` for this call alone, so a first gradient may be kept in it
+        rather than in a copy.
+
+        A first gradient is stored as 0.0 + g, as adding onto zeros gives
+        (-0.0 becomes 0.0), and C-ordered, as those zeros were: a later sum
+        over the gradient then adds in the same order whatever ``g``'s
+        layout."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            if owned and type(g) is np.ndarray and g.flags.c_contiguous:
+                self.grad = np.add(g, 0.0, out=g)
+            else:
+                self.grad = np.asarray(np.add(g, 0.0, order="C"))
+        else:
+            self.grad += g
 
     def item(self) -> float:
         return self.data.item()
@@ -87,7 +106,7 @@ class Tape:
         """
         if loss.data.size != 1:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-        loss.accumulate_grad(np.ones_like(loss.data))
+        loss.accumulate_grad(np.ones_like(loss.data), owned=True)
         for out, backward_fn in reversed(self.records):
             if out.grad is not None:
                 backward_fn(out.grad)
@@ -126,10 +145,11 @@ def _unbroadcast(g: Array, shape: tuple) -> Array:
 # Plain-numpy kernels, shared by the ops and by gradient-free inference
 # ---------------------------------------------------------------------------
 
-def _sigmoid(x: Array) -> Array:
-    # Split by sign to avoid overflow in exp.
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _sigmoid(x: Array, out: Array | None = None) -> Array:
+    """1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere, with e =
+    exp(-|x|), so exp cannot overflow; written into ``out`` if given."""
+    e = np.exp(np.copysign(x, -1.0))                         # exp(-|x|)
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def softmax_array(x: Array) -> Array:
@@ -139,21 +159,24 @@ def softmax_array(x: Array) -> Array:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def lstm_cell(z: Array, c: Array) -> tuple[Array, Array, Array, Array]:
+def lstm_cell(z: Array, c: Array, out: tuple = (None,) * 4
+              ) -> tuple[Array, Array, Array, Array]:
     """One LSTM update from gate pre-activations.
 
     ``z`` holds the (i, f, g, o) pre-activations along its last axis (4H)
     and ``c`` the cell state (H); leading axes are batch axes.  Returns the
     new hidden and cell states, the activated gates (laid out as ``z``) and
     ``tanh`` of the new cell state; the last two feed `lstm_seq`'s backward.
+    Each result is written into the matching array of ``out`` where that
+    is not None.
     """
     H = c.shape[-1]
-    gates = _sigmoid(z)
-    gates[..., 2 * H:3 * H] = np.tanh(z[..., 2 * H:3 * H])
-    i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
-    c_new = f * c + i * g
-    tanh_c = np.tanh(c_new)
-    return o * tanh_c, c_new, gates, tanh_c
+    h_out, c_out, gates, tanh_c = out
+    gates = _sigmoid(z, gates)
+    g = np.tanh(z[..., 2 * H:3 * H], out=gates[..., 2 * H:3 * H])
+    c_new = np.add(gates[..., H:2 * H] * c, gates[..., :H] * g, out=c_out)   # f·c + i·g
+    tanh_c = np.tanh(c_new, out=tanh_c)
+    return np.multiply(gates[..., 3 * H:], tanh_c, out=h_out), c_new, gates, tanh_c
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +204,7 @@ def sub(a, b) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(_unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.data.shape))
+            b.accumulate_grad(_unbroadcast(-g, b.data.shape), owned=True)
 
     return _record(out, (a, b), backward)
 
@@ -192,26 +215,32 @@ def mul(a, b) -> Tensor:
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape))
+            a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape), owned=True)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
+            b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape), owned=True)
 
     return _record(out, (a, b), backward)
 
 
 def linear(x, w: Tensor, b: Tensor) -> Tensor:
     """The affine layer ``x @ w.T + b`` as one tape record, for a (n,)
-    vector or (N, n) rows ``x``, ``w`` (m, n) and ``b`` (m,)."""
+    vector or (N, n) rows ``x``, ``w`` (m, n) and ``b`` (m,).  With a
+    leading axis of U layers, ``w`` (U, m, n), ``b`` (U, m) and ``x``
+    (U, N, n), layer u acts on ``x[u]``: one gemm per layer, so each layer's
+    output and gradients equal those of its own call bit for bit."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    out = Tensor(x.data @ w.data.T + b.data)
+    stacked = w.data.ndim > 2
+    out = Tensor(x.data @ np.swapaxes(w.data, -1, -2)
+                 + (b.data[..., None, :] if stacked else b.data))
 
     def backward(g: Array) -> None:
         if x.requires_grad:
-            x.accumulate_grad(g @ w.data)
+            x.accumulate_grad(g @ w.data, owned=True)
         if w.requires_grad:
-            w.accumulate_grad(np.outer(g, x.data) if g.ndim == 1 else (x.data.T @ g).T)
+            w.accumulate_grad(np.outer(g, x.data) if g.ndim == 1 else
+                              np.swapaxes(np.swapaxes(x.data, -1, -2) @ g, -1, -2), owned=True)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.data.shape))
+            b.accumulate_grad(g.sum(axis=-2) if stacked else _unbroadcast(g, b.data.shape))
 
     return _record(out, (x, w, b), backward)
 
@@ -239,7 +268,7 @@ def take(a: Tensor, key) -> Tensor:
         if a.requires_grad:
             full = np.zeros_like(a.data)
             np.add.at(full, key, g)
-            a.accumulate_grad(full)
+            a.accumulate_grad(full, owned=True)
 
     return _record(out, (a,), backward)
 
@@ -251,7 +280,10 @@ def tanh(a: Tensor) -> Tensor:
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            a.accumulate_grad(g * (1.0 - out_data * out_data))
+            slope = out_data * out_data
+            np.subtract(1.0, slope, out=slope)
+            slope *= g                                   # g·(1 - tanh²)
+            a.accumulate_grad(slope, owned=True)
 
     return _record(out, (a,), backward)
 
@@ -263,7 +295,7 @@ def exp(a: Tensor) -> Tensor:
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            a.accumulate_grad(g * out_data)
+            a.accumulate_grad(g * out_data, owned=True)
 
     return _record(out, (a,), backward)
 
@@ -277,7 +309,7 @@ def softmax(a: Tensor) -> Tensor:
     def backward(g: Array) -> None:
         if a.requires_grad:
             inner = (g * out_data).sum(axis=-1, keepdims=True)
-            a.accumulate_grad(out_data * (g - inner))
+            a.accumulate_grad(out_data * (g - inner), owned=True)
 
     return _record(out, (a,), backward)
 
@@ -293,7 +325,7 @@ def log_softmax(a: Tensor) -> Tensor:
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            a.accumulate_grad(g - np.exp(out_data) * g.sum(axis=-1, keepdims=True))
+            a.accumulate_grad(g - np.exp(out_data) * g.sum(axis=-1, keepdims=True), owned=True)
 
     return _record(out, (a,), backward)
 
@@ -305,10 +337,10 @@ def sum_(a: Tensor, axis=None) -> Tensor:
     def backward(g: Array) -> None:
         if a.requires_grad:
             if axis is None:
-                a.accumulate_grad(np.broadcast_to(g, a.data.shape).copy())
+                a.accumulate_grad(np.broadcast_to(g, a.data.shape).copy(), owned=True)
             else:
                 a.accumulate_grad(np.broadcast_to(
-                    np.expand_dims(g, axis), a.data.shape).copy())
+                    np.expand_dims(g, axis), a.data.shape).copy(), owned=True)
 
     return _record(out, (a,), backward)
 
@@ -320,7 +352,7 @@ def mean(a: Tensor) -> Tensor:
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            a.accumulate_grad(np.broadcast_to(g / a.data.size, a.data.shape).copy())
+            a.accumulate_grad(np.broadcast_to(g / a.data.size, a.data.shape).copy(), owned=True)
 
     return _record(out, (a,), backward)
 
@@ -333,7 +365,7 @@ def clip_by_value(a: Tensor, lo: float, hi: float) -> Tensor:
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            a.accumulate_grad(g * inside)
+            a.accumulate_grad(g * inside, owned=True)
 
     return _record(out, (a,), backward)
 
@@ -346,9 +378,9 @@ def minimum(a, b) -> Tensor:
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * pick_a, a.data.shape))
+            a.accumulate_grad(_unbroadcast(g * pick_a, a.data.shape), owned=True)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * ~pick_a, b.data.shape))
+            b.accumulate_grad(_unbroadcast(g * ~pick_a, b.data.shape), owned=True)
 
     return _record(out, (a, b), backward)
 
@@ -391,16 +423,21 @@ def lstm_seq(x, w_ih, w_hh, bias, h0, c0, mask) -> Tensor:
     zx = (x.data @ np.swapaxes(w_ih.data, -1, -2)[..., None, :, :]
           + bias.data[..., None, None, :])                     # (..., B, T, 4H)
     w_hh_t = np.swapaxes(w_hh.data, -1, -2)
-    hs, c_prev, tanh_c = (np.empty((*lead, B, T, H)) for _ in range(3))
+    hs, cs, tanh_c = (np.empty((*lead, B, T, H)) for _ in range(3))
     gates = np.empty((*lead, B, T, 4 * H))
+    # A step that every sequence takes writes its results in place and
+    # needs no `np.where`.
+    full = keep.all(axis=0)[:, 0].tolist()
     h, c = h0.data, c0.data
     for t in range(T):
-        c_prev[..., t, :] = c
-        h_new, c_new, gates[..., t, :], tanh_c[..., t, :] = lstm_cell(
-            zx[..., t, :] + h @ w_hh_t, c)
-        h = np.where(keep[:, t], h_new, h)
-        c = np.where(keep[:, t], c_new, c)
-        hs[..., t, :] = h
+        z = zx[..., t, :] + h @ w_hh_t
+        step = (hs[..., t, :], cs[..., t, :], gates[..., t, :], tanh_c[..., t, :])
+        if full[t]:
+            h, c, _, _ = lstm_cell(z, c, step)
+        else:
+            h_new, c_new, _, _ = lstm_cell(z, c, (None, None, *step[2:]))
+            h = step[0][...] = np.where(keep[:, t], h_new, h)
+            c = step[1][...] = np.where(keep[:, t], c_new, c)
     out = Tensor(hs)
 
     def backward(g: Array) -> None:
@@ -411,32 +448,43 @@ def lstm_seq(x, w_ih, w_hh, bias, h0, c0, mask) -> Tensor:
         dz = 1.0 - gates
         dz *= gates
         dz[..., 2 * H:3 * H] = 1.0 - gg * gg
+        # The states entering step t: h0 and c0, then those after step t - 1.
+        h_prev, c_prev = (np.concatenate((s0.data[..., None, :], s[..., :-1, :]), axis=-2)
+                          for s0, s in ((h0, hs), (c0, cs)))
         dh, dc = np.zeros((*lead, B, H)), np.zeros((*lead, B, H))
+        d_gates = np.empty((*lead, B, 4 * H))
+        blocks = [d_gates[..., k * H:(k + 1) * H] for k in range(4)]
         for t in range(T - 1, -1, -1):
-            k = keep[:, t]
             dh = dh + g[..., t, :]
             dc_new = dc + dh * dtanh[..., t, :]
-            d_gates = np.concatenate((dc_new * gg[..., t, :], dc_new * c_prev[..., t, :],
-                                      dc_new * i[..., t, :], dh * tanh_c[..., t, :]), axis=-1)
-            dz[..., t, :] = np.where(k, d_gates * dz[..., t, :], 0.0)
-            dh = np.where(k, dz[..., t, :] @ w_hh.data, dh)
-            dc = np.where(k, dc_new * f[..., t, :], dc)
+            np.multiply(dc_new, gg[..., t, :], out=blocks[0])
+            np.multiply(dc_new, c_prev[..., t, :], out=blocks[1])
+            np.multiply(dc_new, i[..., t, :], out=blocks[2])
+            np.multiply(dh, tanh_c[..., t, :], out=blocks[3])
+            dz_t = dz[..., t, :]
+            if full[t]:
+                dz_t *= d_gates
+                dh = dz_t @ w_hh.data
+                dc = dc_new * f[..., t, :]
+            else:
+                k = keep[:, t]
+                dz_t[...] = np.where(k, d_gates * dz_t, 0.0)
+                dh = np.where(k, dz_t @ w_hh.data, dh)
+                dc = np.where(k, dc_new * f[..., t, :], dc)
         flat = dz.reshape(*lead, B * T, 4 * H)
         flat_t = np.swapaxes(flat, -1, -2)
         if x.requires_grad:
-            x.accumulate_grad((flat @ w_ih.data).reshape(x.data.shape))
+            x.accumulate_grad((flat @ w_ih.data).reshape(x.data.shape), owned=True)
         if w_ih.requires_grad:
-            w_ih.accumulate_grad(flat_t @ x.data.reshape(*lead, B * T, -1))
+            w_ih.accumulate_grad(flat_t @ x.data.reshape(*lead, B * T, -1), owned=True)
         if w_hh.requires_grad:
-            # The state entering step t: h0, then the output of step t - 1.
-            h_prev = np.concatenate((h0.data[..., None, :], hs[..., :-1, :]), axis=-2)
-            w_hh.accumulate_grad(flat_t @ h_prev.reshape(*lead, B * T, H))
+            w_hh.accumulate_grad(flat_t @ h_prev.reshape(*lead, B * T, H), owned=True)
         if bias.requires_grad:
-            bias.accumulate_grad(flat.sum(axis=-2))
+            bias.accumulate_grad(flat.sum(axis=-2), owned=True)
         if h0.requires_grad:
-            h0.accumulate_grad(dh)
+            h0.accumulate_grad(dh, owned=True)
         if c0.requires_grad:
-            c0.accumulate_grad(dc)
+            c0.accumulate_grad(dc, owned=True)
 
     return _record(out, (x, w_ih, w_hh, bias, h0, c0), backward)
 
@@ -460,7 +508,18 @@ def global_norm(grads: Iterable[Array]) -> float:
 
 
 class Adam:
-    """Adaptive-moment optimizer with bias correction and global-norm clipping."""
+    """Adaptive-moment optimizer with bias correction and global-norm clipping.
+
+    The parameters live in one flat float64 vector: at construction each
+    parameter's ``.data`` becomes a view into it, as does each entry of
+    ``m`` and ``v`` into its moment vector, so a step updates every
+    parameter with a few whole-vector calls.  Each element takes the same
+    arithmetic as a per-parameter update, so the result is the same bit for
+    bit.  Gradients are read from each parameter's ``.grad``, however it was
+    set; the clipping norm sums them parameter by parameter.  The optimizer
+    owns the parameters' storage from construction on: a ``.data`` rebound
+    afterwards is no longer updated.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 3e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
@@ -472,28 +531,46 @@ class Adam:
         self.eps = eps
         self.clip_norm = clip_norm
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        size = sum(p.data.size for p in params.values())
+        self.flat, self.m_flat, self.v_flat = np.empty(size), np.zeros(size), np.zeros(size)
+        self.m, self.v = {}, {}
+        lo = 0
+        for k, p in params.items():
+            hi = lo + p.data.size
+            self.flat[lo:hi] = p.data.ravel()
+            p.data = self.flat[lo:hi].reshape(p.data.shape)
+            self.m[k] = self.m_flat[lo:hi].reshape(p.data.shape)
+            self.v[k] = self.v_flat[lo:hi].reshape(p.data.shape)
+            lo = hi
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
 
     def step(self) -> None:
-        grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.data))
-                 for k, p in self.params.items()}
+        params = self.params.values()
+        g = np.concatenate([np.zeros(0)] + [
+            np.zeros(p.data.size) if p.grad is None else p.grad.ravel()
+            for p in params])
         if self.clip_norm > 0.0:
-            norm = global_norm(grads.values())
+            norm = global_norm(p.grad for p in params if p.grad is not None)
             if norm > self.clip_norm:
-                scale = self.clip_norm / norm
-                grads = {k: g * scale for k, g in grads.items()}
+                g *= self.clip_norm / norm
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for k, p in self.params.items():
-            g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[k] / bc1
-            v_hat = self.v[k] / bc2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        # m = beta1·m + (1 - beta1)·g and v = beta2·v + ((1 - beta2)·g)·g,
+        # then the parameters move by (lr·m̂) / (sqrt(v̂) + eps).
+        self.m_flat *= self.beta1
+        self.m_flat += (1.0 - self.beta1) * g
+        g2 = (1.0 - self.beta2) * g
+        g2 *= g
+        self.v_flat *= self.beta2
+        self.v_flat += g2
+        update = self.m_flat / bc1
+        update *= self.lr
+        denom = self.v_flat / bc2
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
+        self.flat -= update

@@ -332,8 +332,9 @@ def _replay_log_probs(actor: ActorParams, *trajs: AgentTrajectory):
 
 
 def _log_prob_terms(log_all: Tensor, actions: np.ndarray):
-    """The stored actions' log-probs, the distributions and their logs."""
-    selected = log_all[np.arange(actions.size), actions]
+    """The stored actions' log-probs, the distributions and their logs;
+    ``log_all`` is (..., A) and ``actions`` (...)."""
+    selected = log_all[(*np.indices(actions.shape), actions)]
     return selected, tt.exp(log_all), log_all
 
 
@@ -343,47 +344,44 @@ def ppo_update(batch: TrajectoryBatch, bundle: PolicyBundle, optimizer: Adam,
     over full-episode sequences; ratios are taken against the log-probs
     stored when ``batch`` was collected.
 
-    The padded observations, the mask and the concatenated per-agent
-    columns are laid out once per update.  Each epoch replays every agent's
-    episodes in one `nets.actors_log_probs` call (one `lstm_seq` record for
-    all agents) and runs the critic's global head once over the states of
-    every episode; the policy heads, ratios, entropies and the critic's
-    local terms run agent by agent.
+    The padded observations, the mask and the per-agent columns, (U, N)
+    with every agent's slots episode by episode, are laid out once per
+    update.  Each epoch replays and scores every agent at once, from one
+    `nets.actors_log_probs` call through the ratios, the surrogate and the
+    entropies, and runs the critic's global head once over the states of
+    every episode.  The critic's local head shares its weights among the
+    agents, so its terms run agent by agent, each agent's gradient adding
+    onto the shared weights in turn.
     """
     critic = bundle.critic
     states = Tensor(np.concatenate([ep.global_states for ep in batch.episodes]))
+    n = len(bundle.actors)
     replay = nets.replay_batch([[ep.agents[j].obs for ep in batch.episodes]
-                                for j in range(len(bundle.actors))])
-    agents = []
-    for j, obs in enumerate(replay.obs):
-        trajs = [ep.agents[j] for ep in batch.episodes]
-        agents.append((np.concatenate([t.actions for t in trajs]),
-                       np.concatenate([t.log_probs for t in trajs]),
-                       np.concatenate([t.advantages for t in trajs]),
-                       Tensor(obs),
-                       np.concatenate([t.returns for t in trajs])[:, None]))
+                                for j in range(n)])
+
+    def column(name: str) -> np.ndarray:
+        return np.stack([np.concatenate([getattr(ep.agents[j], name)
+                                         for ep in batch.episodes])
+                         for j in range(n)])
+
+    actions, old_logp, adv = column("actions"), column("log_probs"), column("advantages")
+    returns = column("returns")[..., None]
+    obs = [Tensor(o) for o in replay.obs]
     report = None
     for _ in range(tconf.epochs):
         with Tape() as tape:
             v_global = global_value(critic, states)
-            log_alls = nets.actors_log_probs(bundle.actors, replay)
-            objectives, entropies, value_errs = [], [], []
-            ratio_data, clipped_flags = [], []
-            for (actions, old_logp, adv, obs, returns), log_all in zip(agents, log_alls):
-                new_logp, probs, log_all = _log_prob_terms(log_all, actions)
-                ratio = tt.exp(tt.sub(new_logp, old_logp))
-                clipped = tt.clip_by_value(ratio, 1.0 - tconf.clip_epsilon,
-                                           1.0 + tconf.clip_epsilon)
-                obj = tt.minimum(tt.mul(ratio, adv), tt.mul(clipped, adv))
-                objectives.append(obj)
-                entropies.append(tt.mul(tt.sum_(tt.mul(probs, log_all), axis=-1), -1.0))
-                ratio_data.append(ratio.data.copy())
-                clipped_flags.append(ratio.data != clipped.data)
-                err = tt.sub(critic_value(critic, obs, v_global), returns)
+            new_logp, probs, log_all = _log_prob_terms(
+                nets.actors_log_probs(bundle.actors, replay), actions)
+            ratio = tt.exp(tt.sub(new_logp, old_logp))
+            clipped = tt.clip_by_value(ratio, 1.0 - tconf.clip_epsilon,
+                                       1.0 + tconf.clip_epsilon)
+            surrogate = tt.mean(tt.minimum(tt.mul(ratio, adv), tt.mul(clipped, adv)))
+            entropy = tt.mean(tt.mul(tt.sum_(tt.mul(probs, log_all), axis=-1), -1.0))
+            value_errs = []
+            for j in range(n):
+                err = tt.sub(critic_value(critic, obs[j], v_global), returns[j])
                 value_errs.append(tt.mul(err, err)[:, 0])
-
-            surrogate = tt.mean(tt.concat(objectives))
-            entropy = tt.mean(tt.concat(entropies))
             value_loss = tt.mean(tt.concat(value_errs))
             loss = tt.add(
                 tt.sub(tt.mul(surrogate, -1.0), tt.mul(entropy, tconf.entropy_coef)),
@@ -395,13 +393,12 @@ def ppo_update(batch: TrajectoryBatch, bundle: PolicyBundle, optimizer: Adam,
             optimizer.zero_grad()
             tape.backward(loss)
             optimizer.step()
-            ratios = np.concatenate(ratio_data)
             report = LossReport(
                 actor_loss=-surrogate.item(),
                 value_loss=value_loss.item(),
                 entropy=entropy.item(),
-                mean_ratio=float(ratios.mean()),
-                clip_fraction=float(np.concatenate(clipped_flags).mean()),
+                mean_ratio=float(ratio.data.mean()),
+                clip_fraction=float((ratio.data != clipped.data).mean()),
             )
     return report
 

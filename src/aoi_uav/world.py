@@ -21,6 +21,7 @@ only through IoT placement at reset.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -41,6 +42,35 @@ _ACTION_UNIT = np.array([
 ])
 
 EVENT_KINDS = ("move", "clip", "collide", "charge", "drain", "collect", "die")
+
+
+# Per-scenario constants of a slot, kept for the last few distinct
+# arguments.  The arrays are shared, so they are read-only.
+
+@functools.lru_cache(maxsize=8)
+def _action_moves(step_length: float) -> np.ndarray:
+    """Each action's displacement in one slot, (n_actions, 2)."""
+    moves = _ACTION_UNIT * step_length
+    moves.flags.writeable = False
+    return moves
+
+
+@functools.lru_cache(maxsize=8)
+def _action_drains(propulsion, speed: float, slot_dt: float) -> np.ndarray:
+    """Each action's propulsion energy over one slot, (n_actions,): hovering
+    for the hover action (index 8), flying at ``speed`` for the others."""
+    fly = propulsion_power(propulsion, speed) * slot_dt
+    drains = np.array([fly] * 8 + [propulsion_power(propulsion, 0.0) * slot_dt])
+    drains.flags.writeable = False
+    return drains
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_mask(n: int) -> np.ndarray:
+    """(n, n), True where j < k: each UAV pair once."""
+    upper = np.less.outer(np.arange(n), np.arange(n))
+    upper.flags.writeable = False
+    return upper
 
 
 class EpisodeOver(RuntimeError):
@@ -277,7 +307,7 @@ def step(state: WorldState, joint_action: list[int],
     half = config.area_half_side
 
     # 1. Movement with square and flight-disc clipping.
-    delta = _ACTION_UNIT.take(joint_action, axis=0) * (config.speed * config.slot_dt)
+    delta = _action_moves(config.speed * config.slot_dt).take(joint_action, axis=0)
     target = state.uav_pos + delta
     pos = np.minimum(np.maximum(target, -half), half)
     radius = np.hypot(pos[:, 0], pos[:, 1]).tolist()
@@ -328,15 +358,13 @@ def step(state: WorldState, joint_action: list[int],
         charge_gain[j] = power * config.slot_dt
         events.append(Event(t, "uav", j, "charge", charge_gain[j]))
 
-    # 4. Propulsion drain, one power evaluation per distinct speed, and the
-    #    energy update; an empty battery kills the UAV and ends the episode.
-    speeds = [0.0 if a == 8 else config.speed for a in joint_action]
-    drain_at = {v: propulsion_power(config.propulsion, v) * config.slot_dt
-                for v in set(speeds)}
+    # 4. Propulsion drain and the energy update; an empty battery kills the
+    #    UAV and ends the episode.
+    drains = _action_drains(config.propulsion, config.speed, config.slot_dt).tolist()
     energy = state.uav_energy.tolist()
     died = [False] * n
     for j in range(n):
-        drain = drain_at[speeds[j]]
+        drain = drains[joint_action[j]]
         events.append(Event(t, "uav", j, "drain", drain))
         energy[j] = min(max(energy[j] + charge_gain[j] - drain, 0.0), config.e_full)
         if energy[j] <= 0.0:
@@ -512,7 +540,7 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
     n_lbds = len(lbds)
 
     # 1. Movement with square and flight-disc clipping.
-    delta = _ACTION_UNIT.take(actions, axis=0) * (config.speed * config.slot_dt)
+    delta = _action_moves(config.speed * config.slot_dt).take(actions, axis=0)
     target = batch.uav_pos + delta                                    # (B, U, 2)
     pos = np.minimum(np.maximum(target, -half), half)
     radius = np.hypot(pos[..., 0], pos[..., 1])
@@ -522,15 +550,19 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
     fix = pos - target
     clipped = np.hypot(fix[..., 0], fix[..., 1]) > 1e-12
 
+    # Every UAV's distance to every LBD and IoT, (B, U, L + I), in one call
+    # for charging, collection and rewards.
+    off = pos[:, :, None, :] - np.concatenate((lbds[:, :2], batch.iot_pos))
+    reach = np.hypot(off[..., 0], off[..., 1])
+    lbd_dist = reach[..., :n_lbds]
+
     # 2. Pairwise collisions, pairs j < k; one UAV has none.
-    px, py = pos[..., 0], pos[..., 1]
     penalized = clipped                  # per UAV: its clip and collisions
     collisions = batch.collisions
     if n > 1:
-        gap = np.hypot(px[..., :, None] - px[..., None, :],
-                       py[..., :, None] - py[..., None, :])           # (B, U, U)
-        upper = np.less.outer(np.arange(n), np.arange(n))            # j < k
-        close = (gap < config.collision_dist) & upper
+        apart = pos[:, :, None, :] - pos[:, None, :, :]
+        gap = np.hypot(apart[..., 0], apart[..., 1])                  # (B, U, U)
+        close = (gap < config.collision_dist) & _pair_mask(n)
         pairs = _rowwise(np.add, close)            # pairs (j, k) by their j
         penalized = clipped + pairs + close.sum(axis=1)
         collisions = collisions + _rowwise(np.add, pairs)
@@ -538,7 +570,6 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
     # 3. Charging: each round gives every episode its nearest open
     #    (UAV, LBD) pair, lower UAV then LBD index on ties, which is the
     #    order in which `step` walks its sorted candidates.
-    lbd_dist = np.hypot(px[..., None] - lbds[:, 0], py[..., None] - lbds[:, 1])
     open_dist = np.where(lbd_dist <= config.charge_radius, lbd_dist, np.inf)
     charging = np.full((B, n), -1, dtype=np.int64)
     rounds = min(n, n_lbds)
@@ -570,18 +601,15 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
         charge_gain[b, j] = power * config.slot_dt
 
     # 4. Propulsion drain and the energy update.
-    drain = np.where(actions == 8,
-                     propulsion_power(config.propulsion, 0.0) * config.slot_dt,
-                     propulsion_power(config.propulsion, config.speed)
-                     * config.slot_dt)
+    drain = _action_drains(config.propulsion, config.speed, config.slot_dt).take(actions)
     energy = np.minimum(np.maximum(batch.uav_energy + charge_gain - drain, 0.0),
                         config.e_full)
     died = energy <= 0.0
+    any_died = died.any()
 
     # 5. Data collection: the nearest alive UAV in range collects.
-    iot_x, iot_y = batch.iot_pos[:, 0, None], batch.iot_pos[:, 1, None]
-    dist = np.hypot(iot_x - px[:, None], iot_y - py[:, None])        # (B, I, U)
-    if died.any():
+    dist = np.swapaxes(reach[..., n_lbds:], 1, 2)                    # (B, I, U)
+    if any_died:
         dist[np.broadcast_to(died[:, None, :], dist.shape)] = np.inf
     collector, collector_dist = _argmin_min(dist)   # lower UAV on ties
     hit = batch.has_data & (collector_dist <= config.comm_radius)
@@ -600,8 +628,9 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
         gen_time, has_data = np.where(hit, t, batch.gen_time), batch.has_data
     else:
         gen_time, has_data = batch.gen_time, batch.has_data & ~hit
-    collector_of_hit = (np.arange(0, B * n, n)[:, None] + collector)[hit]  # b·U + j
-    collect_counts = np.bincount(collector_of_hit, minlength=B * n).reshape(B, n)
+    # Collections per UAV, as floats: each UAV's count of the IoTs it hit.
+    r_s = np.add.reduce((collector[..., None] == np.arange(n)) & hit[..., None],
+                        axis=1, dtype=float)
     peak_recorded = np.maximum(batch.peak_recorded_aoi,
                                _rowwise(np.maximum, np.where(hit, age, 0)))
 
@@ -614,13 +643,13 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
     oldest = _rowwise(np.minimum, np.where(has_data, gen_time, t))
     r_a = -np.maximum(peak_recorded, t - oldest) / config.aoi_norm
     rw = config.reward
-    d_c = np.maximum(0.0, _rowwise(np.minimum, lbd_dist) - config.charge_radius)
-    r_p = np.where(energy <= config.e_charge_threshold, -d_c * rw.r_pen1,
+    away = -np.maximum(0.0, _rowwise(np.minimum, lbd_dist) - config.charge_radius)
+    r_p = np.where(energy <= config.e_charge_threshold, away * rw.r_pen1,
                    np.where(np.abs(energy - config.e_full) <= config.epsilon_energy,
-                            -d_c * rw.r_pen2, rw.r_0))
+                            away * rw.r_pen2, rw.r_0))
     r_p = r_p - rw.event_penalty * penalized
-    r_p = np.where(died, r_p - rw.death_penalty, r_p)
-    r_s = collect_counts.astype(float)
+    if any_died:
+        r_p = np.where(died, r_p - rw.death_penalty, r_p)
     total = rw.alpha_a * r_a[:, None] + rw.beta_p * r_p + rw.gamma_s * r_s
     return (nxt, RewardBreakdown(r_a, r_p, r_s, total),
             _rowwise(np.logical_or, died) | (t >= config.horizon))
@@ -691,17 +720,17 @@ def observe(state: WorldState | WorldBatch, agent: int | None,
     an agent index gives that agent's row alone, (obs_dim,).  A `WorldBatch`
     gives the same with a leading episode axis.
     """
-    agents = np.arange(config.n_uavs) if agent is None else np.array([agent])
+    agents = slice(None) if agent is None else [agent]
     alive = state.uav_alive[..., agents]
     if not alive.all():
-        dead = agents[~alive.reshape(-1, len(agents)).all(axis=0)]
+        dead = np.arange(config.n_uavs)[agents][
+            ~alive.reshape(-1, alive.shape[-1]).all(axis=0)]
         raise ValueError(f"agent {int(dead[0])} is not alive")
     half = config.area_half_side
     span = 2.0 * half
     pos = state.uav_pos[..., agents, :]                           # (…, N, 2)
     out = np.zeros(pos.shape[:-1] + (config.obs_dim,))
-    out[..., 0] = pos[..., 0] / half
-    out[..., 1] = pos[..., 1] / half
+    out[..., :2] = pos / half
     out[..., 2] = state.uav_energy[..., agents] / config.e_full
 
     offset = state.iot_pos - pos[..., None, :]                    # (…, N, I, 2)
@@ -716,8 +745,7 @@ def observe(state: WorldState | WorldBatch, agent: int | None,
 
     lbd_x, lbd_y = state.lbds[:, 0], state.lbds[:, 1]
     k = np.argmin(np.hypot(lbd_x - pos[..., :1], lbd_y - pos[..., 1:]), axis=-1)
-    out[..., -2] = (lbd_x[k] - pos[..., 0]) / span
-    out[..., -1] = (lbd_y[k] - pos[..., 1]) / span
+    out[..., -2:] = (state.lbds[k, :2] - pos) / span
     return out if agent is None else out[..., 0, :]
 
 

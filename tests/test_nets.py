@@ -212,6 +212,61 @@ class TestCritic:
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def per_agent_head_chains(actors, batch):
+    """`nets.actors_log_probs` as it ran before its heads were stacked: the
+    agent-axis replay, then one head chain per agent."""
+    if actors[0].recurrent:
+        cells = [a.lstm for a in actors]
+        U, B = batch.x.shape[:2]
+        zero = np.zeros((U, B, cells[0].hidden_size))
+        hs = tt.lstm_seq(batch.x, *(tt.stack([getattr(c, name) for c in cells])
+                                    for name in ("w_ih", "w_hh", "bias")),
+                         zero, zero, batch.mask)
+        features = hs[(slice(None), *batch.steps)]
+        per_agent = [features[j] for j in range(U)]
+    else:
+        per_agent = [Tensor(obs) for obs in batch.obs]
+    return [tt.log_softmax(nets.policy_head_batch(actor, f))
+            for actor, f in zip(actors, per_agent)]
+
+
+class TestStackedHeads:
+    @pytest.mark.parametrize("recurrent", [True, False])
+    def test_stacked_heads_equal_per_agent_chains(self, recurrent):
+        # mappo_lstm and mappo_ff actors, three agents, unequal episodes.
+        actors = [fresh_actor(seed, recurrent) for seed in range(3)]
+        params = {}
+        for j, actor in enumerate(actors):
+            params.update(actor.tensors(f"actor{j}"))
+        rng = np.random.default_rng(43)
+        batch = nets.replay_batch([[rng.normal(size=(n, OBS_DIM)) for n in (5, 2, 4)]
+                                   for _ in actors])
+        weight = rng.normal(size=(len(actors), 11, N_ACTIONS))
+
+        def run(build):
+            for p in params.values():
+                p.zero_grad()
+            with tt.Tape() as tape:
+                data, loss = build()
+                tape.backward(loss)
+            return data, {k: p.grad.tobytes() for k, p in params.items()}
+
+        def stacked():
+            log_all = nets.actors_log_probs(actors, batch)
+            return log_all.data.tobytes(), tt.sum_(tt.mul(log_all, weight))
+
+        def chains():
+            logs = per_agent_head_chains(actors, batch)
+            return (np.stack([log_j.data for log_j in logs]).tobytes(),
+                    tt.sum_(tt.concat([tt.mul(log_j, w_j)
+                                       for log_j, w_j in zip(logs, weight)])))
+
+        got, want = run(stacked), run(chains)
+        assert got[0] == want[0]
+        for k in params:
+            assert got[1][k] == want[1][k], k
+
+
 class TestTapeRecords:
     def test_every_affine_layer_is_one_record(self):
         # A policy head is linear, tanh, linear; a 3-layer value head adds

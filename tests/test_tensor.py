@@ -332,7 +332,179 @@ class TestAdam:
         np.testing.assert_allclose(opt.m["a"], 0.1 * np.array([0.3]), atol=1e-15)
         np.testing.assert_allclose(opt.m["b"], 0.1 * np.array([0.4]), atol=1e-15)
 
+    def test_two_steps_exact_values(self):
+        # Step 1 is clipped (gradient norm 5 against 1), step 2 is not
+        # (norm sqrt(0.14)).  Every expected value is worked out below in
+        # Python floats, in the order Adam applies its operations.
+        lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
+        a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        b = Tensor(np.array([0.5]), requires_grad=True)
+        opt = Adam({"a": a, "b": b}, lr=lr, beta1=b1, beta2=b2, eps=eps, clip_norm=1.0)
+        p, m, v = [1.0, -2.0, 0.5], [0.0] * 3, [0.0] * 3
+        for t, grads in ((1, [3.0, 4.0, 0.0]), (2, [0.1, -0.2, 0.3])):
+            a.grad, b.grad = np.array(grads[:2]), np.array(grads[2:])
+            opt.step()
+            norm = math.sqrt(sum(g * g for g in grads[:2]) + grads[2] * grads[2])
+            scale = 1.0 / norm if norm > 1.0 else 1.0
+            assert (scale < 1.0) == (t == 1)
+            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for k, g in enumerate(grads):
+                g = g * scale if scale < 1.0 else g
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v[k] = b2 * v[k] + (1.0 - b2) * g * g
+                p[k] -= lr * (m[k] / bc1) / (math.sqrt(v[k] / bc2) + eps)
+            assert opt.m["a"].tolist() + opt.m["b"].tolist() == m
+            assert opt.v["a"].tolist() + opt.v["b"].tolist() == v
+            assert a.data.tolist() + b.data.tolist() == p
+            if t == 1:
+                # The first step's m̂ is g and its v̂ is g², so a parameter
+                # with a nonzero gradient moves by lr·g / (|g| + eps) and one
+                # with none stays.
+                assert p[0] == pytest.approx(0.9, abs=1e-8)
+                assert p[1] == pytest.approx(-2.1, abs=1e-8)
+                assert p[2] == 0.5
+
     def test_entropy_identity(self):
         probs = tt.softmax(Tensor(np.zeros(8)))
         ent = -float(np.sum(probs.data * np.log(probs.data)))
         assert ent == pytest.approx(math.log(8), abs=1e-12)
+
+
+class TestFirstGradient:
+    """A first gradient is stored as 0.0 + g, C-ordered, whatever g's layout:
+    `global_norm` sums each gradient in memory order, so an F-ordered
+    gradient (a `linear` weight's, (x.T @ g).T) kept as it is would change
+    the clipping norm's rounding."""
+
+    def f_ordered(self):
+        g = np.asfortranarray(np.random.default_rng(17).normal(size=(5, 3)))
+        g[0, 0], g[2, 1] = -0.0, 0.0
+        assert not g.flags.c_contiguous
+        return g
+
+    @pytest.mark.parametrize("owned", [False, True])
+    def test_f_ordered_first_gradient_is_stored_c_ordered(self, owned):
+        g = self.f_ordered()
+        want = 0.0 + g
+        t = Tensor(np.zeros((5, 3)), requires_grad=True)
+        t.accumulate_grad(g, owned=owned)
+        assert t.grad.flags.c_contiguous
+        assert t.grad.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert math.copysign(1.0, t.grad[0, 0]) == 1.0     # -0.0 became 0.0
+
+    def test_owned_c_ordered_gradient_is_kept_in_place(self):
+        g = np.ascontiguousarray(self.f_ordered())
+        want = (0.0 + g).tobytes()
+        t = Tensor(np.zeros((5, 3)), requires_grad=True)
+        t.accumulate_grad(g, owned=True)
+        assert t.grad is g and t.grad.tobytes() == want
+
+    def test_linear_weight_gradient_is_c_ordered(self):
+        rng = np.random.default_rng(19)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        with Tape() as tape:
+            tape.backward(tt.sum_(tt.linear(Tensor(rng.normal(size=(6, 4))), w,
+                                            Tensor(np.zeros(3)))))
+        assert w.grad.flags.c_contiguous
+
+
+def old_sigmoid(x):
+    """The gate sigmoid as it was first written: split by sign."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def old_lstm_cell(z, c):
+    H = c.shape[-1]
+    gates = old_sigmoid(z)
+    gates[..., 2 * H:3 * H] = np.tanh(z[..., 2 * H:3 * H])
+    i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
+    c_new = f * c + i * g
+    tanh_c = np.tanh(c_new)
+    return o * tanh_c, c_new, gates, tanh_c
+
+
+def old_lstm_seq(x, w_ih, w_hh, bias, h0, c0, mask, g):
+    """`lstm_seq`'s forward and BPTT as first written: a `np.where` at every
+    step.  Returns the hidden states and, for upstream gradient ``g``, the
+    gradients of (x, w_ih, w_hh, bias, h0, c0), each as a first gradient is
+    stored (0.0 + G)."""
+    keep = np.asarray(mask, dtype=bool)[..., None]
+    B, T, _ = keep.shape
+    H = h0.shape[-1]
+    lead = h0.shape[:-2]
+    zx = x @ np.swapaxes(w_ih, -1, -2)[..., None, :, :] + bias[..., None, None, :]
+    w_hh_t = np.swapaxes(w_hh, -1, -2)
+    hs, c_prev, tanh_c = (np.empty((*lead, B, T, H)) for _ in range(3))
+    gates = np.empty((*lead, B, T, 4 * H))
+    h, c = h0, c0
+    for t in range(T):
+        c_prev[..., t, :] = c
+        h_new, c_new, gates[..., t, :], tanh_c[..., t, :] = old_lstm_cell(
+            zx[..., t, :] + h @ w_hh_t, c)
+        h = np.where(keep[:, t], h_new, h)
+        c = np.where(keep[:, t], c_new, c)
+        hs[..., t, :] = h
+    i, f, gg, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
+    dtanh = o * (1.0 - tanh_c * tanh_c)
+    dz = 1.0 - gates
+    dz *= gates
+    dz[..., 2 * H:3 * H] = 1.0 - gg * gg
+    dh, dc = np.zeros((*lead, B, H)), np.zeros((*lead, B, H))
+    for t in range(T - 1, -1, -1):
+        k = keep[:, t]
+        dh = dh + g[..., t, :]
+        dc_new = dc + dh * dtanh[..., t, :]
+        d_gates = np.concatenate((dc_new * gg[..., t, :], dc_new * c_prev[..., t, :],
+                                  dc_new * i[..., t, :], dh * tanh_c[..., t, :]), axis=-1)
+        dz[..., t, :] = np.where(k, d_gates * dz[..., t, :], 0.0)
+        dh = np.where(k, dz[..., t, :] @ w_hh, dh)
+        dc = np.where(k, dc_new * f[..., t, :], dc)
+    flat = dz.reshape(*lead, B * T, 4 * H)
+    flat_t = np.swapaxes(flat, -1, -2)
+    h_prev = np.concatenate((h0[..., None, :], hs[..., :-1, :]), axis=-2)
+    grads = ((flat @ w_ih).reshape(x.shape), flat_t @ x.reshape(*lead, B * T, -1),
+             flat_t @ h_prev.reshape(*lead, B * T, H), flat.sum(axis=-2), dh, dc)
+    return hs, [np.zeros_like(G) + G for G in grads]
+
+
+class TestKernelPins:
+    """Today's kernels against test-local copies of the code they replaced,
+    bit for bit."""
+
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    @pytest.mark.parametrize("lengths", [(6, 6, 6), (6, 3, 1), (1,), (4, 6)])
+    def test_lstm_seq_equals_the_masked_loop(self, lead, lengths):
+        rng = np.random.default_rng(sum(lengths) + len(lead))
+        B, T, H, IN = len(lengths), max(lengths), 5, 3
+        mask = np.arange(T) < np.array(lengths)[:, None]
+        arrays = {"x": rng.normal(size=(*lead, B, T, IN)),
+                  "w_ih": rng.normal(scale=0.5, size=(*lead, 4 * H, IN)),
+                  "w_hh": rng.normal(scale=0.5, size=(*lead, 4 * H, H)),
+                  "bias": rng.normal(scale=0.3, size=(*lead, 4 * H)),
+                  "h0": rng.normal(scale=0.5, size=(*lead, B, H)),
+                  "c0": rng.normal(scale=0.5, size=(*lead, B, H))}
+        weight = rng.normal(size=(*lead, B, T, H))
+        weight[..., 0, 0, :2] = -0.0
+        params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+        with Tape() as tape:
+            hs = tt.lstm_seq(*params.values(), mask)
+            tape.backward(tt.sum_(tt.mul(hs, weight)))
+        want_hs, want_grads = old_lstm_seq(*arrays.values(), mask, weight)
+        assert np.ascontiguousarray(hs.data).tobytes() == want_hs.tobytes()
+        for (name, p), want in zip(params.items(), want_grads):
+            assert p.grad.tobytes() == want.tobytes(), name
+
+    def test_sigmoid_equals_the_sign_split_formula(self):
+        tiny = np.finfo(float).smallest_subnormal
+        x = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 745.0, -745.0,
+                      746.0, -746.0, 709.8, -709.8, 36.8, -36.8, np.inf, -np.inf,
+                      np.nan, 1.0, -1.0])
+        x = np.concatenate([x, np.random.default_rng(23).normal(scale=20.0, size=500)])
+        assert tt._sigmoid(x).tobytes() == old_sigmoid(x).tobytes()
+
+    def test_lstm_cell_equals_the_old_cell(self):
+        rng = np.random.default_rng(29)
+        z, c = rng.normal(scale=4.0, size=(3, 2, 16)), rng.normal(size=(3, 2, 4))
+        for got, want in zip(tt.lstm_cell(z, c), old_lstm_cell(z, c)):
+            assert got.tobytes() == want.tobytes()
