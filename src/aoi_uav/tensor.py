@@ -147,9 +147,11 @@ def _unbroadcast(g: Array, shape: tuple) -> Array:
 
 def _sigmoid(x: Array, out: Array | None = None) -> Array:
     """1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere, with e =
-    exp(-|x|), so exp cannot overflow; written into ``out`` if given."""
+    exp(-|x|), so exp cannot overflow; written into ``out`` if given.  As
+    0 <= e <= 1, the numerator where(x >= 0, 1, e) is max(e, x >= 0), which
+    numpy computes faster."""
     e = np.exp(np.copysign(x, -1.0))                         # exp(-|x|)
-    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
+    return np.divide(np.maximum(e, x >= 0), 1.0 + e, out=out)
 
 
 def softmax_array(x: Array) -> Array:
@@ -416,31 +418,34 @@ def lstm_seq(x, w_ih, w_hh, bias, h0, c0, mask) -> Tensor:
     backpropagation through time.
     """
     x, w_ih, w_hh, bias, h0, c0 = (_as_tensor(t) for t in (x, w_ih, w_hh, bias, h0, c0))
-    keep = np.asarray(mask, dtype=bool)[..., None]            # (B, T, 1)
-    B, T, _ = keep.shape
+    keep = np.asarray(mask, dtype=bool).T[..., None]          # (T, B, 1)
+    T, B, _ = keep.shape
     H = h0.data.shape[-1]
     lead = h0.data.shape[:-2]
-    zx = (x.data @ np.swapaxes(w_ih.data, -1, -2)[..., None, :, :]
-          + bias.data[..., None, None, :])                     # (..., B, T, 4H)
+    # The input projections and each step's results are kept time-major,
+    # (T, ..., B, X), so a step reads and writes whole blocks.  A step that
+    # every sequence takes writes its results in place and needs no
+    # `np.where`.
+    zx = np.empty((T, *lead, B, 4 * H))
+    np.add(x.data @ np.swapaxes(w_ih.data, -1, -2)[..., None, :, :],
+           bias.data[..., None, None, :], out=np.moveaxis(zx, 0, -2))
     w_hh_t = np.swapaxes(w_hh.data, -1, -2)
-    hs, cs, tanh_c = (np.empty((*lead, B, T, H)) for _ in range(3))
-    gates = np.empty((*lead, B, T, 4 * H))
-    # A step that every sequence takes writes its results in place and
-    # needs no `np.where`.
-    full = keep.all(axis=0)[:, 0].tolist()
+    hs, cs, tanh_c = (np.empty((T, *lead, B, H)) for _ in range(3))
+    gates = np.empty((T, *lead, B, 4 * H))
+    full = keep.all(axis=1)[:, 0].tolist()
     h, c = h0.data, c0.data
     for t in range(T):
-        z = zx[..., t, :] + h @ w_hh_t
-        step = (hs[..., t, :], cs[..., t, :], gates[..., t, :], tanh_c[..., t, :])
+        z = zx[t] + h @ w_hh_t
         if full[t]:
-            h, c, _, _ = lstm_cell(z, c, step)
+            h, c, _, _ = lstm_cell(z, c, (hs[t], cs[t], gates[t], tanh_c[t]))
         else:
-            h_new, c_new, _, _ = lstm_cell(z, c, (None, None, *step[2:]))
-            h = step[0][...] = np.where(keep[:, t], h_new, h)
-            c = step[1][...] = np.where(keep[:, t], c_new, c)
-    out = Tensor(hs)
+            h_new, c_new, _, _ = lstm_cell(z, c, (None, None, gates[t], tanh_c[t]))
+            h = hs[t] = np.where(keep[t], h_new, h)
+            c = cs[t] = np.where(keep[t], c_new, c)
+    out = Tensor(np.moveaxis(hs, 0, -2))
 
     def backward(g: Array) -> None:
+        g = np.ascontiguousarray(np.moveaxis(g, -2, 0))           # time-major
         i, f, gg, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
         dtanh = o * (1.0 - tanh_c * tanh_c)
         # Gate slopes: s(1 - s) for the sigmoid gates, 1 - g^2 for the tanh
@@ -449,36 +454,37 @@ def lstm_seq(x, w_ih, w_hh, bias, h0, c0, mask) -> Tensor:
         dz *= gates
         dz[..., 2 * H:3 * H] = 1.0 - gg * gg
         # The states entering step t: h0 and c0, then those after step t - 1.
-        h_prev, c_prev = (np.concatenate((s0.data[..., None, :], s[..., :-1, :]), axis=-2)
+        h_prev, c_prev = (np.concatenate((s0.data[None], s[:-1]))
                           for s0, s in ((h0, hs), (c0, cs)))
         dh, dc = np.zeros((*lead, B, H)), np.zeros((*lead, B, H))
         d_gates = np.empty((*lead, B, 4 * H))
         blocks = [d_gates[..., k * H:(k + 1) * H] for k in range(4)]
         for t in range(T - 1, -1, -1):
-            dh = dh + g[..., t, :]
-            dc_new = dc + dh * dtanh[..., t, :]
-            np.multiply(dc_new, gg[..., t, :], out=blocks[0])
-            np.multiply(dc_new, c_prev[..., t, :], out=blocks[1])
-            np.multiply(dc_new, i[..., t, :], out=blocks[2])
-            np.multiply(dh, tanh_c[..., t, :], out=blocks[3])
-            dz_t = dz[..., t, :]
+            dh = dh + g[t]
+            dc_new = dc + dh * dtanh[t]
+            np.multiply(dc_new, gg[t], out=blocks[0])
+            np.multiply(dc_new, c_prev[t], out=blocks[1])
+            np.multiply(dc_new, i[t], out=blocks[2])
+            np.multiply(dh, tanh_c[t], out=blocks[3])
+            dz_t = dz[t]
             if full[t]:
                 dz_t *= d_gates
                 dh = dz_t @ w_hh.data
-                dc = dc_new * f[..., t, :]
+                dc = dc_new * f[t]
             else:
-                k = keep[:, t]
-                dz_t[...] = np.where(k, d_gates * dz_t, 0.0)
-                dh = np.where(k, dz_t @ w_hh.data, dh)
-                dc = np.where(k, dc_new * f[..., t, :], dc)
-        flat = dz.reshape(*lead, B * T, 4 * H)
+                dz_t[...] = np.where(keep[t], d_gates * dz_t, 0.0)
+                dh = np.where(keep[t], dz_t @ w_hh.data, dh)
+                dc = np.where(keep[t], dc_new * f[t], dc)
+        # The weight gradients sum over (sequence, step) rows in that order.
+        flat = np.moveaxis(dz, 0, -2).reshape(*lead, B * T, 4 * H)
         flat_t = np.swapaxes(flat, -1, -2)
         if x.requires_grad:
             x.accumulate_grad((flat @ w_ih.data).reshape(x.data.shape), owned=True)
         if w_ih.requires_grad:
             w_ih.accumulate_grad(flat_t @ x.data.reshape(*lead, B * T, -1), owned=True)
         if w_hh.requires_grad:
-            w_hh.accumulate_grad(flat_t @ h_prev.reshape(*lead, B * T, H), owned=True)
+            rows = np.moveaxis(h_prev, 0, -2).reshape(*lead, B * T, H)
+            w_hh.accumulate_grad(flat_t @ rows, owned=True)
         if bias.requires_grad:
             bias.accumulate_grad(flat.sum(axis=-2), owned=True)
         if h0.requires_grad:

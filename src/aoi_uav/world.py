@@ -543,10 +543,10 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
     delta = _action_moves(config.speed * config.slot_dt).take(actions, axis=0)
     target = batch.uav_pos + delta                                    # (B, U, 2)
     pos = np.minimum(np.maximum(target, -half), half)
+    # Pulled back onto the flight disc: scaled by limit / radius outside it,
+    # by exactly 1 inside.
     radius = np.hypot(pos[..., 0], pos[..., 1])
-    outside = radius > config.flight_limit
-    if outside.any():
-        pos[outside] *= (config.flight_limit / radius[outside])[:, None]
+    pos *= (config.flight_limit / np.maximum(radius, config.flight_limit))[..., None]
     fix = pos - target
     clipped = np.hypot(fix[..., 0], fix[..., 1]) > 1e-12
 
@@ -628,9 +628,8 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
         gen_time, has_data = np.where(hit, t, batch.gen_time), batch.has_data
     else:
         gen_time, has_data = batch.gen_time, batch.has_data & ~hit
-    # Collections per UAV, as floats: each UAV's count of the IoTs it hit.
-    r_s = np.add.reduce((collector[..., None] == np.arange(n)) & hit[..., None],
-                        axis=1, dtype=float)
+    collector_of_hit = (np.arange(0, B * n, n)[:, None] + collector)[hit]  # b·U + j
+    collect_counts = np.bincount(collector_of_hit, minlength=B * n).reshape(B, n)
     peak_recorded = np.maximum(batch.peak_recorded_aoi,
                                _rowwise(np.maximum, np.where(hit, age, 0)))
 
@@ -650,6 +649,7 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
     r_p = r_p - rw.event_penalty * penalized
     if any_died:
         r_p = np.where(died, r_p - rw.death_penalty, r_p)
+    r_s = collect_counts.astype(float)
     total = rw.alpha_a * r_a[:, None] + rw.beta_p * r_p + rw.gamma_s * r_s
     return (nxt, RewardBreakdown(r_a, r_p, r_s, total),
             _rowwise(np.logical_or, died) | (t >= config.horizon))
