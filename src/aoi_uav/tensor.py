@@ -282,10 +282,7 @@ def tanh(a: Tensor) -> Tensor:
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            slope = out_data * out_data
-            np.subtract(1.0, slope, out=slope)
-            slope *= g                                   # g·(1 - tanh²)
-            a.accumulate_grad(slope, owned=True)
+            a.accumulate_grad(g * (1.0 - out_data * out_data), owned=True)
 
     return _record(out, (a,), backward)
 
