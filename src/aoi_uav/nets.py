@@ -136,24 +136,20 @@ def init_actor(rng: np.random.Generator, obs_dim: int, n_actions: int,
     )
 
 
-def stack_actors(actors: list[ActorParams], stack=None) -> ActorParams:
-    """Every agent's actor weights stacked along a leading agent axis, (U,
-    ...), so that one call serves all agents.  By default the stack is a
-    plain copy, for rollout inference with `actor_step`: training updates
-    the per-agent actors, not the copy.  Training passes ``stack=tt.stack``,
-    a tape op whose backward hands each agent's rows to its own weights."""
-    if stack is None:
-        def stack(weights: list[Tensor]) -> Tensor:
-            return Tensor(np.stack([w.data for w in weights]))
-
+def stack_actors(actors: list[ActorParams]) -> ActorParams:
+    """Every agent's actor weights joined along a leading agent axis, (U,
+    ...), by `tt.stack`, so that one call serves all agents.  Under a tape
+    the backward hands each agent's rows to its own weights (training);
+    outside one the stack is a plain copy (rollout inference with
+    `actor_step`)."""
     cells = [a.lstm for a in actors]
     lstm = None if cells[0] is None else LstmCellParams(
-        stack([c.w_ih for c in cells]), stack([c.w_hh for c in cells]),
-        stack([c.bias for c in cells]))
-    return ActorParams(lstm, stack([a.w_head for a in actors]),
-                       stack([a.b_head for a in actors]),
-                       stack([a.w_out for a in actors]),
-                       stack([a.b_out for a in actors]))
+        tt.stack([c.w_ih for c in cells]), tt.stack([c.w_hh for c in cells]),
+        tt.stack([c.bias for c in cells]))
+    return ActorParams(lstm, tt.stack([a.w_head for a in actors]),
+                       tt.stack([a.b_head for a in actors]),
+                       tt.stack([a.w_out for a in actors]),
+                       tt.stack([a.b_out for a in actors]))
 
 
 def _init_mlp(rng: np.random.Generator, dims: list[int]) -> list[tuple[Tensor, Tensor]]:
@@ -222,7 +218,7 @@ def actors_log_probs(actors: list[ActorParams], batch: ReplayBatch) -> Tensor:
     in one padded `lstm_seq` record; the mask skips the padding after a
     shorter sequence, and only the unpadded slots reach the policy heads.
     """
-    stacked = stack_actors(actors, tt.stack)
+    stacked = stack_actors(actors)
     if stacked.recurrent:
         cell = stacked.lstm
         U, B = batch.x.shape[:2]

@@ -15,13 +15,10 @@ the agent axis by ``stack``.  Rollout and evaluation actors build no
 ``Tensor``: they step the LSTM through the plain-numpy kernels ``lstm_cell``
 and ``softmax_array``, which the ops share.
 
-A tensor's first gradient is stored as 0.0 + g in C order, in the array the
-op made for it where the op hands it over (``accumulate_grad(owned=True)``);
-``Adam`` keeps every parameter, and both moments, in one flat vector that
-each parameter's ``.data`` views.  Both keep every result bit for bit equal
-to zeroed gradients and per-parameter updates.  Tensors and tapes are
-confined to a single thread: the active tape is a module global, so an op
-run on another thread while a tape is active would record onto it.
+A tensor's first gradient is stored as 0.0 + g in C order, bit for bit
+what adding it onto zeros gives, without the zero array.  Tensors and tapes
+are confined to a single thread: the active tape is a module global, so an
+op run on another thread while a tape is active would record onto it.
 """
 
 from __future__ import annotations
@@ -51,20 +48,13 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def accumulate_grad(self, g: Array, owned: bool = False) -> None:
-        """Add ``g`` onto ``.grad``.  ``owned`` says that the caller made
-        ``g`` for this call alone, so a first gradient may be kept in it
-        rather than in a copy.
-
-        A first gradient is stored as 0.0 + g, as adding onto zeros gives
-        (-0.0 becomes 0.0), and C-ordered, as those zeros were: a later sum
-        over the gradient then adds in the same order whatever ``g``'s
-        layout."""
+    def accumulate_grad(self, g: Array) -> None:
+        """Add ``g`` onto ``.grad``.  A first gradient is stored as 0.0 + g,
+        as adding onto zeros gives (-0.0 becomes 0.0), and C-ordered, as
+        those zeros were: a later sum over the gradient then adds in the
+        same order whatever ``g``'s layout."""
         if self.grad is None:
-            if owned and type(g) is np.ndarray and g.flags.c_contiguous:
-                self.grad = np.add(g, 0.0, out=g)
-            else:
-                self.grad = np.asarray(np.add(g, 0.0, order="C"))
+            self.grad = np.asarray(np.add(g, 0.0, order="C"))
         else:
             self.grad += g
 
@@ -106,7 +96,7 @@ class Tape:
         """
         if loss.data.size != 1:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-        loss.accumulate_grad(np.ones_like(loss.data), owned=True)
+        loss.accumulate_grad(np.ones_like(loss.data))
         for out, backward_fn in reversed(self.records):
             if out.grad is not None:
                 backward_fn(out.grad)
@@ -206,7 +196,7 @@ def sub(a, b) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(_unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.data.shape), owned=True)
+            b.accumulate_grad(_unbroadcast(-g, b.data.shape))
 
     return _record(out, (a, b), backward)
 
@@ -217,9 +207,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape), owned=True)
+            a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape), owned=True)
+            b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
 
     return _record(out, (a, b), backward)
 
@@ -237,10 +227,10 @@ def linear(x, w: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: Array) -> None:
         if x.requires_grad:
-            x.accumulate_grad(g @ w.data, owned=True)
+            x.accumulate_grad(g @ w.data)
         if w.requires_grad:
             w.accumulate_grad(np.outer(g, x.data) if g.ndim == 1 else
-                              np.swapaxes(np.swapaxes(x.data, -1, -2) @ g, -1, -2), owned=True)
+                              np.swapaxes(np.swapaxes(x.data, -1, -2) @ g, -1, -2))
         if b.requires_grad:
             b.accumulate_grad(g.sum(axis=-2) if stacked else _unbroadcast(g, b.data.shape))
 
@@ -270,7 +260,7 @@ def take(a: Tensor, key) -> Tensor:
         if a.requires_grad:
             full = np.zeros_like(a.data)
             np.add.at(full, key, g)
-            a.accumulate_grad(full, owned=True)
+            a.accumulate_grad(full)
 
     return _record(out, (a,), backward)
 
@@ -282,7 +272,7 @@ def tanh(a: Tensor) -> Tensor:
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            a.accumulate_grad(g * (1.0 - out_data * out_data), owned=True)
+            a.accumulate_grad(g * (1.0 - out_data * out_data))
 
     return _record(out, (a,), backward)
 
@@ -294,7 +284,7 @@ def exp(a: Tensor) -> Tensor:
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            a.accumulate_grad(g * out_data, owned=True)
+            a.accumulate_grad(g * out_data)
 
     return _record(out, (a,), backward)
 
@@ -308,7 +298,7 @@ def softmax(a: Tensor) -> Tensor:
     def backward(g: Array) -> None:
         if a.requires_grad:
             inner = (g * out_data).sum(axis=-1, keepdims=True)
-            a.accumulate_grad(out_data * (g - inner), owned=True)
+            a.accumulate_grad(out_data * (g - inner))
 
     return _record(out, (a,), backward)
 
@@ -324,7 +314,7 @@ def log_softmax(a: Tensor) -> Tensor:
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            a.accumulate_grad(g - np.exp(out_data) * g.sum(axis=-1, keepdims=True), owned=True)
+            a.accumulate_grad(g - np.exp(out_data) * g.sum(axis=-1, keepdims=True))
 
     return _record(out, (a,), backward)
 
@@ -336,10 +326,10 @@ def sum_(a: Tensor, axis=None) -> Tensor:
     def backward(g: Array) -> None:
         if a.requires_grad:
             if axis is None:
-                a.accumulate_grad(np.broadcast_to(g, a.data.shape).copy(), owned=True)
+                a.accumulate_grad(np.broadcast_to(g, a.data.shape).copy())
             else:
                 a.accumulate_grad(np.broadcast_to(
-                    np.expand_dims(g, axis), a.data.shape).copy(), owned=True)
+                    np.expand_dims(g, axis), a.data.shape).copy())
 
     return _record(out, (a,), backward)
 
@@ -351,7 +341,7 @@ def mean(a: Tensor) -> Tensor:
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            a.accumulate_grad(np.broadcast_to(g / a.data.size, a.data.shape).copy(), owned=True)
+            a.accumulate_grad(np.broadcast_to(g / a.data.size, a.data.shape).copy())
 
     return _record(out, (a,), backward)
 
@@ -364,7 +354,7 @@ def clip_by_value(a: Tensor, lo: float, hi: float) -> Tensor:
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            a.accumulate_grad(g * inside, owned=True)
+            a.accumulate_grad(g * inside)
 
     return _record(out, (a,), backward)
 
@@ -377,9 +367,9 @@ def minimum(a, b) -> Tensor:
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * pick_a, a.data.shape), owned=True)
+            a.accumulate_grad(_unbroadcast(g * pick_a, a.data.shape))
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * ~pick_a, b.data.shape), owned=True)
+            b.accumulate_grad(_unbroadcast(g * ~pick_a, b.data.shape))
 
     return _record(out, (a, b), backward)
 
@@ -476,18 +466,18 @@ def lstm_seq(x, w_ih, w_hh, bias, h0, c0, mask) -> Tensor:
         flat = np.moveaxis(dz, 0, -2).reshape(*lead, B * T, 4 * H)
         flat_t = np.swapaxes(flat, -1, -2)
         if x.requires_grad:
-            x.accumulate_grad((flat @ w_ih.data).reshape(x.data.shape), owned=True)
+            x.accumulate_grad((flat @ w_ih.data).reshape(x.data.shape))
         if w_ih.requires_grad:
-            w_ih.accumulate_grad(flat_t @ x.data.reshape(*lead, B * T, -1), owned=True)
+            w_ih.accumulate_grad(flat_t @ x.data.reshape(*lead, B * T, -1))
         if w_hh.requires_grad:
             rows = np.moveaxis(h_prev, 0, -2).reshape(*lead, B * T, H)
-            w_hh.accumulate_grad(flat_t @ rows, owned=True)
+            w_hh.accumulate_grad(flat_t @ rows)
         if bias.requires_grad:
-            bias.accumulate_grad(flat.sum(axis=-2), owned=True)
+            bias.accumulate_grad(flat.sum(axis=-2))
         if h0.requires_grad:
-            h0.accumulate_grad(dh, owned=True)
+            h0.accumulate_grad(dh)
         if c0.requires_grad:
-            c0.accumulate_grad(dc, owned=True)
+            c0.accumulate_grad(dc)
 
     return _record(out, (x, w_ih, w_hh, bias, h0, c0), backward)
 
@@ -511,18 +501,7 @@ def global_norm(grads: Iterable[Array]) -> float:
 
 
 class Adam:
-    """Adaptive-moment optimizer with bias correction and global-norm clipping.
-
-    The parameters live in one flat float64 vector: at construction each
-    parameter's ``.data`` becomes a view into it, as does each entry of
-    ``m`` and ``v`` into its moment vector, so a step updates every
-    parameter with a few whole-vector calls.  Each element takes the same
-    arithmetic as a per-parameter update, so the result is the same bit for
-    bit.  Gradients are read from each parameter's ``.grad``, however it was
-    set; the clipping norm sums them parameter by parameter.  The optimizer
-    owns the parameters' storage from construction on: a ``.data`` rebound
-    afterwards is no longer updated.
-    """
+    """Adaptive-moment optimizer with bias correction and global-norm clipping."""
 
     def __init__(self, params: dict[str, Tensor], lr: float = 3e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
@@ -534,46 +513,28 @@ class Adam:
         self.eps = eps
         self.clip_norm = clip_norm
         self.t = 0
-        size = sum(p.data.size for p in params.values())
-        self.flat, self.m_flat, self.v_flat = np.empty(size), np.zeros(size), np.zeros(size)
-        self.m, self.v = {}, {}
-        lo = 0
-        for k, p in params.items():
-            hi = lo + p.data.size
-            self.flat[lo:hi] = p.data.ravel()
-            p.data = self.flat[lo:hi].reshape(p.data.shape)
-            self.m[k] = self.m_flat[lo:hi].reshape(p.data.shape)
-            self.v[k] = self.v_flat[lo:hi].reshape(p.data.shape)
-            lo = hi
+        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
 
     def step(self) -> None:
-        params = self.params.values()
-        g = np.concatenate([np.zeros(0)] + [
-            np.zeros(p.data.size) if p.grad is None else p.grad.ravel()
-            for p in params])
+        grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.data))
+                 for k, p in self.params.items()}
         if self.clip_norm > 0.0:
-            norm = global_norm(p.grad for p in params if p.grad is not None)
+            norm = global_norm(grads.values())
             if norm > self.clip_norm:
-                g *= self.clip_norm / norm
+                scale = self.clip_norm / norm
+                grads = {k: g * scale for k, g in grads.items()}
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        # m = beta1·m + (1 - beta1)·g and v = beta2·v + ((1 - beta2)·g)·g,
-        # then the parameters move by (lr·m̂) / (sqrt(v̂) + eps).
-        self.m_flat *= self.beta1
-        self.m_flat += (1.0 - self.beta1) * g
-        g2 = (1.0 - self.beta2) * g
-        g2 *= g
-        self.v_flat *= self.beta2
-        self.v_flat += g2
-        update = self.m_flat / bc1
-        update *= self.lr
-        denom = self.v_flat / bc2
-        np.sqrt(denom, out=denom)
-        denom += self.eps
-        update /= denom
-        self.flat -= update
+        for k, p in self.params.items():
+            g = grads[k]
+            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
+            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
+            m_hat = self.m[k] / bc1
+            v_hat = self.v[k] / bc2
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
