@@ -432,17 +432,19 @@ def lstm_seq(x, w_ih, w_hh, bias, h0, c0, mask) -> Tensor:
     out = Tensor(np.moveaxis(hs, 0, -2))
 
     def backward(g: Array) -> None:
-        g = np.ascontiguousarray(np.moveaxis(g, -2, 0))           # time-major
+        g = np.moveaxis(g, -2, 0)                                 # time-major
         i, f, gg, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
         dtanh = o * (1.0 - tanh_c * tanh_c)
         # Gate slopes: s(1 - s) for the sigmoid gates, 1 - g^2 for the tanh
         # one.  Step t's slope is read only at step t, so dz overwrites it.
-        dz = 1.0 - gates
+        # dz is stored batch-major, so that the weight gradients below read
+        # it as (sequence, step) rows without a copy; the loop steps through
+        # its time-major view.
+        flat = np.empty((*lead, B * T, 4 * H))
+        dz = np.moveaxis(flat.reshape(*lead, B, T, 4 * H), -2, 0)
+        np.subtract(1.0, gates, out=dz)
         dz *= gates
         dz[..., 2 * H:3 * H] = 1.0 - gg * gg
-        # The states entering step t: h0 and c0, then those after step t - 1.
-        h_prev, c_prev = (np.concatenate((s0.data[None], s[:-1]))
-                          for s0, s in ((h0, hs), (c0, cs)))
         dh, dc = np.zeros((*lead, B, H)), np.zeros((*lead, B, H))
         d_gates = np.empty((*lead, B, 4 * H))
         blocks = [d_gates[..., k * H:(k + 1) * H] for k in range(4)]
@@ -450,7 +452,7 @@ def lstm_seq(x, w_ih, w_hh, bias, h0, c0, mask) -> Tensor:
             dh = dh + g[t]
             dc_new = dc + dh * dtanh[t]
             np.multiply(dc_new, gg[t], out=blocks[0])
-            np.multiply(dc_new, c_prev[t], out=blocks[1])
+            np.multiply(dc_new, cs[t - 1] if t else c0.data, out=blocks[1])
             np.multiply(dc_new, i[t], out=blocks[2])
             np.multiply(dh, tanh_c[t], out=blocks[3])
             dz_t = dz[t]
@@ -463,15 +465,15 @@ def lstm_seq(x, w_ih, w_hh, bias, h0, c0, mask) -> Tensor:
                 dh = np.where(keep[t], dz_t @ w_hh.data, dh)
                 dc = np.where(keep[t], dc_new * f[t], dc)
         # The weight gradients sum over (sequence, step) rows in that order.
-        flat = np.moveaxis(dz, 0, -2).reshape(*lead, B * T, 4 * H)
         flat_t = np.swapaxes(flat, -1, -2)
         if x.requires_grad:
             x.accumulate_grad((flat @ w_ih.data).reshape(x.data.shape))
         if w_ih.requires_grad:
             w_ih.accumulate_grad(flat_t @ x.data.reshape(*lead, B * T, -1))
         if w_hh.requires_grad:
-            rows = np.moveaxis(h_prev, 0, -2).reshape(*lead, B * T, H)
-            w_hh.accumulate_grad(flat_t @ rows)
+            # The state entering step t: h0, then the output of step t - 1.
+            h_prev = np.concatenate((h0.data[..., None, :], out.data[..., :-1, :]), axis=-2)
+            w_hh.accumulate_grad(flat_t @ h_prev.reshape(*lead, B * T, H))
         if bias.requires_grad:
             bias.accumulate_grad(flat.sum(axis=-2))
         if h0.requires_grad:
