@@ -90,8 +90,8 @@ def _critic_value_loss(rng: np.random.Generator):
     critic = nets.init_critic(rng, obs_dim, state_dim, h1, h2)
     for t in critic.tensors("c").values():
         t.data = rng.normal(scale=0.4, size=t.data.shape)
-    obs = rng.normal(size=obs_dim)
-    state = rng.normal(size=state_dim)
+    obs = rng.normal(size=(1, obs_dim))
+    state = rng.normal(size=(1, state_dim))
     target = float(rng.normal())
     params = critic.tensors("critic")
 

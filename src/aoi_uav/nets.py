@@ -186,11 +186,11 @@ def policy_head_batch(params: ActorParams, features: Tensor) -> Tensor:
 class ReplayBatch:
     """Every agent's observation sequences over B episodes, laid out once
     for `actors_log_probs`.  All agents of an episode have the same number
-    of slots, so they share one mask."""
+    of slots, so they share one padding: zeros after each episode's last
+    slot."""
 
     obs: np.ndarray                       # (U, N, obs): every slot, episode by episode
-    x: np.ndarray                         # (U, B, T, obs): padded to the longest episode
-    mask: np.ndarray                      # (B, T): True on the unpadded slots
+    x: np.ndarray                         # (U, B, T, obs): zero-padded to the longest episode
     steps: tuple[np.ndarray, np.ndarray]  # (episode, slot) of each row of ``obs``
 
 
@@ -203,7 +203,7 @@ def replay_batch(obs_seqs: list[list[np.ndarray]]) -> ReplayBatch:
     obs = np.stack([np.concatenate(seqs) for seqs in obs_seqs])
     x = np.zeros((len(obs), *mask.shape, obs.shape[-1]))
     x[:, steps[0], steps[1]] = obs
-    return ReplayBatch(obs=obs, x=x, mask=mask, steps=steps)
+    return ReplayBatch(obs=obs, x=x, steps=steps)
 
 
 def actors_log_probs(actors: list[ActorParams], batch: ReplayBatch) -> Tensor:
@@ -215,16 +215,14 @@ def actors_log_probs(actors: list[ActorParams], batch: ReplayBatch) -> Tensor:
     op serves all agents at once; a batched matmul runs one gemm per agent,
     so each agent's rows and gradients equal those of its own chain bit for
     bit.  Recurrent actors replay every sequence from a zero hidden state
-    in one padded `lstm_seq` record; the mask skips the padding after a
-    shorter sequence, and only the unpadded slots reach the policy heads.
+    in one padded `lstm_seq` record, padding included; only the unpadded
+    slots reach the policy heads, so the padding after a shorter sequence
+    changes neither its log-probabilities nor any gradient.
     """
     stacked = stack_actors(actors)
     if stacked.recurrent:
         cell = stacked.lstm
-        U, B = batch.x.shape[:2]
-        zero = np.zeros((U, B, cell.hidden_size))
-        hs = tt.lstm_seq(batch.x, cell.w_ih, cell.w_hh, cell.bias, zero, zero,
-                         batch.mask)
+        hs = tt.lstm_seq(batch.x, cell.w_ih, cell.w_hh, cell.bias)
         features = hs[(slice(None), *batch.steps)]               # (U, N, H)
     else:
         features = Tensor(batch.obs)

@@ -6,14 +6,15 @@ created with ``requires_grad=True``.  With no tape active the same ops run as
 plain numpy computations.  Three ops are fused, each one tape record with a
 hand-written backward: ``linear`` is the affine layer ``x @ w.T + b`` that
 every policy and value head is built from, optionally for a stack of layers
-along a leading axis; ``lstm_seq`` runs an LSTM over a whole padded batch of
-sequences (backpropagation through time), optionally for several LSTMs at
-once along leading axes; and ``log_softmax`` replaces ``log(softmax(x))``
-and stays finite where a probability underflows to 0.  Training replays and
-scores every agent's actor through one such chain, its weights joined along
-the agent axis by ``stack``.  Rollout and evaluation actors build no
-``Tensor``: they step the LSTM through the plain-numpy kernels ``lstm_cell``
-and ``softmax_array``, which the ops share.
+along a leading axis; ``lstm_seq`` runs an LSTM from a zero state over a
+whole batch of sequences zero-padded at their end (backpropagation through
+time into its weights), optionally for several LSTMs at once along leading
+axes; and ``log_softmax`` replaces ``log(softmax(x))`` and stays finite
+where a probability underflows to 0.  Training replays and scores every
+agent's actor through one such chain, its weights joined along the agent
+axis by ``stack``.  Rollout and evaluation actors build no ``Tensor``:
+they step the LSTM through the plain-numpy kernels ``lstm_cell`` and
+``softmax_array``, which the ops share.
 
 A tensor's first gradient is stored as 0.0 + g in C order, bit for bit
 what adding it onto zeros gives, without the zero array.  Tensors and tapes
@@ -215,11 +216,11 @@ def mul(a, b) -> Tensor:
 
 
 def linear(x, w: Tensor, b: Tensor) -> Tensor:
-    """The affine layer ``x @ w.T + b`` as one tape record, for a (n,)
-    vector or (N, n) rows ``x``, ``w`` (m, n) and ``b`` (m,).  With a
-    leading axis of U layers, ``w`` (U, m, n), ``b`` (U, m) and ``x``
-    (U, N, n), layer u acts on ``x[u]``: one gemm per layer, so each layer's
-    output and gradients equal those of its own call bit for bit."""
+    """The affine layer ``x @ w.T + b`` as one tape record, for (N, n)
+    rows ``x``, ``w`` (m, n) and ``b`` (m,).  With a leading axis of U
+    layers, ``w`` (U, m, n), ``b`` (U, m) and ``x`` (U, N, n), layer u acts
+    on ``x[u]``: one gemm per layer, so each layer's output and gradients
+    equal those of its own call bit for bit."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     stacked = w.data.ndim > 2
     out = Tensor(x.data @ np.swapaxes(w.data, -1, -2)
@@ -229,8 +230,7 @@ def linear(x, w: Tensor, b: Tensor) -> Tensor:
         if x.requires_grad:
             x.accumulate_grad(g @ w.data)
         if w.requires_grad:
-            w.accumulate_grad(np.outer(g, x.data) if g.ndim == 1 else
-                              np.swapaxes(np.swapaxes(x.data, -1, -2) @ g, -1, -2))
+            w.accumulate_grad(np.swapaxes(np.swapaxes(x.data, -1, -2) @ g, -1, -2))
         if b.requires_grad:
             b.accumulate_grad(g.sum(axis=-2) if stacked else _unbroadcast(g, b.data.shape))
 
@@ -388,47 +388,37 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
     return _record(out, tuple(tensors), backward)
 
 
-def lstm_seq(x, w_ih, w_hh, bias, h0, c0, mask) -> Tensor:
-    """An LSTM over a padded batch of sequences, as one tape record.
+def lstm_seq(x, w_ih, w_hh, bias) -> Tensor:
+    """An LSTM over a batch of sequences from a zero state, as one tape
+    record.
 
     Shapes: ``x`` (..., B, T, In), ``w_ih`` (..., 4H, In), ``w_hh``
-    (..., 4H, H), ``bias`` (..., 4H), ``h0`` and ``c0`` (..., B, H), ``mask``
-    (B, T).  Leading axes ``...``, if any, hold separate LSTMs, each with its
-    own weights, inputs and initial state (training stacks one per agent);
-    they all share the mask, and every numpy call serves them all.  A matmul
-    runs one gemm per leading index, so each LSTM's output and gradients
-    equal those of its own call bit for bit.  The input projection runs for
-    all T at once; the recurrence then needs only ``w_hh``.  Where ``mask``
-    is 0 the step is skipped and h and c carry over unchanged, so one batch
-    can hold sequences padded to the longest.  Returns the hidden state
-    after every step, (..., B, T, H); the backward is hand-written
-    backpropagation through time.
+    (..., 4H, H), ``bias`` (..., 4H).  Leading axes ``...``, if any, hold
+    separate LSTMs, each with its own weights and inputs (training stacks
+    one per agent), and every numpy call serves them all.  A matmul runs one
+    gemm per leading index, so each LSTM's output and gradients equal those
+    of its own call bit for bit.  The input projection runs for all T at
+    once; the recurrence then needs only ``w_hh``.  Shorter sequences are
+    padded at their end and run through the padding: the LSTM is causal, so
+    a padded step changes no earlier output, and where its outputs get no
+    gradient its BPTT adds only zeros.  Returns the hidden state after every
+    step, (..., B, T, H); the backward is hand-written backpropagation
+    through time into the weights (``x`` gets no gradient).
     """
-    x, w_ih, w_hh, bias, h0, c0 = (_as_tensor(t) for t in (x, w_ih, w_hh, bias, h0, c0))
-    keep = np.asarray(mask, dtype=bool).T[..., None]          # (T, B, 1)
-    T, B, _ = keep.shape
-    H = h0.data.shape[-1]
-    lead = h0.data.shape[:-2]
+    x, w_ih, w_hh, bias = (_as_tensor(t) for t in (x, w_ih, w_hh, bias))
+    *lead, B, T, _ = x.data.shape
+    H = w_hh.data.shape[-1]
     # The input projections and each step's results are kept time-major,
-    # (T, ..., B, X), so a step reads and writes whole blocks.  A step that
-    # every sequence takes writes its results in place and needs no
-    # `np.where`.
+    # (T, ..., B, X), so a step reads and writes whole blocks in place.
     zx = np.empty((T, *lead, B, 4 * H))
     np.add(x.data @ np.swapaxes(w_ih.data, -1, -2)[..., None, :, :],
            bias.data[..., None, None, :], out=np.moveaxis(zx, 0, -2))
     w_hh_t = np.swapaxes(w_hh.data, -1, -2)
     hs, cs, tanh_c = (np.empty((T, *lead, B, H)) for _ in range(3))
     gates = np.empty((T, *lead, B, 4 * H))
-    full = keep.all(axis=1)[:, 0].tolist()
-    h, c = h0.data, c0.data
+    h = c = np.zeros((*lead, B, H))
     for t in range(T):
-        z = zx[t] + h @ w_hh_t
-        if full[t]:
-            h, c, _, _ = lstm_cell(z, c, (hs[t], cs[t], gates[t], tanh_c[t]))
-        else:
-            h_new, c_new, _, _ = lstm_cell(z, c, (None, None, gates[t], tanh_c[t]))
-            h = hs[t] = np.where(keep[t], h_new, h)
-            c = cs[t] = np.where(keep[t], c_new, c)
+        h, c, _, _ = lstm_cell(zx[t] + h @ w_hh_t, c, (hs[t], cs[t], gates[t], tanh_c[t]))
     out = Tensor(np.moveaxis(hs, 0, -2))
 
     def backward(g: Array) -> None:
@@ -452,36 +442,25 @@ def lstm_seq(x, w_ih, w_hh, bias, h0, c0, mask) -> Tensor:
             dh = dh + g[t]
             dc_new = dc + dh * dtanh[t]
             np.multiply(dc_new, gg[t], out=blocks[0])
-            np.multiply(dc_new, cs[t - 1] if t else c0.data, out=blocks[1])
+            np.multiply(dc_new, cs[t - 1] if t else 0.0, out=blocks[1])
             np.multiply(dc_new, i[t], out=blocks[2])
             np.multiply(dh, tanh_c[t], out=blocks[3])
-            dz_t = dz[t]
-            if full[t]:
-                dz_t *= d_gates
-                dh = dz_t @ w_hh.data
-                dc = dc_new * f[t]
-            else:
-                dz_t[...] = np.where(keep[t], d_gates * dz_t, 0.0)
-                dh = np.where(keep[t], dz_t @ w_hh.data, dh)
-                dc = np.where(keep[t], dc_new * f[t], dc)
+            dz[t] *= d_gates
+            dh = dz[t] @ w_hh.data
+            dc = dc_new * f[t]
         # The weight gradients sum over (sequence, step) rows in that order.
         flat_t = np.swapaxes(flat, -1, -2)
-        if x.requires_grad:
-            x.accumulate_grad((flat @ w_ih.data).reshape(x.data.shape))
         if w_ih.requires_grad:
             w_ih.accumulate_grad(flat_t @ x.data.reshape(*lead, B * T, -1))
         if w_hh.requires_grad:
-            # The state entering step t: h0, then the output of step t - 1.
-            h_prev = np.concatenate((h0.data[..., None, :], out.data[..., :-1, :]), axis=-2)
+            # The state entering step t: zero, then the output of step t - 1.
+            h_prev = np.concatenate((np.zeros((*lead, B, 1, H)), out.data[..., :-1, :]),
+                                    axis=-2)
             w_hh.accumulate_grad(flat_t @ h_prev.reshape(*lead, B * T, H))
         if bias.requires_grad:
             bias.accumulate_grad(flat.sum(axis=-2))
-        if h0.requires_grad:
-            h0.accumulate_grad(dh)
-        if c0.requires_grad:
-            c0.accumulate_grad(dc)
 
-    return _record(out, (x, w_ih, w_hh, bias, h0, c0), backward)
+    return _record(out, (w_ih, w_hh, bias), backward)
 
 
 # ---------------------------------------------------------------------------

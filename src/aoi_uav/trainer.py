@@ -344,14 +344,14 @@ def ppo_update(batch: TrajectoryBatch, bundle: PolicyBundle, optimizer: Adam,
     over full-episode sequences; ratios are taken against the log-probs
     stored when ``batch`` was collected.
 
-    The padded observations, the mask and the per-agent columns, (U, N)
-    with every agent's slots episode by episode, are laid out once per
-    update.  Each epoch replays and scores every agent at once, from one
-    `nets.actors_log_probs` call through the ratios, the surrogate and the
-    entropies, and runs the critic's global head once over the states of
-    every episode.  The critic's local head shares its weights among the
-    agents, so its terms run agent by agent, each agent's gradient adding
-    onto the shared weights in turn.
+    The padded observations, their unpadded slots and the per-agent
+    columns, (U, N) with every agent's slots episode by episode, are laid
+    out once per update.  Each epoch replays and scores every agent at
+    once, from one `nets.actors_log_probs` call through the ratios, the
+    surrogate and the entropies, and runs the critic's global head once over
+    the states of every episode.  The critic's local head shares its weights
+    among the agents, so its terms run agent by agent, each agent's gradient
+    adding onto the shared weights in turn.
     """
     critic = bundle.critic
     states = Tensor(np.concatenate([ep.global_states for ep in batch.episodes]))
@@ -540,15 +540,14 @@ def make_policy(kind: str, scenario: ScenarioConfig,
 # ---------------------------------------------------------------------------
 
 def rollout_policy(scenario: ScenarioConfig, policy, episodes: int, seed: int,
-                   *, greedy: bool = True,
-                   first_episode_idx: int = 0) -> list[EpisodeMetrics]:
+                   *, greedy: bool = True) -> list[EpisodeMetrics]:
     """Run a policy for whole episodes from reset, one at a time through
-    `world.step`, returning each episode's metrics.  Episode ``i`` (counted
-    from ``first_episode_idx``) draws from ``np.random.default_rng([seed,
-    i])``, the stream that `collect_rollout` gives it.  An episode's
-    ``wall_ms`` covers its reset and every slot."""
+    `world.step`, returning each episode's metrics.  Episode ``i`` draws
+    from ``np.random.default_rng([seed, i])``, the stream that
+    `collect_rollout` gives it.  An episode's ``wall_ms`` covers its reset
+    and every slot."""
     rows = []
-    for idx in range(first_episode_idx, first_episode_idx + episodes):
+    for idx in range(episodes):
         rng = np.random.default_rng([seed, idx])
         policy.begin_episode()
         t0 = time.perf_counter()

@@ -4,7 +4,10 @@ evaluations that follow it.
 The run is the `tiny` preset cut to 3 UAVs, 30-slot episodes and 6 episodes
 at 4 per update, so it covers a full update, a short last update and
 colliding UAVs.  The digests pin its event CSVs, `metrics.csv` without the
-`wall_ms` column and its final checkpoint.  Two evaluation pins follow it:
+`wall_ms` column and its final checkpoint.  No UAV dies in it, so every
+episode lasts 30 slots; a second run, the same with a low initial battery,
+ends episodes of one update by deaths at different slots, so that the PPO
+replay pads the shorter ones, and is pinned the same way.  Two evaluation pins follow it:
 the `eval.csv` of `aoi-uav eval --policy learned` on that checkpoint, and
 the metrics rows, without `wall_ms`, of sampling learned policies through
 `rollout_policy(..., greedy=False)`.  The heuristic baselines' rows, played
@@ -40,6 +43,27 @@ GOLDEN = {
         "b1471b39e95a20b673083d64326a138db71ee46b14fd4bc4d0faa29021e6fb2a",
 }
 
+# The run above with e_init_frac = 0.03: episodes of 29, 30, 26, 22, 22 and
+# 22 slots.
+PADDED_GOLDEN = {
+    "checkpoints/ep_6.ckpt":
+        "3f883ee38682bd45efc741e7458e6b2e4ec5f2601416639c2bb1070da1f3f217",
+    "events/ep_0.csv":
+        "fa38f40ccf6f7f5c2ab527b93245f6924a62f937f5c533fee68d4d80848999ee",
+    "events/ep_1.csv":
+        "4cd7eb8b52979917af585f889ea1c5e0f9831b40d2514d6596785d3c976a47f2",
+    "events/ep_2.csv":
+        "bb42ee5b49f20668fb60a3136d4b879343e06c58643bfb5d78a28605f7368eb2",
+    "events/ep_3.csv":
+        "bd44e27a4130004cd50b3934d072b2347adec9f6a76385027e15fb2e4edd9c10",
+    "events/ep_4.csv":
+        "a3f87fc89c34f330dbe487847ec78d63a7d6bfe0976feab208d0004b33d57fc1",
+    "events/ep_5.csv":
+        "74fb941530367943d49d9e7b74d2919ac956e27504d2d108013892cffe2b5fa7",
+    "metrics.csv":
+        "bea65f5cf8d53f79b432c89fe5ace69f7652ff91a0a5b25facb51e08923e5367",
+}
+
 
 EVAL_CSV = (
     "policy,episodes,mean_peak_aoi,max_peak_aoi,mean_peak_aoi_recorded,"
@@ -73,15 +97,14 @@ def rows_digest(rows):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def golden_run(tmp_path_factory):
-    """The golden config file and the directory of its training run."""
-    tmp_path = tmp_path_factory.mktemp("golden")
+def train_run(tmp_path, **scenario_changes):
+    """The golden config file, with ``scenario_changes`` applied, and the
+    directory of its training run."""
     preset = resources.files("aoi_uav").joinpath("presets", "tiny.cfg")
     scenario, tconf, _ = config_io.load_config(str(preset))
     cfg = tmp_path / "golden.cfg"
     cfg.write_text(config_io.dump_config(
-        replace(scenario, horizon=30, n_uavs=3),
+        replace(scenario, horizon=30, n_uavs=3, **scenario_changes),
         replace(tconf, episodes=6, episodes_per_update=4)))
     out = tmp_path / "run"
     assert cli.main(["train", "--config", str(cfg), "--seed", "11",
@@ -89,9 +112,14 @@ def golden_run(tmp_path_factory):
     return cfg, out
 
 
-def run_digests(out):
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    return train_run(tmp_path_factory.mktemp("golden"))
+
+
+def run_digests(out, names):
     digests = {}
-    for name in GOLDEN:
+    for name in names:
         data = (out / name).read_bytes()
         if name == "metrics.csv":
             data = b"\n".join(line.rsplit(b",", 1)[0] for line in data.split(b"\n"))
@@ -100,7 +128,17 @@ def run_digests(out):
 
 
 def test_train_events_run_bytes_pinned(golden_run):
-    assert run_digests(golden_run[1]) == GOLDEN
+    assert run_digests(golden_run[1], GOLDEN) == GOLDEN
+
+
+def test_padded_train_events_run_bytes_pinned(tmp_path):
+    _, out = train_run(tmp_path, e_init_frac=0.03)
+    # An episode lasts until the slot of its last event; the first update's
+    # four episodes must not all be equally long.
+    lengths = [int((out / "events" / f"ep_{e}.csv").read_text()
+                   .splitlines()[-1].split(",", 1)[0]) for e in range(6)]
+    assert len(set(lengths[:4])) > 1
+    assert run_digests(out, PADDED_GOLDEN) == PADDED_GOLDEN
 
 
 def test_learned_eval_csv_pinned(golden_run, tmp_path):

@@ -217,13 +217,10 @@ def per_agent_head_chains(actors, batch):
     agent-axis replay, then one head chain per agent."""
     if actors[0].recurrent:
         cells = [a.lstm for a in actors]
-        U, B = batch.x.shape[:2]
-        zero = np.zeros((U, B, cells[0].hidden_size))
         hs = tt.lstm_seq(batch.x, *(tt.stack([getattr(c, name) for c in cells])
-                                    for name in ("w_ih", "w_hh", "bias")),
-                         zero, zero, batch.mask)
+                                    for name in ("w_ih", "w_hh", "bias")))
         features = hs[(slice(None), *batch.steps)]
-        per_agent = [features[j] for j in range(U)]
+        per_agent = [features[j] for j in range(len(actors))]
     else:
         per_agent = [Tensor(obs) for obs in batch.obs]
     return [tt.log_softmax(nets.policy_head_batch(actor, f))

@@ -115,7 +115,7 @@ class TestBackward:
         rng = np.random.default_rng(11)
         w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
         b = Tensor(np.zeros(4))
-        x = rng.normal(size=4)
+        x = rng.normal(size=(1, 4))
 
         def run():
             w.zero_grad()
@@ -141,7 +141,7 @@ class TestFiniteDifferenceMaster:
             "b1": Tensor(rng.normal(size=6) * 0.1, requires_grad=True),
             "w2": Tensor(rng.normal(size=(1, 6)) * 0.5, requires_grad=True),
         }
-        x = rng.normal(size=4)
+        x = rng.normal(size=(1, 4))
 
         def forward():
             h = tt.tanh(tt.linear(Tensor(x), params["w1"], params["b1"]))
@@ -154,10 +154,10 @@ class TestFiniteDifferenceMaster:
     def test_softmax_logprob_composition(self):
         rng = np.random.default_rng(13)
         params = {"w": Tensor(rng.normal(size=(8, 5)) * 0.4, requires_grad=True)}
-        x = rng.normal(size=5)
+        x = rng.normal(size=(1, 5))
 
         def forward():
-            return tt.log_softmax(tt.linear(Tensor(x), params["w"], Tensor(np.zeros(8))))[3]
+            return tt.log_softmax(tt.linear(Tensor(x), params["w"], Tensor(np.zeros(8))))[0, 3]
 
         analytic = tape_gradients(forward, params)
         numeric = finite_difference(lambda: forward().item(), params)
@@ -196,59 +196,55 @@ class TestFiniteDifferenceMaster:
 class TestFusedOps:
     H, IN = 3, 4
 
-    def lstm_inputs(self, rng, B, T, lead=()):
+    def lstm_inputs(self, rng, lead=()):
         H, IN = self.H, self.IN
-        return {"x": Tensor(rng.normal(size=(*lead, B, T, IN)), requires_grad=True),
-                "w_ih": Tensor(rng.normal(scale=0.5, size=(*lead, 4 * H, IN)), requires_grad=True),
+        return {"w_ih": Tensor(rng.normal(scale=0.5, size=(*lead, 4 * H, IN)), requires_grad=True),
                 "w_hh": Tensor(rng.normal(scale=0.5, size=(*lead, 4 * H, H)), requires_grad=True),
-                "bias": Tensor(rng.normal(scale=0.3, size=(*lead, 4 * H)), requires_grad=True),
-                "h0": Tensor(rng.normal(scale=0.5, size=(*lead, B, H)), requires_grad=True),
-                "c0": Tensor(rng.normal(scale=0.5, size=(*lead, B, H)), requires_grad=True)}
+                "bias": Tensor(rng.normal(scale=0.3, size=(*lead, 4 * H)), requires_grad=True)}
 
-    def step_by_step(self, p, mask):
-        """Reference: one `lstm_cell` call per LSTM, sequence and step."""
-        x, w_ih, w_hh, bias = (p[k].data for k in ("x", "w_ih", "w_hh", "bias"))
-        out = np.empty(x.shape[:-1] + (self.H,))
+    def step_by_step(self, x, p, lengths):
+        """Reference: one `lstm_cell` call per LSTM, sequence and unpadded
+        step, from a zero state; padded steps are left at zero."""
+        w_ih, w_hh, bias = (p[k].data for k in ("w_ih", "w_hh", "bias"))
+        out = np.zeros(x.shape[:-1] + (self.H,))
         for u in np.ndindex(x.shape[:-3]):
-            for b in range(x.shape[-3]):
-                h, c = p["h0"].data[u][b], p["c0"].data[u][b]
-                for t in range(x.shape[-2]):
-                    if mask[b, t]:
-                        h, c, _, _ = tt.lstm_cell(
-                            w_ih[u] @ x[u][b, t] + w_hh[u] @ h + bias[u], c)
+            for b, n in enumerate(lengths):
+                h = c = np.zeros(self.H)
+                for t in range(n):
+                    h, c, _, _ = tt.lstm_cell(
+                        w_ih[u] @ x[u][b, t] + w_hh[u] @ h + bias[u], c)
                     out[u][b, t] = h
         return out
 
     @pytest.mark.parametrize("B,T,lengths", [(1, 1, (1,)), (1, 5, (5,)),
                                              (3, 4, (4, 2, 1))])
     def test_lstm_seq_forward_and_finite_differences(self, B, T, lengths):
-        # Without and with a leading agent axis of two LSTMs sharing the mask.
+        # Without and with a leading agent axis of two LSTMs.  Shorter
+        # sequences are zero-padded at their end and their padded outputs
+        # get no weight, as `nets.actors_log_probs` pads and reads them.
         rng = np.random.default_rng(31 + B * T)
-        mask = np.array([[t < n for t in range(T)] for n in lengths], dtype=float)
-        names = ("x", "w_ih", "w_hh", "bias", "h0", "c0")
+        unpadded = (np.arange(T) < np.array(lengths)[:, None])[..., None]
         for lead in ((), (2,)):
-            p = self.lstm_inputs(rng, B, T, lead)
-            weight = rng.normal(size=(*lead, B, T, self.H))
+            x = rng.normal(size=(*lead, B, T, self.IN)) * unpadded
+            p = self.lstm_inputs(rng, lead)
+            weight = rng.normal(size=(*lead, B, T, self.H)) * unpadded
 
-            def forward(p=p, weight=weight):
-                return tt.sum_(tt.mul(tt.lstm_seq(*(p[k] for k in names), mask), weight))
+            def forward(x=x, p=p, weight=weight):
+                return tt.sum_(tt.mul(tt.lstm_seq(x, *p.values()), weight))
 
-            hs = tt.lstm_seq(*(p[k] for k in names), mask)
-            np.testing.assert_allclose(hs.data, self.step_by_step(p, mask), atol=1e-14)
+            hs = tt.lstm_seq(x, *p.values())
+            np.testing.assert_allclose(hs.data * unpadded,
+                                       self.step_by_step(x, p, lengths), atol=1e-14)
             analytic = tape_gradients(forward, p)
             numeric = finite_difference(lambda: forward().item(), p)
             assert_grads_close(analytic, numeric)
-            if min(lengths) < T:  # padding: a masked step carries h and c over
-                np.testing.assert_array_equal(hs.data[..., 2, 1:, :],
-                                              np.repeat(hs.data[..., 2, :1, :], 3, -2))
-                np.testing.assert_array_equal(analytic["x"][..., 2, 1:, :], 0.0)
             for u in range(lead[0]) if lead else ():  # each LSTM equals its own call
-                own = {k: Tensor(p[k].data[u], requires_grad=True) for k in names}
-                own_hs = tt.lstm_seq(*(own[k] for k in names), mask)
+                own = {k: Tensor(v.data[u], requires_grad=True) for k, v in p.items()}
+                own_hs = tt.lstm_seq(x[u], *own.values())
                 np.testing.assert_array_equal(own_hs.data, hs.data[u])
                 own_grads = tape_gradients(
-                    lambda own=own, u=u: forward(own, weight[u]), own)
-                for k in names:
+                    lambda own=own, u=u: forward(x[u], own, weight[u]), own)
+                for k in p:
                     np.testing.assert_array_equal(own_grads[k], analytic[k][u], err_msg=k)
 
     def test_stack_finite_differences(self):
@@ -266,7 +262,7 @@ class TestFusedOps:
         assert_grads_close(analytic, numeric)
         np.testing.assert_array_equal(analytic["b"], weight[1])
 
-    @pytest.mark.parametrize("x_shape", [(4,), (5, 4)])
+    @pytest.mark.parametrize("x_shape", [(1, 4), (5, 4)])
     def test_linear_finite_differences(self, x_shape):
         # On rows, the bias gradient sums over them.
         rng = np.random.default_rng(43)
@@ -477,24 +473,26 @@ class TestKernelPins:
     @pytest.mark.parametrize("lead", [(), (2,)])
     @pytest.mark.parametrize("lengths", [(6, 6, 6), (6, 3, 1), (1,), (4, 6)])
     def test_lstm_seq_equals_the_masked_loop(self, lead, lengths):
+        # As `nets.actors_log_probs` calls it: zero initial state, zero
+        # padding at the end of the shorter sequences, and no weight on the
+        # padded outputs, which the masked loop does not compute.
         rng = np.random.default_rng(sum(lengths) + len(lead))
         B, T, H, IN = len(lengths), max(lengths), 5, 3
         mask = np.arange(T) < np.array(lengths)[:, None]
-        arrays = {"x": rng.normal(size=(*lead, B, T, IN)),
-                  "w_ih": rng.normal(scale=0.5, size=(*lead, 4 * H, IN)),
+        x = rng.normal(size=(*lead, B, T, IN)) * mask[..., None]
+        arrays = {"w_ih": rng.normal(scale=0.5, size=(*lead, 4 * H, IN)),
                   "w_hh": rng.normal(scale=0.5, size=(*lead, 4 * H, H)),
-                  "bias": rng.normal(scale=0.3, size=(*lead, 4 * H)),
-                  "h0": rng.normal(scale=0.5, size=(*lead, B, H)),
-                  "c0": rng.normal(scale=0.5, size=(*lead, B, H))}
-        weight = rng.normal(size=(*lead, B, T, H))
+                  "bias": rng.normal(scale=0.3, size=(*lead, 4 * H))}
+        weight = rng.normal(size=(*lead, B, T, H)) * mask[..., None]
         weight[..., 0, 0, :2] = -0.0
         params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
         with Tape() as tape:
-            hs = tt.lstm_seq(*params.values(), mask)
+            hs = tt.lstm_seq(x, *params.values())
             tape.backward(tt.sum_(tt.mul(hs, weight)))
-        want_hs, want_grads = old_lstm_seq(*arrays.values(), mask, weight)
-        assert np.ascontiguousarray(hs.data).tobytes() == want_hs.tobytes()
-        for (name, p), want in zip(params.items(), want_grads):
+        zero = np.zeros((*lead, B, H))
+        want_hs, want_grads = old_lstm_seq(x, *arrays.values(), zero, zero, mask, weight)
+        assert hs.data[..., mask, :].tobytes() == want_hs[..., mask, :].tobytes()
+        for (name, p), want in zip(params.items(), want_grads[1:4]):
             assert p.grad.tobytes() == want.tobytes(), name
 
     def test_sigmoid_equals_the_sign_split_formula(self):
