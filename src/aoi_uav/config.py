@@ -109,6 +109,11 @@ class ScenarioConfig:
             raise ConfigError("e_charge_threshold must be below e_full")
         if self.comm_radius <= 0.0:
             raise ConfigError("comm_radius must be > 0")
+        for key in ("collision_dist", "e_iot_init", "e_iot_floor", "epsilon_energy"):
+            if getattr(self, key) < 0.0:
+                raise ConfigError(f"{key} must be >= 0")
+        if self.data_volume <= 0.0:
+            raise ConfigError("data_volume must be > 0")
         if self.obs_k_nearest < 1:
             raise ConfigError("obs_k_nearest must be >= 1")
         if self.horizon < 1:
@@ -174,6 +179,8 @@ class TrainConfig:
                 raise ConfigError(f"{key} must be >= 1")
         if self.learning_rate <= 0.0:
             raise ConfigError("learning_rate must be > 0")
+        if self.value_coef < 0.0:
+            raise ConfigError("value_coef must be >= 0")
         for key in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, key) < 1.0:
                 raise ConfigError(f"{key} must be in [0, 1)")

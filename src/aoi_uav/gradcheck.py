@@ -96,8 +96,7 @@ def _critic_value_loss(rng: np.random.Generator):
     params = critic.tensors("critic")
 
     def build():
-        v = nets.critic_value(critic, Tensor(obs),
-                              nets.global_value(critic, Tensor(state)))
+        v = nets.critic_value(critic, Tensor(obs), Tensor(state))
         err = tt.sub(v, Tensor(np.array([target])))
         return tt.sum_(tt.mul(err, err))
 

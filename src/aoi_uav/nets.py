@@ -11,7 +11,9 @@ training collection adds a leading episode axis, and computes every
 agent's value in plain numpy (`critic_values`).  The PPO update replays
 every agent's actor over a whole batch of episodes in one `lstm_seq` tape
 record (`actors_log_probs`) and scores them through one policy-head chain,
-over per-agent weights joined along the agent axis by `tt.stack`.
+over per-agent weights joined along the agent axis by `tt.stack`; it values
+every agent through one chain of the shared critic (`critic_value`), whose
+weights serve the whole agent axis.
 """
 
 from __future__ import annotations
@@ -264,15 +266,14 @@ def actor_step(params: ActorParams, obs: np.ndarray,
     return tt.softmax_array(logits), new_hidden
 
 
-def global_value(params: CriticParams, global_state: Tensor) -> Tensor:
-    """V_global(state): the centralized head, shared by every agent."""
-    return _mlp_forward(params.global_layers, global_state)
-
-
-def critic_value(params: CriticParams, obs: Tensor, v_global: Tensor) -> Tensor:
-    """Blended scalar value w_l * V_local(obs) + w_g * v_global, where
-    ``v_global`` is `global_value` of the state; a single-head critic
-    returns ``v_global`` itself."""
+def critic_value(params: CriticParams, obs: Tensor, state: Tensor) -> Tensor:
+    """The tape twin of `critic_values`: the blended value
+    w_l * V_local(obs) + w_g * V_global(state) of every agent, (U, N, 1),
+    from the (U, N, obs) observations and the (N, state) global states.
+    The local head's weights are shared, so one chain serves every agent
+    and its gradients sum over the agent axis.  A single-head critic
+    returns V_global(state), (N, 1), which broadcasts over the agents."""
+    v_global = _mlp_forward(params.global_layers, state)
     if params.single_head:
         return v_global
     v_local = _mlp_forward(params.local_layers, obs)
@@ -282,11 +283,12 @@ def critic_value(params: CriticParams, obs: Tensor, v_global: Tensor) -> Tensor:
 
 def critic_values(params: CriticParams, obs: np.ndarray,
                   global_state: np.ndarray) -> np.ndarray:
-    """Every agent's `critic_value` for one slot, (U,), from the (U, obs)
-    observation rows and the global state, in plain numpy with the same
-    arithmetic; rollout collection uses it, building no `Tensor`.  With a
-    leading episode axis on both, (B, U, obs) and (B, state), it gives
-    (B, U), each row equal to its episode's own call."""
+    """Every agent's value for one slot, (U,), from the (U, obs)
+    observation rows and the global state, in plain numpy with
+    `critic_value`'s arithmetic; rollout collection uses it, building no
+    `Tensor`.  With a leading episode axis on both, (B, U, obs) and
+    (B, state), it gives (B, U), each row equal to its episode's own
+    call."""
     v_global = _mlp_array(params.global_layers, global_state)      # (…, 1)
     if params.single_head:
         return np.broadcast_to(v_global, obs.shape[:-1])

@@ -6,15 +6,16 @@ created with ``requires_grad=True``.  With no tape active the same ops run as
 plain numpy computations.  Three ops are fused, each one tape record with a
 hand-written backward: ``linear`` is the affine layer ``x @ w.T + b`` that
 every policy and value head is built from, optionally for a stack of layers
-along a leading axis; ``lstm_seq`` runs an LSTM from a zero state over a
-whole batch of sequences zero-padded at their end (backpropagation through
-time into its weights), optionally for several LSTMs at once along leading
-axes; and ``log_softmax`` replaces ``log(softmax(x))`` and stays finite
-where a probability underflows to 0.  Training replays and scores every
-agent's actor through one such chain, its weights joined along the agent
-axis by ``stack``.  Rollout and evaluation actors build no ``Tensor``:
-they step the LSTM through the plain-numpy kernels ``lstm_cell`` and
-``softmax_array``, which the ops share.
+along a leading axis or for one layer shared along it; ``lstm_seq`` runs an
+LSTM from a zero state over a whole batch of sequences zero-padded at their
+end (backpropagation through time into its weights), optionally for several
+LSTMs at once along leading axes; and ``log_softmax`` replaces
+``log(softmax(x))`` and stays finite where a probability underflows to 0.
+Training replays and scores every agent's actor through one such chain, its
+weights joined along the agent axis by ``stack``, and values every agent
+through one chain of the shared critic.  Rollout and evaluation actors
+build no ``Tensor``: they step the LSTM through the plain-numpy kernels
+``lstm_cell`` and ``softmax_array``, which the ops share.
 
 A tensor's first gradient is stored as 0.0 + g in C order, bit for bit
 what adding it onto zeros gives, without the zero array.  Tensors and tapes
@@ -220,7 +221,9 @@ def linear(x, w: Tensor, b: Tensor) -> Tensor:
     rows ``x``, ``w`` (m, n) and ``b`` (m,).  With a leading axis of U
     layers, ``w`` (U, m, n), ``b`` (U, m) and ``x`` (U, N, n), layer u acts
     on ``x[u]``: one gemm per layer, so each layer's output and gradients
-    equal those of its own call bit for bit."""
+    equal those of its own call bit for bit.  A single layer also takes
+    ``x`` with extra leading axes, (U, N, n), and sums its weight and bias
+    gradients over them."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     stacked = w.data.ndim > 2
     out = Tensor(x.data @ np.swapaxes(w.data, -1, -2)
@@ -230,25 +233,12 @@ def linear(x, w: Tensor, b: Tensor) -> Tensor:
         if x.requires_grad:
             x.accumulate_grad(g @ w.data)
         if w.requires_grad:
-            w.accumulate_grad(np.swapaxes(np.swapaxes(x.data, -1, -2) @ g, -1, -2))
+            w.accumulate_grad(_unbroadcast(
+                np.swapaxes(np.swapaxes(x.data, -1, -2) @ g, -1, -2), w.data.shape))
         if b.requires_grad:
             b.accumulate_grad(g.sum(axis=-2) if stacked else _unbroadcast(g, b.data.shape))
 
     return _record(out, (x, w, b), backward)
-
-
-def concat(tensors: Sequence[Tensor]) -> Tensor:
-    """Join tensors along their first axis."""
-    tensors = [_as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors]))
-    offsets = np.cumsum([0] + [len(t.data) for t in tensors])
-
-    def backward(g: Array) -> None:
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t.accumulate_grad(g[lo:hi])
-
-    return _record(out, tuple(tensors), backward)
 
 
 def take(a: Tensor, key) -> Tensor:

@@ -31,7 +31,6 @@ from .nets import (
     actor_step,
     critic_value,
     critic_values,
-    global_value,
     sample_actions,
     stack_actors,
     zero_hidden,
@@ -348,12 +347,11 @@ def ppo_update(batch: TrajectoryBatch, bundle: PolicyBundle, optimizer: Adam,
     columns, (U, N) with every agent's slots episode by episode, are laid
     out once per update.  Each epoch replays and scores every agent at
     once, from one `nets.actors_log_probs` call through the ratios, the
-    surrogate and the entropies, and runs the critic's global head once over
-    the states of every episode.  The critic's local head shares its weights
-    among the agents, so its terms run agent by agent, each agent's gradient
-    adding onto the shared weights in turn.
+    surrogate and the entropies, and values every agent in one
+    `critic_value` call over the (U, N, obs) observations and the states of
+    every episode; the critic's shared weights sum their gradients over the
+    agent axis.
     """
-    critic = bundle.critic
     states = Tensor(np.concatenate([ep.global_states for ep in batch.episodes]))
     n = len(bundle.actors)
     replay = nets.replay_batch([[ep.agents[j].obs for ep in batch.episodes]
@@ -366,11 +364,10 @@ def ppo_update(batch: TrajectoryBatch, bundle: PolicyBundle, optimizer: Adam,
 
     actions, old_logp, adv = column("actions"), column("log_probs"), column("advantages")
     returns = column("returns")[..., None]
-    obs = [Tensor(o) for o in replay.obs]
+    obs = Tensor(replay.obs)
     report = None
     for _ in range(tconf.epochs):
         with Tape() as tape:
-            v_global = global_value(critic, states)
             new_logp, probs, log_all = _log_prob_terms(
                 nets.actors_log_probs(bundle.actors, replay), actions)
             ratio = tt.exp(tt.sub(new_logp, old_logp))
@@ -378,11 +375,8 @@ def ppo_update(batch: TrajectoryBatch, bundle: PolicyBundle, optimizer: Adam,
                                        1.0 + tconf.clip_epsilon)
             surrogate = tt.mean(tt.minimum(tt.mul(ratio, adv), tt.mul(clipped, adv)))
             entropy = tt.mean(tt.mul(tt.sum_(tt.mul(probs, log_all), axis=-1), -1.0))
-            value_errs = []
-            for j in range(n):
-                err = tt.sub(critic_value(critic, obs[j], v_global), returns[j])
-                value_errs.append(tt.mul(err, err)[:, 0])
-            value_loss = tt.mean(tt.concat(value_errs))
+            err = tt.sub(critic_value(bundle.critic, obs, states), returns)
+            value_loss = tt.mean(tt.mul(err, err))
             loss = tt.add(
                 tt.sub(tt.mul(surrogate, -1.0), tt.mul(entropy, tconf.entropy_coef)),
                 tt.mul(value_loss, tconf.value_coef))

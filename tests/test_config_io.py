@@ -90,7 +90,14 @@ class TestParse:
                 ("[scenario]\nflight_limit = 0.0\ncharge_radius = 0.0\n",
                  "flight_limit"),
                 ("[scenario]\ncharge_radius = -10.0\n", "charge_radius"),
-                ("[reward]\naoi_norm = -5.0\n", "aoi_norm")):
+                ("[reward]\naoi_norm = -5.0\n", "aoi_norm"),
+                ("[scenario]\ncollision_dist = -5\n", "collision_dist"),
+                ("[scenario]\ndata_volume = -1\n", "data_volume"),
+                ("[scenario]\ndata_volume = 0\n", "data_volume"),
+                ("[scenario]\ne_iot_init = -10\n", "e_iot_init"),
+                ("[scenario]\ne_iot_floor = -1\n", "e_iot_floor"),
+                ("[scenario]\nepsilon_energy = -1\n", "epsilon_energy"),
+                ("[train]\nvalue_coef = -0.5\n", "value_coef")):
             with pytest.raises(ConfigError, match=key):
                 parse_config(text)
 

@@ -26,7 +26,7 @@ from aoi_uav import cli, config_io, trainer
 
 GOLDEN = {
     "checkpoints/ep_6.ckpt":
-        "d6dec14cdd230b2d1aba4c8aa34ce0b093513d7b41483f59eaed3c41c2c19900",
+        "4abd56f46df6802d9aaa1e3b878323b1b82fbdc122f856365fbd156801effcc7",
     "events/ep_0.csv":
         "9a292fb0711f46a13fd0582764dd3862603ad46bbd655e2b27d3c4a3b00292fe",
     "events/ep_1.csv":
@@ -47,7 +47,7 @@ GOLDEN = {
 # 22 slots.
 PADDED_GOLDEN = {
     "checkpoints/ep_6.ckpt":
-        "3f883ee38682bd45efc741e7458e6b2e4ec5f2601416639c2bb1070da1f3f217",
+        "c00b14c97093cc4337287742e47c93801f44b10d170997365a5b6145caffbe27",
     "events/ep_0.csv":
         "fa38f40ccf6f7f5c2ab527b93245f6924a62f937f5c533fee68d4d80848999ee",
     "events/ep_1.csv":

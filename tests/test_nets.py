@@ -13,7 +13,6 @@ from aoi_uav.nets import (
     blend_weights,
     critic_value,
     critic_values,
-    global_value,
     init_actor,
     init_critic,
     sample_actions,
@@ -153,7 +152,7 @@ class TestCritic:
     def test_equal_logits_even_blend(self):
         critic = self.fresh()
         obs, state = RNG.normal(size=OBS_DIM), RNG.normal(size=12)
-        v = critic_value(critic, Tensor(obs), global_value(critic, Tensor(state)))
+        v = critic_value(critic, Tensor(obs), Tensor(state))
         v_local = nets._mlp_forward(critic.local_layers, Tensor(obs))
         v_global = nets._mlp_forward(critic.global_layers, Tensor(state))
         assert v.item() == 0.5 * v_local.item() + 0.5 * v_global.item()
@@ -167,14 +166,14 @@ class TestCritic:
         critic.global_layers[-1][1].data[...] = 7.5
         critic.blend_logits.data[...] = [3.0, -1.0]
         v = critic_value(critic, Tensor(RNG.normal(size=OBS_DIM)),
-                         global_value(critic, Tensor(RNG.normal(size=12))))
+                         Tensor(RNG.normal(size=12)))
         assert v.item() == pytest.approx(7.5, abs=1e-12)
 
     def test_saturated_blend(self):
         critic = self.fresh()
         critic.blend_logits.data[...] = [20.0, 0.0]
         obs, state = RNG.normal(size=OBS_DIM), RNG.normal(size=12)
-        v = critic_value(critic, Tensor(obs), global_value(critic, Tensor(state)))
+        v = critic_value(critic, Tensor(obs), Tensor(state))
         v_local = nets._mlp_forward(critic.local_layers, Tensor(obs))
         assert abs(v.item() - v_local.item()) < 1e-8
 
@@ -184,8 +183,7 @@ class TestCritic:
         if not single_head:
             critic.blend_logits.data[...] = [0.3, -0.4]
         obs, state = RNG.normal(size=(4, OBS_DIM)), RNG.normal(size=12)
-        v_global = global_value(critic, Tensor(state))
-        expected = [critic_value(critic, Tensor(row), v_global).item()
+        expected = [critic_value(critic, Tensor(row), Tensor(state)).item()
                     for row in obs]
         np.testing.assert_array_equal(critic_values(critic, obs, state), expected)
 
@@ -255,8 +253,8 @@ class TestStackedHeads:
         def chains():
             logs = per_agent_head_chains(actors, batch)
             return (np.stack([log_j.data for log_j in logs]).tobytes(),
-                    tt.sum_(tt.concat([tt.mul(log_j, w_j)
-                                       for log_j, w_j in zip(logs, weight)])))
+                    tt.sum_(tt.stack([tt.mul(log_j, w_j)
+                                      for log_j, w_j in zip(logs, weight)])))
 
         got, want = run(stacked), run(chains)
         assert got[0] == want[0]
@@ -269,12 +267,14 @@ class TestTapeRecords:
         # A policy head is linear, tanh, linear; a 3-layer value head adds
         # one more linear and tanh.
         actor = fresh_actor(recurrent=False)
-        critic = init_critic(np.random.default_rng(1), OBS_DIM, 12, 6, 5)
+        critic = init_critic(np.random.default_rng(1), OBS_DIM, 12, 6, 5,
+                             single_head=True)
         with tt.Tape() as tape:
             nets.policy_head_batch(actor, Tensor(RNG.normal(size=(4, OBS_DIM))))
         assert len(tape.records) == 3
         with tt.Tape() as tape:
-            global_value(critic, Tensor(RNG.normal(size=(4, 12))))
+            critic_value(critic, Tensor(RNG.normal(size=(3, 4, OBS_DIM))),
+                         Tensor(RNG.normal(size=(4, 12))))
         assert len(tape.records) == 5
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from aoi_uav import tensor as tt
+from aoi_uav import gradcheck, tensor as tt
 from aoi_uav.tensor import Adam, Tape, Tensor
 
 
@@ -77,11 +77,10 @@ class TestForwardSemantics:
         np.testing.assert_array_equal(tt.log_softmax(Tensor([1000.0, 0.0])).data,
                                       [0.0, -1000.0])
 
-    def test_concat_and_take(self):
-        a, b = Tensor([1.0, 2.0]), Tensor([3.0])
-        cat = tt.concat([a, b])
-        np.testing.assert_array_equal(cat.data, [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(cat[1:].data, [2.0, 3.0])
+    def test_take(self):
+        a = Tensor([1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(a[1:].data, [2.0, 3.0])
+        np.testing.assert_array_equal(a[[2, 0]].data, [3.0, 1.0])
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -283,6 +282,26 @@ class TestFusedOps:
         analytic = tape_gradients(forward, params)
         numeric = finite_difference(lambda: forward().item(), params)
         assert_grads_close(analytic, numeric)
+
+    def test_linear_shared_weight_over_leading_axis_gradcheck(self):
+        # One (m, n) layer over (U, N, n) rows, as the critic's local head
+        # runs over every agent: its weight and bias gradients sum over U.
+        rng = np.random.default_rng(47)
+        params = {"x": Tensor(rng.normal(size=(3, 5, 4)), requires_grad=True),
+                  "w": Tensor(rng.normal(size=(2, 4)), requires_grad=True),
+                  "b": Tensor(rng.normal(size=2), requires_grad=True)}
+        weight = rng.normal(size=(3, 5, 2))
+
+        def build():
+            return tt.sum_(tt.mul(tt.linear(params["x"], params["w"], params["b"]),
+                                  weight))
+
+        analytic, numeric = gradcheck.tape_and_numeric_grads(build, params)
+        assert gradcheck.worst_relative_error(analytic, numeric) < 1e-6
+        assert analytic["w"].shape == (2, 4) and analytic["b"].shape == (2,)
+        np.testing.assert_allclose(
+            analytic["w"], sum(weight[u].T @ params["x"].data[u] for u in range(3)),
+            rtol=1e-12)
 
     @pytest.mark.parametrize("shape", [(5,), (3, 6)])
     def test_log_softmax_finite_differences(self, shape):

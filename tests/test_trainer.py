@@ -121,18 +121,31 @@ def one_agent_log_probs(actor, obs_seqs):
     return tt.log_softmax(nets.policy_head_batch(actor, hs[np.nonzero(mask)]))
 
 
+def agent_columns(batch, name):
+    """Every agent's ``name`` field, stacked along a leading agent axis,
+    with its slots episode by episode."""
+    return np.stack([np.concatenate([getattr(ep.agents[j], name)
+                                     for ep in batch.episodes])
+                     for j in range(len(batch.episodes[0].agents))])
+
+
 def agent_by_agent_ppo_update(batch, bundle, optimizer, tconf):
     """Reference `ppo_update` that replays and scores one agent at a time
-    through `one_agent_log_probs`."""
+    through `one_agent_log_probs`.  The critic is the same one chain over
+    every agent as in `ppo_update`: Adam's global-norm clip couples every
+    parameter, so a critic summed in another order would move the actors
+    too."""
     critic = bundle.critic
     states = Tensor(np.concatenate([ep.global_states for ep in batch.episodes]))
+    per_agent = [[ep.agents[j] for ep in batch.episodes]
+                 for j in range(len(bundle.actors))]
+    obs = Tensor(agent_columns(batch, "obs"))
+    returns = agent_columns(batch, "returns")[..., None]
     report = None
     for _ in range(tconf.epochs):
         with tt.Tape() as tape:
-            v_global = nets.global_value(critic, states)
-            objectives, entropies, value_errs, ratios, flags = [], [], [], [], []
-            for j, actor in enumerate(bundle.actors):
-                trajs = [ep.agents[j] for ep in batch.episodes]
+            objectives, entropies, ratios, flags = [], [], [], []
+            for actor, trajs in zip(bundle.actors, per_agent):
                 actions = np.concatenate([t.actions for t in trajs])
                 log_all = one_agent_log_probs(actor, [t.obs for t in trajs])
                 new_logp = log_all[np.arange(actions.size), actions]
@@ -145,13 +158,10 @@ def agent_by_agent_ppo_update(batch, bundle, optimizer, tconf):
                 entropies.append(tt.mul(tt.sum_(tt.mul(probs, log_all), axis=-1), -1.0))
                 ratios.append(ratio.data.copy())
                 flags.append(ratio.data != clipped.data)
-                obs = Tensor(np.concatenate([t.obs for t in trajs]))
-                returns = np.concatenate([t.returns for t in trajs])[:, None]
-                err = tt.sub(nets.critic_value(critic, obs, v_global), returns)
-                value_errs.append(tt.mul(err, err)[:, 0])
-            surrogate = tt.mean(tt.concat(objectives))
-            entropy = tt.mean(tt.concat(entropies))
-            value_loss = tt.mean(tt.concat(value_errs))
+            surrogate = tt.mean(tt.stack(objectives))
+            entropy = tt.mean(tt.stack(entropies))
+            err = tt.sub(nets.critic_value(critic, obs, states), returns)
+            value_loss = tt.mean(tt.mul(err, err))
             loss = tt.add(
                 tt.sub(tt.mul(surrogate, -1.0), tt.mul(entropy, tconf.entropy_coef)),
                 tt.mul(value_loss, tconf.value_coef))
@@ -163,6 +173,24 @@ def agent_by_agent_ppo_update(batch, bundle, optimizer, tconf):
                 float(np.concatenate(ratios).mean()),
                 float(np.concatenate(flags).mean()))
     return report
+
+
+def per_agent_critic_loss(critic, obs, states, returns):
+    """The value loss as `ppo_update` once built it: the global head once,
+    then the local head and the blend agent by agent, each agent's squared
+    errors joined into one mean."""
+    v_global = nets._mlp_forward(critic.global_layers, states)
+    value_errs = []
+    for obs_j, returns_j in zip(obs, returns):
+        if critic.single_head:
+            v = v_global
+        else:
+            v_local = nets._mlp_forward(critic.local_layers, Tensor(obs_j))
+            weights = nets.blend_weights(critic)
+            v = tt.add(tt.mul(weights[0:1], v_local), tt.mul(weights[1:2], v_global))
+        err = tt.sub(v, returns_j)
+        value_errs.append(tt.mul(err, err)[:, 0])
+    return tt.mean(tt.stack(value_errs))
 
 
 class TestRolloutCollection:
@@ -526,6 +554,60 @@ class TestAgentAxisReplay:
             assert got[k].tobytes() == want[k].tobytes(), k
 
 
+class TestOneCriticChain:
+    """`ppo_update` values every agent in one critic chain; it must give
+    the per-agent chain's value loss and, up to the order in which the
+    shared weights sum their agents' terms, its gradients."""
+
+    @pytest.mark.parametrize("algo", ["mappo_lstm", "mappo_ff"])
+    def test_one_chain_equals_per_agent_chains(self, algo):
+        bundle, batch, tconf = death_shortened_batch(algo)
+        compute_advantages(batch, tconf.gamma, tconf.gae_lambda)
+        critic = bundle.critic
+        states = Tensor(np.concatenate([ep.global_states for ep in batch.episodes]))
+        obs = agent_columns(batch, "obs")
+        returns = agent_columns(batch, "returns")[..., None]
+        params = critic.tensors("critic")
+
+        def run(build):
+            for p in params.values():
+                p.zero_grad()
+            with tt.Tape() as tape:
+                loss = build()
+                tape.backward(loss)
+            return loss.item(), {k: p.grad.copy() for k, p in params.items()}
+
+        def one_chain():
+            err = tt.sub(nets.critic_value(critic, Tensor(obs), states), returns)
+            return tt.mean(tt.mul(err, err))
+
+        got = run(one_chain)
+        want = run(lambda: per_agent_critic_loss(critic, obs, states, returns))
+        assert got[0] == want[0]
+        for k in params:
+            np.testing.assert_allclose(got[1][k], want[1][k], rtol=1e-12, err_msg=k)
+
+    @pytest.mark.parametrize("algo", ["mappo_lstm", "mappo_ff"])
+    def test_tape_records_do_not_grow_with_agents(self, algo, monkeypatch):
+        counts = []
+        backward = tt.Tape.backward
+
+        def counting_backward(tape, loss):
+            counts.append(len(tape.records))
+            backward(tape, loss)
+
+        monkeypatch.setattr(tt.Tape, "backward", counting_backward)
+        tconf = replace(SMALL_TRAIN, algo=algo, epochs=1)
+        for n_uavs in (2, 4):
+            scen = small_scenario(n_uavs=n_uavs)
+            bundle = build_bundle(scen, tconf, seed=5)
+            batch = collect_rollout(scen, bundle, episodes=2, seed=6)
+            compute_advantages(batch, tconf.gamma, tconf.gae_lambda)
+            ppo_update(batch, bundle, tt.Adam(bundle.parameters()), tconf)
+        assert len(counts) == 2
+        assert counts[0] == counts[1]
+
+
 class TestPpoUpdate:
     def test_update_changes_parameters_and_reports(self):
         scen = small_scenario()
@@ -681,10 +763,9 @@ class TestFeedForwardBaseline:
         assert not any(k.startswith("critic/local")
                        for k in res.bundle.parameters())
         rng = np.random.default_rng(0)
-        state = rng.normal(size=scen.global_state_dim)
-        v_global = trainer.global_value(critic, Tensor(state))
-        v1 = trainer.critic_value(critic, Tensor(rng.normal(size=scen.obs_dim)),
-                                  v_global).item()
-        v2 = trainer.critic_value(critic, Tensor(rng.normal(size=scen.obs_dim)),
-                                  v_global).item()
+        state = Tensor(rng.normal(size=(1, scen.global_state_dim)))
+        v1 = nets.critic_value(critic, Tensor(rng.normal(size=(1, scen.obs_dim))),
+                               state).item()
+        v2 = nets.critic_value(critic, Tensor(rng.normal(size=(1, scen.obs_dim))),
+                               state).item()
         assert v1 == v2

@@ -4,7 +4,8 @@ The contract (ROADMAP aim 2) covers what the command-line tool writes:
 
 * ``train --events`` on the ``tiny`` preset, on the padded golden config
   (``tiny`` cut to 3 UAVs and 30-slot episodes with ``e_init_frac`` 0.03,
-  so deaths end the episodes of one update at different slots) and, to
+  so deaths end the episodes of one update at different slots), on a
+  ``mappo_ff`` config (``tiny`` cut to 3 UAVs and 30-slot episodes) and, to
   give the learned evaluation a checkpoint, on a two-episode
   ``canonical_ring`` run: ``metrics.csv`` without its ``wall_ms`` column,
   every checkpoint and every event CSV;
@@ -87,6 +88,10 @@ def main() -> None:
             "padded": write_config(tmp / "padded.cfg", "tiny",
                                    {"horizon": 30, "n_uavs": 3, "e_init_frac": 0.03},
                                    {"episodes": 6, "episodes_per_update": 4}),
+            "ff": write_config(tmp / "ff.cfg", "tiny",
+                               {"horizon": 30, "n_uavs": 3},
+                               {"algo": "mappo_ff", "episodes": 6,
+                                "episodes_per_update": 4}),
             "canonical_ring": write_config(tmp / "ring.cfg", "canonical_ring", {},
                                            {"episodes": 2, "eval_interval": 2}),
         }
