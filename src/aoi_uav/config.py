@@ -126,6 +126,9 @@ class ScenarioConfig:
             raise ConfigError("altitude must be > 0")
         if self.reward.aoi_norm < 0.0:
             raise ConfigError("aoi_norm must be >= 0 (0 means the horizon)")
+        for key in ("event_penalty", "death_penalty", "r_pen1", "r_pen2"):
+            if getattr(self.reward, key) < 0.0:
+                raise ConfigError(f"{key} must be >= 0 (the reward subtracts it)")
         if self.lbd_layout not in ("center", "ring"):
             raise ConfigError("lbd_layout must be 'center' or 'ring'")
         try:
@@ -179,8 +182,9 @@ class TrainConfig:
                 raise ConfigError(f"{key} must be >= 1")
         if self.learning_rate <= 0.0:
             raise ConfigError("learning_rate must be > 0")
-        if self.value_coef < 0.0:
-            raise ConfigError("value_coef must be >= 0")
+        for key in ("value_coef", "entropy_coef"):
+            if getattr(self, key) < 0.0:
+                raise ConfigError(f"{key} must be >= 0")
         for key in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, key) < 1.0:
                 raise ConfigError(f"{key} must be in [0, 1)")

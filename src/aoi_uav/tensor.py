@@ -2,15 +2,18 @@
 
 A ``Tape`` records operations executed while it is active; ``Tape.backward``
 replays the records in reverse to accumulate gradients into every tensor
-created with ``requires_grad=True``.  With no tape active the same ops run as
-plain numpy computations.  Three ops are fused, each one tape record with a
-hand-written backward: ``linear`` is the affine layer ``x @ w.T + b`` that
-every policy and value head is built from, optionally for a stack of layers
-along a leading axis or for one layer shared along it; ``lstm_seq`` runs an
-LSTM from a zero state over a whole batch of sequences zero-padded at their
-end (backpropagation through time into its weights), optionally for several
-LSTMs at once along leading axes; and ``log_softmax`` replaces
-``log(softmax(x))`` and stays finite where a probability underflows to 0.
+created with ``requires_grad=True`` (the leaves).  A tape is replayed once:
+the sweep frees each record as it goes, with the arrays its backward saved
+and its output's gradient, so afterwards only leaves hold gradients.  With
+no tape active the same ops run as plain numpy computations.  Three ops are
+fused, each one tape record with a hand-written backward: ``linear`` is the
+affine layer ``x @ w.T + b`` that every policy and value head is built from,
+optionally for a stack of layers along a leading axis or for one layer
+shared along it; ``lstm_seq`` runs an LSTM from a zero state over a whole
+batch of sequences zero-padded at their end (backpropagation through time
+into its weights), optionally for several LSTMs at once along leading axes;
+and ``log_softmax`` replaces ``log(softmax(x))`` and stays finite where a
+probability underflows to 0.
 Training replays and scores every agent's actor through one such chain, its
 weights joined along the agent axis by ``stack``, and values every agent
 through one chain of the shared critic.  Rollout and evaluation actors
@@ -73,14 +76,15 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of differentiable operations.
+    """Ordered record of differentiable operations, replayed once.
 
     Execution order is already topological, so the backward pass is a single
-    reverse sweep that visits each record exactly once.
+    reverse sweep that visits each record exactly once.  The sweep frees
+    each record as it goes, so a tape cannot be replayed a second time.
     """
 
     def __init__(self):
-        self.records: list[tuple[Tensor, Callable[[Array], None]]] = []
+        self.records: list[tuple[Tensor, Callable[[Array], None]] | None] = []
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -91,17 +95,30 @@ class Tape:
         assert popped is self
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(tensor) into every requires_grad tensor.
+        """Accumulate d(loss)/d(leaf) into every leaf: every tensor created
+        with ``requires_grad=True``, such as a parameter.
 
         ``loss`` must be a scalar produced under this tape.  Gradients add
         onto whatever is already in ``.grad``; callers zero between steps.
+        Each record is freed once replayed: its entry becomes None (the
+        tape keeps its length), which drops the arrays its backward saved,
+        and its output's ``.grad`` is reset to None, so after the sweep only
+        leaves hold gradients.  A second call on a replayed tape, whose
+        last entry is None, raises ``RuntimeError``.
         """
         if loss.data.size != 1:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+        records = self.records
+        if records and records[-1] is None:
+            raise RuntimeError("this tape was already replayed and its records freed; "
+                               "record the forward again under a new tape")
         loss.accumulate_grad(np.ones_like(loss.data))
-        for out, backward_fn in reversed(self.records):
+        for k in range(len(records) - 1, -1, -1):
+            out, backward_fn = records[k]
+            records[k] = None
             if out.grad is not None:
                 backward_fn(out.grad)
+                out.grad = None
 
 
 def _active_tape() -> "Tape | None":

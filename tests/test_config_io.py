@@ -97,7 +97,12 @@ class TestParse:
                 ("[scenario]\ne_iot_init = -10\n", "e_iot_init"),
                 ("[scenario]\ne_iot_floor = -1\n", "e_iot_floor"),
                 ("[scenario]\nepsilon_energy = -1\n", "epsilon_energy"),
-                ("[train]\nvalue_coef = -0.5\n", "value_coef")):
+                ("[train]\nvalue_coef = -0.5\n", "value_coef"),
+                ("[train]\nentropy_coef = -1\n", "entropy_coef"),
+                ("[reward]\nevent_penalty = -1\n", "event_penalty"),
+                ("[reward]\ndeath_penalty = -10\n", "death_penalty"),
+                ("[reward]\nr_pen1 = -0.01\n", "r_pen1"),
+                ("[reward]\nr_pen2 = -0.005\n", "r_pen2")):
             with pytest.raises(ConfigError, match=key):
                 parse_config(text)
 

@@ -1,6 +1,7 @@
 """Autodiff correctness: op semantics, finite differences, optimizer."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -130,6 +131,60 @@ class TestBackward:
         with Tape() as tape:
             tape.backward(tt.mul(x, x))
         assert x.grad == 6.0
+
+
+class TestReplayFreesRecords:
+    """`Tape.backward` frees each record once replayed: only leaves keep
+    gradients, and a tape is replayed once."""
+
+    @staticmethod
+    def layer():
+        # loss = sum(tanh(x @ w.T + b)): three records, two of whose
+        # outputs (the linear and the tanh) are intermediates.
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(5, 4)))
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        tape = Tape()
+        with tape:
+            pre = tt.linear(x, w, b)
+            act = tt.tanh(pre)
+            loss = tt.sum_(act)
+        return x, w, b, tape, pre, act, loss
+
+    def test_intermediate_outputs_are_freed(self):
+        x, w, b, tape, pre, act, loss = self.layer()
+        refs = [weakref.ref(pre.data), weakref.ref(act.data)]
+        del pre, act
+        assert all(r() is not None for r in refs)        # the tape holds them
+        tape.backward(loss)
+        assert all(r() is None for r in refs)
+
+    def test_tape_keeps_its_length(self):
+        # `bench/spans.py` counts a tape's records after its backward.
+        x, w, b, tape, pre, act, loss = self.layer()
+        assert len(tape.records) == 3
+        tape.backward(loss)
+        assert len(tape.records) == 3
+
+    def test_second_backward_raises(self):
+        x, w, b, tape, pre, act, loss = self.layer()
+        tape.backward(loss)
+        grads = w.grad.copy(), b.grad.copy()
+        with pytest.raises(RuntimeError, match="already replayed"):
+            tape.backward(loss)
+        assert w.grad.tobytes() == grads[0].tobytes()
+        assert b.grad.tobytes() == grads[1].tobytes()
+
+    def test_only_leaves_keep_gradients(self):
+        x, w, b, tape, pre, act, loss = self.layer()
+        tape.backward(loss)
+        assert pre.grad is None and act.grad is None and loss.grad is None
+        assert x.grad is None
+        # The leaves' gradients, written out as the ops compute them.
+        slope = 1.0 - act.data * act.data
+        assert w.grad.tobytes() == np.ascontiguousarray((x.data.T @ slope).T).tobytes()
+        assert b.grad.tobytes() == slope.sum(axis=0).tobytes()
 
 
 class TestFiniteDifferenceMaster:

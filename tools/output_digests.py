@@ -12,7 +12,10 @@ The contract (ROADMAP aim 2) covers what the command-line tool writes:
 * ``eval --out`` for the learned, greedy and random policies on ``tiny``
   and ``canonical_ring``;
 * one greedy ``sweep``;
-* the stdout of ``oracle`` on the three bundled instances.
+* the stdout of ``oracle`` on the three bundled instances;
+* the stdout of ``gradcheck --trials 2 --seed 0``, whose relative errors
+  compare the tape's gradients with finite differences directly, not only
+  through the checkpoints that Adam writes from them.
 
 Everything is written under a temporary directory that is removed at exit.
 Two trees give the same bytes when their listings are equal::
@@ -123,6 +126,9 @@ def main() -> None:
                            if p.name.endswith(".txt")):
             lines.append((sha(run_cli(["oracle", "--instance", name])),
                           f"oracle/{name}.stdout"))
+
+        lines.append((sha(run_cli(["gradcheck", "--trials", "2", "--seed", "0"])),
+                      "gradcheck/trials_2_seed_0.stdout"))
 
     for digest, name in lines:
         print(f"{digest}  {name}")
