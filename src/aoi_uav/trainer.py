@@ -5,7 +5,8 @@ Training collection steps every episode of an update in lock step
 (`world.step_batch`), which builds no events; when `train` has an event
 sink, it rebuilds each episode's events by replaying its stored joint
 actions through `world.step`.  Evaluation plays one episode at a time
-through `rollout_policy` and `world.step`.  Either way an episode's
+through `rollout_policy` and `world.step`, and a policy that draws no
+random numbers plays only once.  Either way an episode's
 rewards reach `_episode_metrics` as columns with one row per slot, totals
 and ``r_p`` (T, U) and ``r_a`` (T,), and its counts come from the tallies
 on its final state (`world.episode_counts`); collection also keeps each
@@ -18,7 +19,7 @@ seed and its index alone, not on how many episodes run beside it.
 from __future__ import annotations
 
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -92,7 +93,9 @@ def bundle_to_tensors(bundle: PolicyBundle) -> dict[str, np.ndarray]:
 def bundle_from_tensors(tensors: dict[str, np.ndarray],
                         scenario: ScenarioConfig,
                         tconf: TrainConfig) -> PolicyBundle:
-    """Rebuild a bundle with the config's architecture, then load weights."""
+    """Rebuild a bundle with the config's architecture, then load weights.
+    The caller hands the arrays over: each parameter adopts its array, not
+    a copy, so pass a fresh `checkpoint.load` or `load_tensors` result."""
     bundle = build_bundle(scenario, tconf, seed=0)
     params = bundle.parameters()
     missing = sorted(set(params) - set(tensors))
@@ -105,7 +108,7 @@ def bundle_from_tensors(tensors: dict[str, np.ndarray],
             raise ValueError(f"checkpoint tensor {name} has shape "
                              f"{tensors[name].shape}, config expects "
                              f"{tensor.data.shape}")
-        tensor.data = tensors[name].copy()
+        tensor.data = tensors[name]
     return bundle
 
 
@@ -422,6 +425,10 @@ class RandomPolicy(_PerAgentPolicy):
     def begin_episode(self) -> None:
         pass
 
+    def deterministic(self, greedy: bool) -> bool:
+        """Whether the policy draws no random numbers under ``greedy``."""
+        return False
+
     def act(self, state: WorldState, agent: int, rng: np.random.Generator,
             greedy: bool) -> int:
         return int(rng.integers(self.n_actions))
@@ -439,6 +446,9 @@ class GreedyPolicy(_PerAgentPolicy):
 
     def begin_episode(self) -> None:
         self.charging = [False] * self.scenario.n_uavs
+
+    def deterministic(self, greedy: bool) -> bool:
+        return True
 
     def _target(self, state: WorldState, agent: int) -> np.ndarray:
         cfg = self.scenario
@@ -492,6 +502,10 @@ class LearnedPolicy:
     def begin_episode(self) -> None:
         self.hidden = zero_hidden(self.hidden_size, self.scenario.n_uavs)
 
+    def deterministic(self, greedy: bool) -> bool:
+        """Argmax draws nothing; sampling draws a uniform per agent per slot."""
+        return greedy
+
     def joint_action(self, state: WorldState, rng: np.random.Generator,
                      greedy: bool) -> list[int]:
         return self._choose(state, None, rng, greedy)
@@ -539,9 +553,17 @@ def rollout_policy(scenario: ScenarioConfig, policy, episodes: int, seed: int,
     `world.step`, returning each episode's metrics.  Episode ``i`` draws
     from ``np.random.default_rng([seed, i])``, the stream that
     `collect_rollout` gives it.  An episode's ``wall_ms`` covers its reset
-    and every slot."""
+    and every slot.
+
+    Every episode starts from the same seeded reset, so a policy that
+    draws no random numbers (``policy.deterministic(greedy)``) plays the
+    same episode every time: it is played once, and episodes 1 to N-1 are
+    copies of its row, ``wall_ms`` included, with their own indices."""
     rows = []
     for idx in range(episodes):
+        if rows and policy.deterministic(greedy):
+            rows.append(replace(rows[0], episode=idx))
+            continue
         rng = np.random.default_rng([seed, idx])
         policy.begin_episode()
         t0 = time.perf_counter()

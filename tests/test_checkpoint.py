@@ -13,7 +13,9 @@ from aoi_uav.checkpoint import (
     MAGIC,
     CheckpointError,
     dump_tensors,
+    load,
     load_tensors,
+    save,
 )
 from aoi_uav.config import TrainConfig, tiny_scenario
 from aoi_uav.trainer import build_bundle, bundle_from_tensors, bundle_to_tensors
@@ -40,6 +42,38 @@ class TestContainer:
         blob = dump_tensors(sample_tensors())
         again = dump_tensors(load_tensors(blob))
         assert blob == again
+
+    @pytest.mark.parametrize("shape", [(), (0,), (2, 0, 3)], ids=str)
+    def test_round_trip_keeps_rank_and_empty_dims(self, shape):
+        tensors = {"t": np.full(shape, 3.0), "after": np.arange(2.0)}
+        blob = dump_tensors(tensors)
+        loaded = load_tensors(blob)
+        assert loaded["t"].shape == shape
+        np.testing.assert_array_equal(loaded["t"], tensors["t"])
+        np.testing.assert_array_equal(loaded["after"], tensors["after"])
+        assert dump_tensors(loaded) == blob
+
+    def test_loaded_arrays_are_owned_copies(self):
+        blob = dump_tensors(sample_tensors())
+        raw = np.frombuffer(blob, dtype=np.uint8)
+        for array in load_tensors(blob).values():
+            assert array.dtype == np.float64
+            assert array.flags.c_contiguous and array.flags.writeable
+            assert array.flags.owndata and not np.shares_memory(array, raw)
+
+    def test_dump_reads_non_contiguous_and_non_float_input(self):
+        rng = np.random.default_rng(1)
+        grid = rng.normal(size=(3, 4))
+        blob = dump_tensors({"t": grid.T, "i": np.arange(3)})
+        assert blob == dump_tensors({"t": grid.T.copy(), "i": np.arange(3.0)})
+        assert load_tensors(blob)["t"].shape == (4, 3)
+
+    def test_save_writes_the_dump_bytes(self, tmp_path):
+        tensors = sample_tensors()
+        path = tmp_path / "t.ckpt"
+        save(str(path), tensors)
+        assert path.read_bytes() == dump_tensors(tensors)
+        assert dump_tensors(load(str(path))) == dump_tensors(tensors)
 
     def test_magic_prefix(self):
         assert dump_tensors({})[:8] == MAGIC == b"AOIUAV1\x00"
@@ -110,6 +144,16 @@ class TestBundleSerialization:
         restored = bundle_from_tensors(load_tensors(blob), scen, tconf)
         for name, t in bundle.parameters().items():
             np.testing.assert_array_equal(restored.parameters()[name].data, t.data)
+
+    def test_bundle_adopts_the_arrays_it_is_given(self):
+        scen = tiny_scenario()
+        tconf = TrainConfig(hidden_size=8, head_hidden=8,
+                            critic_hidden1=8, critic_hidden2=8)
+        tensors = load_tensors(dump_tensors(
+            bundle_to_tensors(build_bundle(scen, tconf, seed=5))))
+        restored = bundle_from_tensors(tensors, scen, tconf)
+        for name, t in restored.parameters().items():
+            assert t.data is tensors[name]
 
     def test_architecture_mismatch_rejected(self):
         scen = tiny_scenario()

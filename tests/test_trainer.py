@@ -752,6 +752,69 @@ class TestBaselinesAndEvaluate:
         assert greedy.mean_peak_aoi <= rand.mean_peak_aoi
 
 
+def eval_policy(kind, algo, scen):
+    bundle = (build_bundle(scen, replace(SMALL_TRAIN, algo=algo), seed=4)
+              if kind == "learned" else None)
+    return make_policy(kind, scen, bundle)
+
+
+def counting_world(monkeypatch):
+    """Count `world.reset` and `world.step` calls from here on."""
+    calls = {"reset": 0, "step": 0}
+    for name in calls:
+        def wrapped(*args, _name=name, _inner=getattr(world, name), **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(world, name, wrapped)
+    return calls
+
+
+class TestDeterministicEvaluation:
+    # Every evaluation episode resets to the same seeded layout, so a policy
+    # that draws no random numbers plays one distinct episode.
+
+    @pytest.mark.parametrize("kind, algo", [("greedy", None),
+                                            ("learned", "mappo_lstm"),
+                                            ("learned", "mappo_ff")])
+    @pytest.mark.parametrize("preset", ["tiny", "canonical_ring"])
+    def test_n_plays_equal_n_copies(self, preset, kind, algo, monkeypatch):
+        scen, _, _ = load_config(cli._resolve_input(preset, "presets"))
+        policy = eval_policy(kind, algo, scen)
+        copies = rollout_policy(scen, policy, episodes=3, seed=6)
+        monkeypatch.setattr(policy, "deterministic", lambda greedy: False,
+                            raising=False)
+        plays = rollout_policy(scen, policy, episodes=3, seed=6)
+        assert [r.episode for r in copies] == [0, 1, 2]
+        assert [stable(r) for r in copies] == [stable(r) for r in plays]
+
+    @pytest.mark.parametrize("kind, algo", [("greedy", None),
+                                            ("learned", "mappo_lstm")])
+    def test_steps_one_episodes_worth(self, kind, algo, monkeypatch):
+        scen = small_scenario(horizon=12)
+        policy = eval_policy(kind, algo, scen)
+        calls = counting_world(monkeypatch)
+        rows = rollout_policy(scen, policy, episodes=4, seed=1)
+        assert len(rows) == 4
+        assert calls == {"reset": 1, "step": 12}
+
+    @pytest.mark.parametrize("kind, greedy", [("random", True), ("random", False),
+                                              ("learned", False)])
+    def test_random_draws_play_every_episode(self, kind, greedy, monkeypatch):
+        scen = small_scenario(horizon=12)
+        policy = eval_policy(kind, "mappo_lstm", scen)
+        calls = counting_world(monkeypatch)
+        rows = rollout_policy(scen, policy, episodes=4, seed=1, greedy=greedy)
+        assert calls == {"reset": 4, "step": 48}
+        assert len({stable(r).split(",", 1)[1] for r in rows}) > 1
+
+    def test_deterministic_flags(self):
+        scen = small_scenario()
+        for kind, flags in (("greedy", (True, True)), ("random", (False, False)),
+                            ("learned", (True, False))):
+            policy = eval_policy(kind, "mappo_lstm", scen)
+            assert (policy.deterministic(True), policy.deterministic(False)) == flags
+
+
 class TestFeedForwardBaseline:
     def test_mappo_ff_trains_and_ignores_local_obs(self):
         scen = small_scenario(horizon=8)

@@ -10,7 +10,8 @@ The contract (ROADMAP aim 2) covers what the command-line tool writes:
   ``canonical_ring`` run: ``metrics.csv`` without its ``wall_ms`` column,
   every checkpoint and every event CSV;
 * ``eval --out`` for the learned, greedy and random policies on ``tiny``
-  and ``canonical_ring``;
+  and ``canonical_ring``: ``eval.csv`` and the stdout, whose constraint
+  block sums the episodes' counts, which no CSV holds;
 * one greedy ``sweep``;
 * the stdout of ``oracle`` on the three bundled instances;
 * the stdout of ``gradcheck --trials 2 --seed 0``, whose relative errors
@@ -108,11 +109,12 @@ def main() -> None:
             for policy in ("learned", "greedy", "random"):
                 out = tmp / "eval" / label / policy
                 extra = ["--checkpoint", str(ckpt)] if policy == "learned" else []
-                run_cli(["eval", "--config", configs[label], "--policy", policy,
-                         *extra, "--episodes", "3", "--seed", SEED,
-                         "--out", str(out)])
+                stdout = run_cli(["eval", "--config", configs[label],
+                                  "--policy", policy, *extra, "--episodes", "3",
+                                  "--seed", SEED, "--out", str(out)])
                 lines.append((sha((out / "eval.csv").read_bytes()),
                               f"eval/{label}/{policy}/eval.csv"))
+                lines.append((sha(stdout), f"eval/{label}/{policy}/stdout"))
 
         out = tmp / "sweep"
         run_cli(["sweep", "--param", "n_iots", "--values", "6,10",
