@@ -131,6 +131,9 @@ class ScenarioConfig:
                 raise ConfigError(f"{key} must be >= 0 (the reward subtracts it)")
         if self.lbd_layout not in ("center", "ring"):
             raise ConfigError("lbd_layout must be 'center' or 'ring'")
+        if self.lbd_layout == "ring" and self.n_lbds == 1:
+            raise ConfigError("lbd_layout = ring needs n_lbds >= 2; "
+                              "one station stands at the centre")
         try:
             self.channel.validate()
             self.laser.validate()

@@ -282,7 +282,7 @@ def _expand(frontier: WorldBatch, joints: np.ndarray, cfg: ScenarioConfig,
         shape = (len(nodes), n_joints)
         collected = (nxt.collections > rows.collections).reshape(shape)
         pending = world._rowwise(np.logical_or, nxt.has_data).reshape(shape)
-        alive = world._rowwise(np.logical_and, nxt.uav_alive).reshape(shape)
+        alive = world._rowwise(np.minimum, nxt.uav_energy).reshape(shape) > 0.0
         live = pending & alive
         # A child with nothing pending scores its collection slot t; a
         # pending child that lost a UAV scores the horizon.  (A stepped

@@ -1,6 +1,7 @@
 """Discrete-time multi-UAV data collection environment.
 
-`WorldState` holds UAV and IoT state as numpy columns, one row per entity.
+`WorldState` holds UAV and IoT state as numpy columns, one row per entity:
+a UAV's position and energy; it is dead once its battery reads 0 J.
 One `step` advances all UAVs by one slot in a fixed order, each phase acting
 on every UAV at once: movement with boundary clipping, collision detection,
 charging assignment, propulsion drain, data collection, AoI bookkeeping, and
@@ -88,8 +89,7 @@ class Event(NamedTuple):
 class UavSnapshot(NamedTuple):
     pos: np.ndarray               # (2,) horizontal position, m
     energy: float
-    alive: bool
-    charging_lbd: int | None
+    alive: bool                   # energy > 0
 
 
 @dataclass
@@ -102,9 +102,7 @@ class WorldState:
     slot: int
     lbds: np.ndarray              # (L, 3) positions, m
     uav_pos: np.ndarray           # (U, 2) or (B, U, 2): horizontal positions, m
-    uav_energy: np.ndarray        # (U,) or (B, U): J
-    uav_alive: np.ndarray         # (U,) or (B, U): bool
-    charging_lbd: np.ndarray      # (U,) or (B, U): int64 LBD charging it now, -1 none
+    uav_energy: np.ndarray        # (U,) or (B, U): J; 0 means dead
     iot_pos: np.ndarray           # (I, 2) ground positions, m
     gen_time: np.ndarray          # (I,) or (B, I): int64 slot its data was generated
     has_data: np.ndarray          # (I,) or (B, I): bool
@@ -121,10 +119,8 @@ class WorldState:
         """A read-only per-UAV snapshot of the UAV columns, kept for
         acceptance criterion 4, which reads ``state.uavs[j].energy``.
         Library code reads the columns."""
-        return [UavSnapshot(pos.copy(), energy, alive, None if k < 0 else k)
-                for pos, energy, alive, k in zip(
-                    self.uav_pos, self.uav_energy.tolist(),
-                    self.uav_alive.tolist(), self.charging_lbd.tolist())]
+        return [UavSnapshot(pos.copy(), energy, energy > 0.0)
+                for pos, energy in zip(self.uav_pos, self.uav_energy.tolist())]
 
     def iot_ages(self) -> np.ndarray:
         """Per-IoT age: slots since generation if pending, else the age
@@ -135,8 +131,8 @@ class WorldState:
 # `WorldState`'s per-episode columns and tallies, each the name of a field;
 # a `WorldBatch` gives both a leading episode axis.  The other fields, the
 # slot and the shared ``lbds`` and ``iot_pos``, are one per batch.
-_COLUMNS = ("uav_pos", "uav_energy", "uav_alive", "charging_lbd", "gen_time",
-            "has_data", "recorded_aoi", "iot_energy")
+_COLUMNS = ("uav_pos", "uav_energy", "gen_time", "has_data", "recorded_aoi",
+            "iot_energy")
 _TALLIES = ("peak_recorded_aoi", "collections", "collisions", "clips")
 
 
@@ -197,13 +193,12 @@ def parse_layout(text: str) -> tuple[list, list, list]:
 
 
 def default_lbd_positions(config: ScenarioConfig) -> np.ndarray:
-    if config.lbd_layout == "ring" and config.n_lbds > 1:
+    if config.lbd_layout == "ring":  # validated to hold two or more
         angles = 2.0 * math.pi * np.arange(config.n_lbds) / config.n_lbds
         radius = config.charge_radius
         return np.stack([radius * np.cos(angles), radius * np.sin(angles),
                          np.zeros(config.n_lbds)], axis=1)
-    out = np.zeros((config.n_lbds, 3))
-    return out
+    return np.zeros((config.n_lbds, 3))
 
 
 def default_uav_positions(config: ScenarioConfig) -> np.ndarray:
@@ -228,48 +223,45 @@ def reset(config: ScenarioConfig, seed: int,
     elif config.layout_file:
         layout_iots, layout_lbds, layout_uavs = parse_layout(
             read_text(config.layout_file, "layout"))
+    if layout_lbds and config.lbd_layout == "ring":
+        raise ConfigError("lbd_layout = ring conflicts with the layout's "
+                          "LBD records, which place the stations")
 
-    if layout_uavs:
-        if len(layout_uavs) != config.n_uavs:
-            raise ConfigError(f"layout has {len(layout_uavs)} UAV records, "
-                              f"config expects n_uavs={config.n_uavs}")
-        uav_pos = np.array(layout_uavs)
-    else:
-        uav_pos = default_uav_positions(config)
-
-    if layout_lbds:
-        if len(layout_lbds) != config.n_lbds:
-            raise ConfigError(f"layout has {len(layout_lbds)} LBD records, "
-                              f"config expects n_lbds={config.n_lbds}")
-        lbds = np.array(layout_lbds)
-    else:
-        lbds = default_lbd_positions(config)
+    uav_pos = _placed(layout_uavs, "UAV", "n_uavs", config,
+                      lambda: default_uav_positions(config))
+    lbds = _placed(layout_lbds, "LBD", "n_lbds", config,
+                   lambda: default_lbd_positions(config))
     for k, (x, y, z) in enumerate(lbds):
         if z >= config.altitude:
             raise ConfigError(f"LBD record {k + 1} ({x:g} {y:g} {z:g}): height "
                               f"must be below altitude {config.altitude:g}")
-
-    if layout_iots:
-        if len(layout_iots) != config.n_iots:
-            raise ConfigError(f"layout has {len(layout_iots)} IOT records, "
-                              f"config expects n_iots={config.n_iots}")
-        iot_pos = np.array(layout_iots)
-    else:
-        rng = np.random.default_rng(seed)
-        h = config.area_half_side
-        iot_pos = rng.uniform(-h, h, size=(config.n_iots, 2))
+    h = config.area_half_side
+    iot_pos = _placed(layout_iots, "IOT", "n_iots", config,
+                      lambda: np.random.default_rng(seed).uniform(
+                          -h, h, size=(config.n_iots, 2)))
 
     u, n = config.n_uavs, config.n_iots
-    return WorldState(slot=0, lbds=lbds,
-                      uav_pos=np.array(uav_pos, dtype=float),
+    return WorldState(slot=0, lbds=lbds, uav_pos=uav_pos,
                       uav_energy=np.full(u, config.e_init_frac * config.e_full),
-                      uav_alive=np.ones(u, dtype=bool),
-                      charging_lbd=np.full(u, -1, dtype=np.int64),
-                      iot_pos=np.array(iot_pos, dtype=float),
+                      iot_pos=iot_pos,
                       gen_time=np.zeros(n, dtype=np.int64),
                       has_data=np.ones(n, dtype=bool),
                       recorded_aoi=np.zeros(n, dtype=np.int64),
                       iot_energy=np.full(n, config.e_iot_init, dtype=float))
+
+
+def _placed(records: list | None, kind: str, count_key: str,
+            config: ScenarioConfig, default) -> np.ndarray:
+    """The layout's ``kind`` records as a float array, one row each, or
+    ``default()`` when it has none; the records must number
+    ``config.<count_key>``."""
+    if not records:
+        return default()
+    expected = getattr(config, count_key)
+    if len(records) != expected:
+        raise ConfigError(f"layout has {len(records)} {kind} records, "
+                          f"config expects {count_key}={expected}")
+    return np.array(records, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +269,7 @@ def reset(config: ScenarioConfig, seed: int,
 # ---------------------------------------------------------------------------
 
 def is_done(state: WorldState, config: ScenarioConfig) -> bool:
-    return state.slot >= config.horizon or not all(state.uav_alive)
+    return state.slot >= config.horizon or state.uav_energy.min() <= 0.0
 
 
 def step(state: WorldState, joint_action: list[int],
@@ -371,11 +363,11 @@ def step(state: WorldState, joint_action: list[int],
             died[j] = True
             events.append(Event(t, "uav", j, "die", float(t)))
 
-    nxt = WorldState(t, lbds, pos, np.array(energy), np.logical_not(died),
-                     np.array(charging), state.iot_pos, state.gen_time.copy(),
-                     state.has_data.copy(), state.recorded_aoi.copy(),
-                     state.iot_energy.copy(), state.peak_recorded_aoi,
-                     state.collections, state.collisions + sum(collide_counts) // 2,
+    nxt = WorldState(t, lbds, pos, np.array(energy), state.iot_pos,
+                     state.gen_time.copy(), state.has_data.copy(),
+                     state.recorded_aoi.copy(), state.iot_energy.copy(),
+                     state.peak_recorded_aoi, state.collections,
+                     state.collisions + sum(collide_counts) // 2,
                      state.clips + sum(clip_counts), events)
 
     # 5. Data collection: one collector per IoT (nearest alive UAV in range,
@@ -529,7 +521,7 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
                          f"got {actions.shape}")
     if len(actions) == 1:
         return _step_rows(batch, actions, config)
-    if batch.slot >= config.horizon or not batch.uav_alive.all():
+    if batch.slot >= config.horizon or batch.uav_energy.min() <= 0.0:
         raise EpisodeOver(f"batch holds a finished episode at slot {batch.slot}")
     if not 0 <= actions.min() <= actions.max() < config.n_actions:
         raise ValueError(f"action index outside 0..{config.n_actions - 1}")
@@ -633,7 +625,7 @@ def step_batch(batch: WorldBatch, actions: np.ndarray, config: ScenarioConfig
     peak_recorded = np.maximum(batch.peak_recorded_aoi,
                                _rowwise(np.maximum, np.where(hit, age, 0)))
 
-    nxt = WorldBatch(t, lbds, pos, energy, ~died, charging, batch.iot_pos,
+    nxt = WorldBatch(t, lbds, pos, energy, batch.iot_pos,
                      gen_time, has_data, recorded_aoi, iot_energy, peak_recorded,
                      batch.collections + _rowwise(np.add, hit), collisions,
                      batch.clips + _rowwise(np.add, clipped))
@@ -721,17 +713,17 @@ def observe(state: WorldState | WorldBatch, agent: int | None,
     gives the same with a leading episode axis.
     """
     agents = slice(None) if agent is None else [agent]
-    alive = state.uav_alive[..., agents]
-    if not alive.all():
+    energy = state.uav_energy[..., agents]
+    if energy.min() <= 0.0:
         dead = np.arange(config.n_uavs)[agents][
-            ~alive.reshape(-1, alive.shape[-1]).all(axis=0)]
+            energy.reshape(-1, energy.shape[-1]).min(axis=0) <= 0.0]
         raise ValueError(f"agent {int(dead[0])} is not alive")
     half = config.area_half_side
     span = 2.0 * half
     pos = state.uav_pos[..., agents, :]                           # (…, N, 2)
     out = np.zeros(pos.shape[:-1] + (config.obs_dim,))
     out[..., :2] = pos / half
-    out[..., 2] = state.uav_energy[..., agents] / config.e_full
+    out[..., 2] = energy / config.e_full
 
     offset = state.iot_pos - pos[..., None, :]                    # (…, N, I, 2)
     # A stable sort keeps the lower IoT index first among equal distances.
@@ -785,7 +777,7 @@ def episode_counts(state: WorldState, config: ScenarioConfig) -> EpisodeCounts:
         collections=state.collections,
         uncollected=int(np.count_nonzero(state.recorded_aoi == 0)),
         low_energy_iots=int(np.count_nonzero(state.iot_energy < config.e_iot_floor)),
-        deaths=int(np.count_nonzero(~state.uav_alive)),
+        deaths=int(np.count_nonzero(state.uav_energy <= 0.0)),
         collisions=state.collisions,
         clips=state.clips)
 

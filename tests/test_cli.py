@@ -330,6 +330,28 @@ def test_missing_path_to_bundled_name_exit_2(argv, tmp_path, capsys):
     assert argv[-1] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("changes, reason", [
+    pytest.param({}, "needs n_lbds >= 2", id="one-station"),
+    pytest.param({"n_lbds = 1": "n_lbds = 2",
+                  "layout_file = ": "layout_file = {layout}"},
+                 "conflicts with the layout's LBD records", id="lbd-records"),
+])
+def test_ring_layout_it_would_ignore_exit_2(changes, reason, mini_cfg, tmp_path,
+                                            capsys):
+    # One station stands at the centre, and LBD records place the stations
+    # themselves: either way `lbd_layout = ring` would change nothing.
+    layout = tmp_path / "two_lbd.txt"
+    layout.write_text("LBD -100 0 0\nLBD 100 0 0\n")
+    text = mini_cfg.read_text().replace("lbd_layout = center", "lbd_layout = ring")
+    for old, new in changes.items():
+        text = text.replace(f"\n{old}\n", f"\n{new.format(layout=layout)}\n")
+    ring = tmp_path / "ring.cfg"
+    ring.write_text(text)
+    assert cli.main(["eval", "--policy", "greedy", "--episodes", "1",
+                     "--config", str(ring)]) == 2
+    assert f"lbd_layout = ring {reason}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["tiny", "tiny.cfg"])
 def test_bare_preset_name_resolves_to_bundled_file(name):
     path = cli._resolve_input(name, "presets")

@@ -12,7 +12,7 @@ import pytest
 from aoi_uav import trainer, world
 from aoi_uav.config import (
     ConfigError, RewardParams, ScenarioConfig, TrainConfig, tiny_scenario)
-from aoi_uav.physics import LaserParams, propulsion_power
+from aoi_uav.physics import LaserParams, laser_power_received, propulsion_power
 from aoi_uav.world import (
     EpisodeCounts,
     EpisodeOver,
@@ -44,6 +44,20 @@ def open_field(n_uavs=1, n_iots=1, iot_at=((0.0, 400.0),), horizon=10, **kw):
     state = reset(cfg, seed=1)
     state.iot_pos[:len(iot_at)] = iot_at
     return cfg, state
+
+
+def charges(state):
+    """{UAV index: energy gained} over the ``charge`` events of the slot
+    that built ``state``."""
+    return {e.entity_id: e.value for e in state.events if e.event == "charge"}
+
+
+def laser_gain(cfg, state, j, k):
+    """The laser energy UAV j draws in one slot from LBD k, at its position
+    in ``state``."""
+    lbd = state.lbds[k]
+    d = float(np.hypot(*(state.uav_pos[j] - lbd[:2])))
+    return laser_power_received(cfg.laser, d, cfg.altitude - lbd[2]) * cfg.slot_dt
 
 
 class TestReset:
@@ -129,17 +143,14 @@ class TestChargingAndEnergy:
         state.uav_pos[0] = np.array([10.0, 0.0])
         state.uav_pos[1] = np.array([0.0, 20.0])
         nxt, _, _ = step(state, [8, 8], cfg)
-        charging = [u.charging_lbd for u in nxt.uavs]
-        assert charging.count(0) == 1
-        assert charging[0] == 0  # nearest wins
+        assert charges(nxt) == {0: laser_gain(cfg, nxt, 0, 0)}  # nearest wins
 
     def test_charging_tie_breaks_by_lower_index(self):
         cfg, state = open_field(n_uavs=2, include_hover_action=True)
         state.uav_pos[0] = np.array([15.0, 0.0])
         state.uav_pos[1] = np.array([-15.0, 0.0])
         nxt, _, _ = step(state, [8, 8], cfg)
-        assert nxt.uavs[0].charging_lbd == 0
-        assert nxt.uavs[1].charging_lbd is None
+        assert charges(nxt) == {0: laser_gain(cfg, nxt, 0, 0)}
 
     def test_ring_layout_charges_from_nearest_station(self):
         cfg = replace(CANON, n_uavs=1, n_lbds=10, lbd_layout="ring",
@@ -148,7 +159,8 @@ class TestChargingAndEnergy:
         # Ring stations sit on the charging-radius circle; park on one.
         state.uav_pos[0] = state.lbds[3][:2].copy()
         nxt, _, _ = step(state, [8], cfg)
-        assert nxt.uavs[0].charging_lbd == 3
+        assert charges(nxt) == {0: laser_gain(cfg, nxt, 0, 3)}
+        assert laser_gain(cfg, nxt, 0, 3) > laser_gain(cfg, nxt, 0, 2)
 
     def test_two_lbds_charge_two_uavs(self, tmp_path):
         layout = tmp_path / "two_lbd.txt"
@@ -158,8 +170,8 @@ class TestChargingAndEnergy:
                       include_hover_action=True, layout_file=str(layout))
         state = reset(cfg, seed=0)
         nxt, _, _ = step(state, [8, 8], cfg)
-        assert nxt.uavs[0].charging_lbd == 0
-        assert nxt.uavs[1].charging_lbd == 1
+        assert charges(nxt) == {0: laser_gain(cfg, nxt, 0, 0),
+                                1: laser_gain(cfg, nxt, 1, 1)}
 
     def test_energy_ledger_balances(self):
         cfg = replace(tiny_scenario(), horizon=40)
@@ -386,6 +398,14 @@ class TestObservation:
         assert obs[0] == 0.0 and obs[1] == 0.0
         assert obs[2] == cfg.e_init_frac
 
+    def test_lbd_offset_scaled_by_span(self):
+        # Canonical field, 1000 m across, one LBD at the origin.  The last
+        # two features are the nearest LBD's offset over the span.
+        cfg, state = open_field(n_uavs=2)
+        state.uav_pos[:] = [(10.0, 0.0), (0.0, -30.0)]
+        assert observe(state, None, cfg)[:, -2:].tolist() == [[-0.01, 0.0],
+                                                               [0.0, 0.03]]
+
     def test_dimension_fixed(self):
         cfg = tiny_scenario()
         state = reset(cfg, seed=1)
@@ -422,7 +442,7 @@ class TestObservation:
 
     def test_dead_agent_rejected(self):
         cfg, state = open_field()
-        state.uav_alive[0] = False
+        state.uav_energy[0] = 0.0
         with pytest.raises(ValueError):
             observe(state, 0, cfg)
 
@@ -441,7 +461,7 @@ class TestObservation:
 
     def test_all_agents_rejects_a_dead_agent(self):
         cfg, state = open_field(n_uavs=3)
-        state.uav_alive[1] = False
+        state.uav_energy[1] = 0.0
         with pytest.raises(ValueError, match="agent 1"):
             observe(state, None, cfg)
 
@@ -564,6 +584,37 @@ class TestDeterminismAndLog:
         assert {"move", "drain", "collect"} <= seen
 
 
+class TestZeroEnergyIsDead:
+    """A UAV is dead exactly when its battery reads 0 J, in every reader."""
+
+    def test_zero_joules_is_dead(self):
+        cfg, state = open_field(n_uavs=3)
+        live = copy.deepcopy(state)
+        state.uav_energy[1] = 0.0
+        assert [u.alive for u in state.uavs] == [True, False, True]
+        assert world.is_done(state, cfg)
+        assert episode_counts(state, cfg).deaths == 1
+        for observed in (state, WorldBatch.of([live, state])):
+            with pytest.raises(ValueError, match="agent 1"):
+                observe(observed, None, cfg)
+        with pytest.raises(ValueError, match="agent 1"):
+            observe(state, 1, cfg)
+        with pytest.raises(EpisodeOver):
+            step(state, [0, 0, 0], cfg)
+        for batch in (WorldBatch.of([state]), WorldBatch.of([live, state])):
+            with pytest.raises(EpisodeOver):
+                step_batch(batch, np.zeros((len(batch.uav_energy), 3), int), cfg)
+
+    def test_least_positive_energy_is_alive(self):
+        cfg, state = open_field(n_uavs=3)
+        state.uav_energy[1] = 5e-324
+        assert [u.alive for u in state.uavs] == [True, True, True]
+        assert not world.is_done(state, cfg)
+        assert episode_counts(state, cfg).deaths == 0
+        assert observe(state, None, cfg).shape == (3, cfg.obs_dim)
+        step_batch(WorldBatch.of([state] * 2), np.zeros((2, 3), int), cfg)
+
+
 class TestLayoutFile:
     def test_parse_and_reset(self, tmp_path):
         layout = tmp_path / "field.txt"
@@ -592,11 +643,18 @@ class TestLayoutFile:
         with pytest.raises(ConfigError):
             parse_layout("IOT 1\n")
 
-    def test_count_mismatch_rejected(self, tmp_path):
+    @pytest.mark.parametrize("records, kind, key", [
+        ("IOT 0 0\n", "IOT", "n_iots"),
+        ("LBD 0 0 0\nLBD 5 5 0\n", "LBD", "n_lbds"),
+        ("UAV 1 0\n", "UAV", "n_uavs"),
+    ], ids=["IOT", "LBD", "UAV"])
+    def test_count_mismatch_rejected(self, records, kind, key, tmp_path):
         layout = tmp_path / "field.txt"
-        layout.write_text("IOT 0 0\n")
-        cfg = replace(CANON, n_iots=2, layout_file=str(layout))
-        with pytest.raises(ConfigError):
+        layout.write_text(records)
+        cfg = replace(CANON, layout_file=str(layout))
+        expected = getattr(cfg, key)
+        with pytest.raises(ConfigError, match=f"layout has [0-9]+ {kind} records, "
+                                              f"config expects {key}={expected}$"):
             reset(cfg, seed=0)
 
 
@@ -704,7 +762,7 @@ class TestGoldenMultiUavStep:
         assert [u.energy for u in uavs] == [590.4717343664512, 0.0,
                                             37.590249738933835]
         assert [u.alive for u in uavs] == [True, False, True]
-        assert [u.charging_lbd for u in uavs] == [0, None, None]
+        assert charges(state) == {0: 149.98799298292946}
         assert state.gen_time.tolist() == [1, 4, 0, 0]
         assert state.has_data.tolist() == [True, True, True, True]
         assert state.recorded_aoi.tolist() == [1, 1, 0, 0]
@@ -831,9 +889,16 @@ class TestStepBatch:
                   [(45.0, 20.0), (-28.0, -30.0), (44.0, 12.0)])
         logs = lock_step_against_step(golden.CFG, 6, seed=10, layout=layout)
         assert "charge" in event_kinds(logs)
-        batch = WorldBatch.of([reset(golden.CFG, seed=1, layout=layout)] * 2)
-        nxt, _, _ = step_batch(batch, np.full((2, 3), 8), golden.CFG)
-        assert nxt.charging_lbd.tolist() == [[0, 1, -1]] * 2
+        cfg = golden.CFG
+        start = reset(cfg, seed=1, layout=layout)
+        nxt, _, _ = step_batch(WorldBatch.of([start] * 2), np.full((2, 3), 8), cfg)
+        # UAVs 0 and 1 charge from LBDs 0 and 1; UAV 2 loses LBD 0 to UAV 0.
+        hover = propulsion_power(cfg.propulsion, 0.0) * cfg.slot_dt
+        gain = [laser_gain(cfg, start, 0, 0), laser_gain(cfg, start, 1, 1), 0.0]
+        assert gain[0] != gain[1]
+        expected = [min(max(e + g - hover, 0.0), cfg.e_full)
+                    for e, g in zip(start.uav_energy.tolist(), gain)]
+        assert nxt.uav_energy.tolist() == [expected] * 2
 
     def test_low_energy_deaths_end_episodes_at_different_slots(self):
         cfg = replace(tiny_scenario(), n_uavs=3, e_init_frac=0.03)

@@ -12,7 +12,9 @@ The contract (ROADMAP aim 2) covers what the command-line tool writes:
 * ``eval --out`` for the learned, greedy and random policies on ``tiny``
   and ``canonical_ring``: ``eval.csv`` and the stdout, whose constraint
   block sums the episodes' counts, which no CSV holds;
-* one greedy ``sweep``;
+* one greedy ``sweep --mode eval``, and one ``sweep --mode train`` on
+  ``tiny`` cut to 2 training episodes, whose rows score the trained
+  policies;
 * the stdout of ``oracle`` on the three bundled instances;
 * the stdout of ``gradcheck --trials 2 --seed 0``, whose relative errors
   compare the tape's gradients with finite differences directly, not only
@@ -122,6 +124,15 @@ def main() -> None:
                  "--policy", "greedy", "--episodes", "2", "--seed", SEED,
                  "--out", str(out)])
         lines.append((sha((out / "sweep.csv").read_bytes()), "sweep/sweep.csv"))
+
+        out = tmp / "sweep_train"
+        run_cli(["sweep", "--param", "n_iots", "--values", "6,10",
+                 "--config", write_config(tmp / "sweep_train.cfg", "tiny", {},
+                                          {"episodes": 2, "episodes_per_update": 2}),
+                 "--mode", "train", "--episodes", "2", "--seed", SEED,
+                 "--out", str(out)])
+        lines.append((sha((out / "sweep.csv").read_bytes()),
+                      "sweep_train/sweep.csv"))
 
         for name in sorted(p.stem for p in
                            resources.files("aoi_uav").joinpath("instances").iterdir()
