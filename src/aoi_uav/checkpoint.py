@@ -6,7 +6,7 @@ payload) until 4 bytes before EOF, which hold the CRC32 of everything
 preceding them.  Records round-trip in insertion order, so save -> load ->
 save reproduces the bytes exactly.  A container whose CRC holds but whose
 records do not parse (a length past the end, a name that is not UTF-8, a
-repeated name) is a `CheckpointError` too.
+repeated name, a NaN or infinite value) is a `CheckpointError` too.
 
 A dump is built in one pass: each payload is the C-contiguous ``<f8``
 array itself, handed to ``zlib.crc32`` and the writer through the buffer
@@ -82,6 +82,8 @@ def load_tensors(blob: bytes) -> dict[str, np.ndarray]:
             payload = np.frombuffer(body, dtype="<f8", count=count, offset=offset)
             offset += 8 * count
             out[name] = payload.reshape(dims).astype(np.float64)  # the one copy
+            if not np.isfinite(out[name]).all():
+                raise ValueError(f"tensor {name!r} holds a non-finite value")
     except (struct.error, ValueError, OverflowError) as err:  # UnicodeDecodeError too
         raise CheckpointError(f"malformed record at byte {offset}: {err}") from None
     return out

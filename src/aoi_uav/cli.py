@@ -7,9 +7,10 @@ collects it in a lock-step batch or `eval` and `sweep` play it alone.
 Exit codes: 0 success, 1 check failed (oracle witness replay does not match
 the optimum, or a gradcheck trial failed), 2 config problem (including an
 out-of-range flag or key, a flag or key the command would ignore, a
-non-finite float, a repeated key, or an input or output path that cannot be
-read or written), 3 training diverged (non-finite loss), 4 checkpoint
-CRC, format or record failure, 5 oracle guard exceeded.
+non-finite float, a propulsion constant whose power underflows to 0, a
+repeated key, or an input or output path that cannot be read or written), 3
+training diverged (non-finite loss), 4 checkpoint CRC, format or record
+failure (a non-finite weight included), 5 oracle guard exceeded.
 """
 
 from __future__ import annotations

@@ -89,6 +89,15 @@ class PropulsionParams:
                      "rotor_solidity", "rotor_area"):
             if getattr(self, name) <= 0.0:
                 raise PhysicsDomainError(f"propulsion.{name} must be > 0")
+        # propulsion_power divides by tip_speed^2 and hover_induced_speed^4,
+        # which underflow to 0 for a small enough positive value.
+        v0sq = self.hover_induced_speed * self.hover_induced_speed
+        for name, divisor in (("tip_speed", self.tip_speed * self.tip_speed),
+                              ("hover_induced_speed", v0sq * v0sq)):
+            if divisor == 0.0:
+                raise PhysicsDomainError(
+                    f"propulsion.{name} = {getattr(self, name)!r} is too small: "
+                    "propulsion_power would divide by 0")
 
 
 def los_probability(elevation_deg: float, b1: float, b2: float) -> float:

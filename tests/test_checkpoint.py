@@ -3,6 +3,7 @@ records."""
 
 import struct
 import zlib
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from aoi_uav.checkpoint import (
     save,
 )
 from aoi_uav.config import TrainConfig, tiny_scenario
+from aoi_uav.config_io import load_config
 from aoi_uav.trainer import build_bundle, bundle_from_tensors, bundle_to_tensors
 
 
@@ -131,6 +133,25 @@ class TestMalformedRecords:
         assert cli.main(["eval", "--config", "tiny", "--policy", "learned",
                          "--checkpoint", str(path)]) == 4
         assert capsys.readouterr().err.startswith("checkpoint error: malformed record")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=str)
+def test_non_finite_weight_behind_valid_crc_exit_4(value, tmp_path, capsys):
+    # The CRC guards the bytes, not the values: the loader rejects the
+    # tensor, so eval does not play a policy whose logits are NaN.
+    preset = str(resources.files("aoi_uav").joinpath("presets", "tiny.cfg"))
+    scenario, tconf, _ = load_config(preset)
+    tensors = bundle_to_tensors(build_bundle(scenario, tconf, seed=0))
+    path = tmp_path / "ep_0.ckpt"
+    save(str(path), tensors)
+    assert dump_tensors(load(str(path))) == path.read_bytes()
+    tensors["actor0/w_out"][0, 0] = value
+    save(str(path), tensors)
+    with pytest.raises(CheckpointError, match="'actor0/w_out' holds a non-finite"):
+        load(str(path))
+    assert cli.main(["eval", "--config", "tiny", "--policy", "learned",
+                     "--episodes", "2", "--checkpoint", str(path)]) == 4
+    assert "'actor0/w_out' holds a non-finite" in capsys.readouterr().err
 
 
 class TestBundleSerialization:

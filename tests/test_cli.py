@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, file outputs, manifest replay."""
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -350,6 +351,19 @@ def test_ring_layout_it_would_ignore_exit_2(changes, reason, mini_cfg, tmp_path,
     assert cli.main(["eval", "--policy", "greedy", "--episodes", "1",
                      "--config", str(ring)]) == 2
     assert f"lbd_layout = ring {reason}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["tip_speed", "hover_induced_speed"])
+def test_underflowing_propulsion_constant_exit_2(key, mini_cfg, tmp_path, capsys):
+    # Positive, so `> 0` holds, but propulsion_power divides by its square
+    # (tip_speed) or fourth power (hover_induced_speed), which is 0.
+    bad = tmp_path / "underflow.cfg"
+    bad.write_text(re.sub(rf"\n{key} = .*\n", f"\n{key} = 1e-300\n",
+                          mini_cfg.read_text()))
+    assert cli.main(["eval", "--policy", "greedy", "--episodes", "1",
+                     "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"propulsion.{key}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("name", ["tiny", "tiny.cfg"])

@@ -21,6 +21,9 @@ The contract (ROADMAP aim 2) covers what the command-line tool writes:
   through the checkpoints that Adam writes from them.
 
 Everything is written under a temporary directory that is removed at exit.
+The listing does not depend on the host's CPU count or on the BLAS thread
+variables in the environment: this script imports ``aoi_uav`` before numpy,
+and the package pins one BLAS thread.
 Two trees give the same bytes when their listings are equal::
 
     PYTHONPATH=src python tools/output_digests.py > before.txt
